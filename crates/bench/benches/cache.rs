@@ -11,10 +11,10 @@
 use std::time::Instant;
 
 use megsim_bench::report::{available_cores, merge_bench_json};
-use megsim_core::evaluate::{characterize_sequence, simulate_sequence};
+use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::{frame_cache, run_batch, BatchJob, BatchOp};
-use megsim_timing::GpuConfig;
+use megsim_timing::{GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 
 /// Best-of-three wall-clock seconds for `f`, running `prepare` before
@@ -40,7 +40,13 @@ fn main() {
         let matrix =
             characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
         std::hint::black_box(matrix);
-        let stats = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
+        let stats = simulate(
+            workload.iter_frames(),
+            workload.shaders(),
+            &gpu,
+            MultiGpuConfig::single(),
+            FrameStart::Cold,
+        );
         std::hint::black_box(stats);
     };
 

@@ -17,8 +17,9 @@ use std::io::Cursor;
 use std::time::Instant;
 
 use megsim_bench::report::{available_cores, core_note, merge_bench_json};
+use megsim_core::{simulate, FrameStart};
 use megsim_gl::{decode, encode, encode_v2, play, record_sequence, FrameIter};
-use megsim_timing::GpuConfig;
+use megsim_timing::{GpuConfig, MultiGpuConfig};
 use megsim_workloads::{build, by_alias, BENCHMARKS};
 
 /// Best-of-three wall-clock seconds for `f` (after one warm-up pass).
@@ -89,19 +90,23 @@ fn main() {
         megsim_exec::set_threads(threads);
         let materialized = secs(|| {
             let replay = play(&decode(&bytes).expect("valid trace")).expect("valid stream");
-            std::hint::black_box(megsim_core::simulate_sequence_warm(
+            std::hint::black_box(simulate(
                 replay.frames.iter().cloned(),
                 &replay.shaders,
                 &cfg,
+                MultiGpuConfig::single(),
+                FrameStart::Warm,
             ));
         });
         let streamed = secs(|| {
             let iter = FrameIter::new(Cursor::new(&bytes[..])).expect("valid header");
             let shaders = iter.shaders().clone();
-            std::hint::black_box(megsim_core::simulate_sequence_warm(
+            std::hint::black_box(simulate(
                 iter.map(|f| f.expect("valid frame")),
                 &shaders,
                 &cfg,
+                MultiGpuConfig::single(),
+                FrameStart::Warm,
             ));
         });
         entries.push((

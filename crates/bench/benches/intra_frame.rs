@@ -16,8 +16,9 @@
 use std::time::Instant;
 
 use megsim_bench::report::{available_cores, core_note, merge_bench_json};
+use megsim_core::{simulate, FrameStart};
 use megsim_funcsim::{FrameTrace, RenderConfig, RenderMode, Renderer};
-use megsim_timing::{Gpu, GpuConfig, ShardMode};
+use megsim_timing::{Gpu, GpuConfig, MultiGpuConfig, ShardMode};
 use megsim_workloads::by_alias;
 
 const MODES: [(&str, RenderMode); 3] = [
@@ -133,10 +134,12 @@ fn main() {
     for &threads in &sweep {
         megsim_exec::set_threads(threads);
         let warm = secs(|| {
-            std::hint::black_box(megsim_core::simulate_sequence_warm(
+            std::hint::black_box(simulate(
                 workload.iter_frames(),
                 workload.shaders(),
                 &cfg,
+                MultiGpuConfig::single(),
+                FrameStart::Warm,
             ));
         });
         if threads == 1 {

@@ -10,11 +10,14 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use megsim_core::evaluate::{characterize_sequence, simulate_representatives, simulate_sequence};
+use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
 use megsim_core::frame_cache;
+use megsim_core::pipeline::Selection;
 use megsim_core::pipeline::{select_representatives, MegsimConfig};
-use megsim_timing::GpuConfig;
+use megsim_gfx::shader::ShaderTable;
+use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
+use megsim_workloads::Workload;
 
 fn thread_sweep() -> Vec<usize> {
     let max = std::thread::available_parallelism().map_or(1, usize::from);
@@ -26,6 +29,32 @@ fn thread_sweep() -> Vec<usize> {
         sweep.push(max);
     }
     sweep
+}
+
+/// Cold single-GPU simulation of `frames`.
+fn simulate_cold(
+    frames: impl Iterator<Item = megsim_gfx::draw::Frame> + Send,
+    shaders: &ShaderTable,
+    gpu: &GpuConfig,
+) -> Vec<FrameStats> {
+    simulate(
+        frames,
+        shaders,
+        gpu,
+        MultiGpuConfig::single(),
+        FrameStart::Cold,
+    )
+    .0
+}
+
+/// Simulates only the selected representative frames.
+fn simulate_reps(workload: &Workload, selection: &Selection, gpu: &GpuConfig) -> Vec<FrameStats> {
+    let reps = selection.representatives.iter();
+    simulate_cold(
+        reps.map(|r| workload.frame(r.frame_index)),
+        workload.shaders(),
+        gpu,
+    )
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -40,7 +69,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 megsim_exec::set_threads(threads);
-                b.iter(|| simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu));
+                b.iter(|| simulate_cold(workload.iter_frames(), workload.shaders(), &gpu));
             },
         );
     }
@@ -61,12 +90,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                         &config,
                     );
                     let selection = select_representatives(&matrix, &config);
-                    simulate_representatives(
-                        |i| workload.frame(i),
-                        &selection,
-                        workload.shaders(),
-                        &gpu,
-                    )
+                    simulate_reps(&workload, &selection, &gpu)
                 });
             },
         );
@@ -93,7 +117,7 @@ fn write_bench_summary() {
         let matrix =
             characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
         let selection = select_representatives(&matrix, &config);
-        simulate_representatives(|i| workload.frame(i), &selection, workload.shaders(), &gpu)
+        simulate_reps(&workload, &selection, &gpu)
     };
     frame_cache::set_enabled(true);
     frame_cache::clear();

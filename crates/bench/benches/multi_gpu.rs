@@ -13,9 +13,9 @@
 use std::time::Instant;
 
 use megsim_bench::report::{available_cores, merge_bench_json};
-use megsim_core::evaluate::{characterize_sequence, simulate_representatives_multi};
+use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
 use megsim_core::pipeline::{select_representatives, MegsimConfig};
-use megsim_core::{metric_errors, sequence_totals};
+use megsim_core::{metric_errors, scaled_totals, sequence_totals};
 use megsim_funcsim::{FrameTrace, RenderConfig, Renderer};
 use megsim_timing::{
     DispatchMode, FrameStats, GpuConfig, LinkConfig, MultiGpu, MultiGpuConfig, Topology,
@@ -46,8 +46,8 @@ fn secs(mut f: impl FnMut()) -> f64 {
 }
 
 /// Warm rig sequence over pre-rendered traces with the end-of-sequence
-/// L2 drain — bitwise the `simulate_sequence_multi` semantics, minus
-/// the re-render.
+/// L2 drain — bitwise the `simulate(.., FrameStart::Warm)` semantics,
+/// minus the re-render.
 fn rig_sequence(
     cfg: &GpuConfig,
     multi: MultiGpuConfig,
@@ -184,17 +184,15 @@ fn main() {
         for n in [1usize, 2, 4] {
             let multi = MultiGpuConfig::new(n, dispatch, topology);
             let actual = sequence_totals(&rig_sequence(&cfg, multi, &traces, shaders));
-            let rep_stats = simulate_representatives_multi(
-                |i| workload.frame(i),
-                &selection,
+            let reps = &selection.representatives;
+            let (rep_stats, _) = simulate(
+                reps.iter().map(|r| workload.frame(r.frame_index)),
                 shaders,
                 &cfg,
                 multi,
+                FrameStart::Cold,
             );
-            let mut estimated = FrameStats::default();
-            for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-                estimated.merge(&stats.scaled(rep.cluster_size as u64));
-            }
+            let estimated = scaled_totals(reps, &rep_stats);
             let errors = metric_errors(&estimated, &actual);
             entries.push((
                 format!("multi_gpu_{label}_n{n}_rep_cycles_err"),

@@ -8,8 +8,9 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, Criterion};
+use megsim_core::{simulate, FrameStart};
 use megsim_funcsim::{FrameTrace, RenderConfig, RenderMode, Renderer};
-use megsim_timing::{Gpu, GpuConfig, ReferenceGpu};
+use megsim_timing::{Gpu, GpuConfig, MultiGpuConfig, ReferenceGpu};
 use megsim_workloads::by_alias;
 
 const MODES: [(&str, RenderMode); 3] = [
@@ -122,30 +123,28 @@ fn write_bench_summary() {
     entries.push(("timing_overall_speedup".to_string(), overall));
 
     // Warm-sequence pipeline: functional rendering of frame N + 1
-    // overlaps timing of frame N. Both paths use the optimized timing
-    // model and produce bit-identical statistics; the delta is pure
-    // render/timing overlap, so the gain is largest when the two
-    // per-frame costs are comparable — bbr1's 3-D frames render and
-    // time at similar rates on the Table I machine.
+    // overlaps timing of frame N. At one thread the pipeline runs as the
+    // inline sequential loop; both runs use the optimized timing model
+    // and produce bit-identical statistics, so the delta is pure
+    // render/timing overlap. The gain is largest when the two per-frame
+    // costs are comparable — bbr1's 3-D frames render and time at
+    // similar rates on the Table I machine.
     let workload = by_alias("bbr1", 0.02, 7).expect("known alias");
     let cfg = GpuConfig::mali450_like();
     let frames = workload.frames() as f64;
+    let warm = || {
+        black_box(simulate(
+            workload.iter_frames(),
+            workload.shaders(),
+            &cfg,
+            MultiGpuConfig::single(),
+            FrameStart::Warm,
+        ));
+    };
     megsim_exec::set_threads(1);
-    let sequential = secs(|| {
-        black_box(megsim_core::simulate_sequence_warm_sequential(
-            workload.iter_frames(),
-            workload.shaders(),
-            &cfg,
-        ));
-    });
+    let sequential = secs(warm);
     megsim_exec::set_threads(0);
-    let pipelined = secs(|| {
-        black_box(megsim_core::simulate_sequence_warm(
-            workload.iter_frames(),
-            workload.shaders(),
-            &cfg,
-        ));
-    });
+    let pipelined = secs(warm);
     // The overlap needs at least two hardware threads (one rendering,
     // one timing); on a single-CPU box the producer thread only adds
     // context switches, so the recorded core count qualifies the ratio

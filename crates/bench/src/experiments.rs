@@ -3,14 +3,14 @@
 //! expensive simulations run once.
 
 use megsim_core::evaluate::{
-    characterize_sequence, evaluate_megsim, simulate_representatives, simulate_sequence, MegsimRun,
+    characterize_sequence, evaluate_megsim, simulate, FrameStart, MegsimRun,
 };
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::random_sampling;
-use megsim_core::{sequence_totals, FeatureMatrix, GroupWeights, SimilarityMatrix};
+use megsim_core::{scaled_totals, sequence_totals, FeatureMatrix, GroupWeights, SimilarityMatrix};
 use megsim_power::{EnergyModel, PowerBreakdown};
 use megsim_stats::{multiple_correlation, pearson, quantile};
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 use megsim_workloads::{build, BenchmarkInfo, Workload, BENCHMARKS};
 
 use crate::args::ExperimentArgs;
@@ -85,7 +85,13 @@ pub fn compute_benchmark(ctx: &Context, info: &BenchmarkInfo) -> BenchmarkData {
         &ctx.megsim,
     );
     eprintln!("[{}] cycle-accurate ground-truth simulation...", info.alias);
-    let per_frame = simulate_sequence(frames.into_iter(), workload.shaders(), &ctx.gpu);
+    let (per_frame, _) = simulate(
+        frames.into_iter(),
+        workload.shaders(),
+        &ctx.gpu,
+        MultiGpuConfig::single(),
+        FrameStart::Cold,
+    );
     let totals = sequence_totals(&per_frame);
     BenchmarkData {
         info: *info,
@@ -441,16 +447,15 @@ pub fn resimulate_representatives(
 ) -> usize {
     let mut total = 0;
     for (d, run) in data.iter().zip(runs) {
-        let rep_stats = simulate_representatives(
-            |i| d.workload.frame(i),
-            &run.selection,
+        let reps = &run.selection.representatives;
+        let (rep_stats, _) = simulate(
+            reps.iter().map(|r| d.workload.frame(r.frame_index)),
             d.workload.shaders(),
             gpu,
+            MultiGpuConfig::single(),
+            FrameStart::Cold,
         );
-        let mut estimated = FrameStats::default();
-        for (stats, rep) in rep_stats.iter().zip(&run.selection.representatives) {
-            estimated.merge(&stats.scaled(rep.cluster_size as u64));
-        }
+        let estimated = scaled_totals(reps, &rep_stats);
         assert_eq!(
             estimated, run.estimated,
             "[{}] standalone representative re-simulation diverged",
@@ -872,7 +877,6 @@ pub struct ModeRow {
 /// (the §II-A strawman) on the selected benchmarks: TBR should slash
 /// IMR's off-chip traffic, TBDR should slash TBR's overdraw shading.
 pub fn rendering_modes(ctx: &Context, sample_frames: usize) -> String {
-    use megsim_core::evaluate::simulate_sequence;
     use megsim_funcsim::RenderMode;
     let mut t = TextTable::new(&[
         "benchmark",
@@ -891,8 +895,13 @@ pub fn rendering_modes(ctx: &Context, sample_frames: usize) -> String {
         ] {
             let mut gpu = ctx.gpu.clone();
             gpu.render_mode = mode;
-            let stats =
-                simulate_sequence((0..n).map(|i| workload.frame(i)), workload.shaders(), &gpu);
+            let (stats, _) = simulate(
+                (0..n).map(|i| workload.frame(i)),
+                workload.shaders(),
+                &gpu,
+                MultiGpuConfig::single(),
+                FrameStart::Cold,
+            );
             let row = ModeRow {
                 fragments_shaded: stats
                     .iter()

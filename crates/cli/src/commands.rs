@@ -5,16 +5,16 @@ use std::fs::File;
 use std::io::BufReader;
 
 use megsim_bench::report;
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate_sequence};
-use megsim_core::pipeline::{select_representatives, MegsimConfig, StreamClusterConfig};
-use megsim_core::{metric_errors, sequence_totals, FeatureMatrix, StreamSelection};
+use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
+use megsim_core::pipeline::{select_representatives, MegsimConfig, Selection, StreamClusterConfig};
+use megsim_core::{metric_errors, scaled_totals, sequence_totals, FeatureMatrix, StreamSelection};
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::{ShaderKind, ShaderTable};
 use megsim_gl::{
     encode_with_version, record_sequence, Command, FrameIter, StreamDecoder, TraceError,
     FORMAT_VERSION,
 };
-use megsim_timing::{DispatchMode, GpuConfig, MultiGpuConfig, Topology};
+use megsim_timing::{DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, Topology, MAX_GPUS};
 
 const USAGE: &str = "\
 usage: megsim <command> [options]
@@ -319,28 +319,48 @@ fn select_stream(
     Ok((shaders, selection))
 }
 
-/// Second streaming pass of `estimate`: re-decodes the trace and keeps
-/// only the frames whose indices were selected as representatives.
-fn collect_frames_by_index(
+/// Second streaming pass of `estimate`: re-decodes the trace, keeps
+/// only the representative frames, simulates each one cold on `rig`
+/// and scales its statistics by its cluster size — MEGsim's estimate
+/// of the trace's totals.
+fn estimate_representatives(
     path: &str,
-    wanted: &HashSet<usize>,
-) -> Result<HashMap<usize, Frame>, String> {
-    let mut out = HashMap::with_capacity(wanted.len());
+    selection: &Selection,
+    shaders: &ShaderTable,
+    gpu: &GpuConfig,
+    rig: MultiGpuConfig,
+) -> Result<FrameStats, String> {
+    let wanted: HashSet<usize> = selection
+        .representatives
+        .iter()
+        .map(|r| r.frame_index)
+        .collect();
+    let mut reps = HashMap::with_capacity(wanted.len());
     for (i, frame) in open_frames(path)?.enumerate() {
-        if out.len() == wanted.len() {
+        if reps.len() == wanted.len() {
             break;
         }
         let frame = frame.map_err(|e| format!("{path}: {e}"))?;
         if wanted.contains(&i) {
-            out.insert(i, frame);
+            reps.insert(i, frame);
         }
     }
-    Ok(out)
+    let frames: Vec<Frame> = selection
+        .representatives
+        .iter()
+        .map(|r| reps.remove(&r.frame_index))
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("{path}: trace ended before every representative frame"))?;
+    let (rep_stats, _) = simulate(frames.into_iter(), shaders, gpu, rig, FrameStart::Cold);
+    Ok(scaled_totals(&selection.representatives, &rep_stats))
 }
 
 fn record(opts: &mut Options) -> Result<(), String> {
     let alias = opts.required_flag("benchmark")?.to_string();
     let scale: f64 = opts.flag("scale", 0.1)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("--scale must be a positive number, got {scale}"));
+    }
     let seed: u64 = opts.flag("seed", 42)?;
     let out = opts.required_flag("out")?.to_string();
     let version: u16 = opts.flag("codec-version", FORMAT_VERSION)?;
@@ -465,15 +485,14 @@ fn select(opts: &mut Options) -> Result<(), String> {
 }
 
 /// Parses the multi-GPU scenario flags (`--gpus`, `--dispatch`,
-/// `--mem`). Returns `None` when none were given, keeping the default
-/// `estimate` on the single-GPU path (and its frame cache).
-fn multi_gpu_options(opts: &Options) -> Result<Option<MultiGpuConfig>, String> {
-    let explicit = ["gpus", "dispatch", "mem"]
-        .iter()
-        .any(|f| opts.flags.contains_key(*f));
+/// `--mem`). Without them the rig is the single GPU.
+fn multi_gpu_options(opts: &Options) -> Result<MultiGpuConfig, String> {
     let gpus: usize = opts.flag("gpus", 1)?;
     if gpus == 0 {
         return Err("--gpus must be at least 1".into());
+    }
+    if gpus > MAX_GPUS {
+        return Err(format!("--gpus must be at most {MAX_GPUS}, got {gpus}"));
     }
     let dispatch = match opts.flags.get("dispatch").map(String::as_str) {
         None | Some("afr") => DispatchMode::AlternateFrame,
@@ -485,7 +504,7 @@ fn multi_gpu_options(opts: &Options) -> Result<Option<MultiGpuConfig>, String> {
         Some("shared") => Topology::Shared,
         Some(other) => return Err(format!("invalid --mem: {other} (shared or private)")),
     };
-    Ok(explicit.then(|| MultiGpuConfig::new(gpus, dispatch, topology)))
+    Ok(MultiGpuConfig::new(gpus, dispatch, topology))
 }
 
 fn dispatch_name(dispatch: DispatchMode) -> &'static str {
@@ -506,7 +525,13 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
     let path = opts.trace_path()?;
     let seed: u64 = opts.flag("seed", 42)?;
     let ground_truth = opts.has("ground-truth");
-    let multi = multi_gpu_options(opts)?;
+    let rig = multi_gpu_options(opts)?;
+    // With rig flags the ground truth is the warm rig sequence and the
+    // accuracy table is reported per rig; without them it is the
+    // paper's cold per-frame ground truth.
+    let rig_scenario = ["gpus", "dispatch", "mem"]
+        .iter()
+        .any(|f| opts.flags.contains_key(*f));
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default().with_seed(seed);
     // The fused single-pass path never materializes the feature
@@ -528,39 +553,16 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
         let selection = select_representatives(&matrix, &config);
         (shaders, Some(matrix), selection)
     };
-    // A second streaming pass picks up just the representative frames;
-    // the rest of the trace flows through without being retained.
-    let wanted: HashSet<usize> = selection
-        .representatives
-        .iter()
-        .map(|r| r.frame_index)
-        .collect();
-    let reps = collect_frames_by_index(&path, &wanted)?;
-    // Simulate only the representatives, scale by cluster sizes. A
-    // multi-GPU scenario dispatches each representative through a fresh
-    // N-GPU rig instead of a fresh single GPU.
-    let rep_stats = match multi {
-        Some(m) => megsim_core::simulate_representatives_multi(
-            |i| reps[&i].clone(),
-            &selection,
-            &shaders,
-            &gpu,
-            m,
-        ),
-        None => {
-            megsim_core::simulate_representatives(|i| reps[&i].clone(), &selection, &shaders, &gpu)
-        }
-    };
-    let mut estimated = megsim_timing::FrameStats::default();
-    for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-        estimated.merge(&stats.scaled(rep.cluster_size as u64));
-    }
-    if let Some(m) = multi {
+    // A second streaming pass picks up just the representative frames
+    // (the rest of the trace flows through without being retained) and
+    // simulates each on a fresh rig.
+    let estimated = estimate_representatives(&path, &selection, &shaders, &gpu, rig)?;
+    if rig_scenario {
         println!(
             "multi-GPU rig: {} GPUs, {} dispatch, {} memory",
-            m.gpus,
-            dispatch_name(m.dispatch),
-            topology_name(m.topology)
+            rig.gpus,
+            dispatch_name(rig.dispatch),
+            topology_name(rig.topology)
         );
     }
     println!(
@@ -580,11 +582,14 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
         // Third streaming pass: the full simulation also replays off
         // the file handle, overlapping decode with render and timing.
         let mut frames = StreamedFrames::open(&path)?;
-        if let Some(m) = multi {
-            // Multi-GPU ground truth: the warm N-GPU rig sequence.
-            let (per_frame, report) =
-                megsim_core::simulate_sequence_multi(&mut frames, &shaders, &gpu, m);
-            frames.finish(&path)?;
+        let start = if rig_scenario {
+            FrameStart::Warm
+        } else {
+            FrameStart::Cold
+        };
+        let (per_frame, report) = simulate(&mut frames, &shaders, &gpu, rig, start);
+        frames.finish(&path)?;
+        if rig_scenario {
             let actual = sequence_totals(&per_frame);
             let errors = metric_errors(&estimated, &actual);
             println!(
@@ -597,9 +602,9 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
             println!("  N  dispatch  mem      cycles     DRAM       L2         tile");
             println!(
                 "  {:<2} {:<9} {:<8} {:>8.3}% {:>8.3}% {:>8.3}% {:>8.3}%",
-                m.gpus,
-                dispatch_name(m.dispatch),
-                topology_name(m.topology),
+                rig.gpus,
+                dispatch_name(rig.dispatch),
+                topology_name(rig.topology),
                 errors.cycles * 100.0,
                 errors.dram_accesses * 100.0,
                 errors.l2_accesses * 100.0,
@@ -607,8 +612,6 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
             );
             return Ok(());
         }
-        let per_frame = simulate_sequence(&mut frames, &shaders, &gpu);
-        frames.finish(&path)?;
         let errors = match &matrix {
             Some(matrix) => {
                 let run = evaluate_megsim(matrix, &per_frame, &config);
@@ -658,22 +661,13 @@ fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
         BatchOp::Estimate => {
             let (shaders, matrix) = characterize_trace(&job.trace, &gpu, &config)?;
             let selection = select_representatives(&matrix, &config);
-            let wanted: HashSet<usize> = selection
-                .representatives
-                .iter()
-                .map(|r| r.frame_index)
-                .collect();
-            let reps = collect_frames_by_index(&job.trace, &wanted)?;
-            let rep_stats = megsim_core::simulate_representatives(
-                |i| reps[&i].clone(),
+            let estimated = estimate_representatives(
+                &job.trace,
                 &selection,
                 &shaders,
                 &gpu,
-            );
-            let mut estimated = megsim_timing::FrameStats::default();
-            for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-                estimated.merge(&stats.scaled(rep.cluster_size as u64));
-            }
+                MultiGpuConfig::single(),
+            )?;
             let mut summary = format!(
                 "{}/{} frames, {} cycles",
                 selection.k(),
@@ -682,7 +676,13 @@ fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
             );
             if job.ground_truth {
                 let mut frames = StreamedFrames::open(&job.trace)?;
-                let per_frame = simulate_sequence(&mut frames, &shaders, &gpu);
+                let (per_frame, _) = simulate(
+                    &mut frames,
+                    &shaders,
+                    &gpu,
+                    MultiGpuConfig::single(),
+                    FrameStart::Cold,
+                );
                 frames.finish(&job.trace)?;
                 let run = evaluate_megsim(&matrix, &per_frame, &config);
                 summary.push_str(&format!(", cycles err {:.3}%", run.errors.cycles * 100.0));
@@ -923,6 +923,48 @@ mod tests {
         assert!(err.contains("dispatch"), "{err}");
         let err = run(&argv(&["estimate", "/nonexistent/x.mglt", "--mem", "numa"])).unwrap_err();
         assert!(err.contains("mem"), "{err}");
+        // A GPU count far beyond any host's memory is an input error,
+        // not an allocation abort.
+        let err = run(&argv(&[
+            "estimate",
+            "/nonexistent/x.mglt",
+            "--gpus",
+            "100000000000",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--gpus"), "{err}");
+        let too_many = (MAX_GPUS + 1).to_string();
+        let err = run(&argv(&[
+            "estimate",
+            "/nonexistent/x.mglt",
+            "--gpus",
+            &too_many,
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--gpus"), "{err}");
+    }
+
+    #[test]
+    fn record_rejects_a_non_positive_or_non_finite_scale() {
+        let out = tmp("bad_scale.mglt");
+        let _ = std::fs::remove_file(&out);
+        for scale in ["0", "-1", "nan", "inf"] {
+            let err = run(&argv(&[
+                "record",
+                "--benchmark",
+                "jjo",
+                "--scale",
+                scale,
+                "--out",
+                &out,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--scale"), "--scale {scale}: {err}");
+        }
+        assert!(
+            !std::path::Path::new(&out).exists(),
+            "a rejected --scale must not record a trace"
+        );
     }
 
     #[test]

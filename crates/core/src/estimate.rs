@@ -44,6 +44,23 @@ impl MetricErrors {
 /// Scales each representative's statistics by its cluster size and sums
 /// them — MEGsim's estimate of the full-sequence totals.
 ///
+/// `rep_stats` yields the representatives' simulated statistics in
+/// selection order (e.g. what [`crate::simulate`] returns for the
+/// representative frames); it is zipped with `representatives`.
+pub fn scaled_totals<'a>(
+    representatives: &[Representative],
+    rep_stats: impl IntoIterator<Item = &'a FrameStats>,
+) -> FrameStats {
+    let mut total = FrameStats::default();
+    for (stats, rep) in rep_stats.into_iter().zip(representatives) {
+        total.merge(&stats.scaled(rep.cluster_size as u64));
+    }
+    total
+}
+
+/// [`scaled_totals`] over per-frame statistics looked up by frame
+/// index.
+///
 /// `stats_of` maps a frame index to that frame's simulated statistics
 /// (either from the full run or from a representatives-only run).
 ///
@@ -58,11 +75,10 @@ pub fn estimate_totals<'a>(
         !representatives.is_empty(),
         "no representatives to estimate from"
     );
-    let mut total = FrameStats::default();
-    for rep in representatives {
-        total.merge(&stats_of(rep.frame_index).scaled(rep.cluster_size as u64));
-    }
-    total
+    scaled_totals(
+        representatives,
+        representatives.iter().map(|rep| stats_of(rep.frame_index)),
+    )
 }
 
 /// Relative errors of an estimate against the ground truth.

@@ -1,33 +1,36 @@
 //! End-to-end drivers tying the whole toolchain together: functional
-//! characterization, full cycle-level simulation, MEGsim selection and
+//! characterization, cycle-level simulation, MEGsim selection and
 //! accuracy evaluation — the §IV/§V experimental flow.
 //!
-//! Frames are embarrassingly parallel once each one gets its own GPU
-//! state, so the heavy passes ([`characterize_sequence`],
-//! [`simulate_sequence`], [`simulate_representatives`]) fan out across
-//! frames on the `megsim-exec` worker pool. Every frame's result
-//! depends only on its index, so outputs are bit-identical at any
-//! thread count. The warm-cache ground truth
-//! ([`simulate_sequence_warm`]) is order-dependent but still overlaps
-//! rendering with timing through a bounded ordered pipeline.
+//! The cycle-level simulator runs through one entry point, [`simulate`],
+//! in one of two ways ([`FrameStart`]). Cold gives every frame its own
+//! fresh rig, so frames are independent: they fan out across the
+//! `megsim-exec` worker pool like [`characterize_sequence`] does, every
+//! frame's result depends only on its content, outputs are
+//! bit-identical at any thread count, and a frame's statistics are the
+//! same whether it is simulated inside a full sequence (the paper's
+//! ground truth) or standalone as a representative. Warm threads one
+//! rig through the sequence; timing is then order-dependent but still
+//! overlaps rendering through a bounded ordered pipeline. A single GPU
+//! is the one-instance rig, [`MultiGpuConfig::single`].
 //!
-//! The sequence passes consume their frames through a bounded
+//! Every pass consumes its frames through a bounded
 //! [`megsim_exec::iter_pipeline`] rather than collecting them first, so
 //! a streaming source — `megsim-gl`'s frame-granular trace
 //! decoder — flows through decode → render → timing with only a
 //! window of frames resident, regardless of trace length.
 //!
-//! The same independence makes per-frame results memoizable: the
-//! parallel passes consult the content-addressed [`crate::frame_cache`]
-//! so a frame that reappears — across random-sampling trials, repeated
-//! sweeps, or representative re-simulation — is simulated once.
-//! `simulate_sequence_warm` never uses the cache (its results depend on
-//! simulation order, not just frame content).
+//! The independence of cold frames makes them memoizable: characterize
+//! and cold simulation consult the content-addressed
+//! [`crate::frame_cache`], so a frame that reappears — across
+//! random-sampling trials, repeated sweeps, or representative
+//! re-simulation — is simulated once. Warm runs never use the cache
+//! (their results depend on simulation order, not just frame content).
 
 use megsim_funcsim::{RenderConfig, Renderer};
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::ShaderTable;
-use megsim_timing::{FrameStats, Gpu, GpuConfig, MultiGpu, MultiGpuConfig, MultiGpuReport};
+use megsim_timing::{FrameStats, GpuConfig, MultiGpu, MultiGpuConfig, MultiGpuReport};
 
 use megsim_cluster::StreamClusterer;
 
@@ -152,39 +155,17 @@ pub fn characterize_stream(
     finish_stream(fold.clusterer)
 }
 
-/// Full cycle-level simulation of a sequence (the paper's ground truth),
-/// returning per-frame statistics.
-///
-/// Every frame is simulated on its own freshly reset GPU (cold caches),
-/// which makes frames independent and lets them fan out across the
-/// worker pool — and makes a frame's statistics identical whether it is
-/// simulated here or standalone via [`simulate_representatives`]. For
-/// the old warm-cache sequential semantics use
-/// [`simulate_sequence_warm`].
-pub fn simulate_sequence(
-    frames: impl Iterator<Item = Frame> + Send,
-    shaders: &ShaderTable,
-    gpu_config: &GpuConfig,
-) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    let config_fp = frame_cache::stats_config_fingerprint(gpu_config, shaders);
-    let mut stats = Vec::new();
-    megsim_exec::iter_pipeline(
-        frames,
-        STREAM_PIPELINE_DEPTH,
-        |_, f: Frame| {
-            frame_cache::stats_or_else(config_fp, &f, || {
-                let trace = renderer.render_frame(&f, shaders);
-                let mut gpu = Gpu::new(gpu_config.clone());
-                gpu.simulate_frame(&trace, shaders)
-            })
-        },
-        |_, s| stats.push(s),
-    );
-    stats
+/// How each simulated frame finds the rig's state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameStart {
+    /// Every frame runs on its own freshly built rig (cold caches). This
+    /// is the paper's per-frame ground truth and how MEGsim simulates
+    /// its representatives.
+    Cold,
+    /// One rig carries its cache, DRAM and clock state from each frame
+    /// into the next — the ground truth for cache warm-up and
+    /// multi-GPU studies.
+    Warm,
 }
 
 /// How many rendered traces the warm pipeline buffers ahead of the
@@ -193,166 +174,77 @@ pub fn simulate_sequence(
 /// cover render-time jitter.
 const WARM_PIPELINE_DEPTH: usize = 4;
 
-/// Cycle-level simulation with memory-hierarchy state warmed across
-/// frames — the ground-truth semantics for cache-warm-up studies.
+/// Cycle-level simulation of `frames` on an N-GPU rig ([`MultiGpu`]):
+/// frames are dispatched whole (alternate-frame) or as tile bands
+/// (split-frame) across `rig.gpus` instances over a shared or private
+/// memory topology, with interconnect transfers to the display GPU
+/// modeled per link. [`MultiGpuConfig::single`] is the single GPU,
+/// bit-identical to [`megsim_timing::Gpu`].
 ///
-/// Timing is inherently order-dependent (one GPU state threads through
-/// every frame), but functional rendering is not: the source stage
-/// pulls (e.g. decodes) frame `N + 2` while frame `N + 1` renders on
-/// the worker pool and frame `N` runs through the timing model, via
-/// [`megsim_exec::iter_pipeline`]. The timing model consumes traces
-/// strictly in frame order on the caller thread, so the results are
-/// bit-identical to [`simulate_sequence_warm_sequential`] at every
-/// thread count — and the frame sequence is never materialized, so a
-/// streaming trace decoder replays in O(window) frame memory.
+/// Returns the per-frame statistics in frame order and the rig's
+/// cumulative [`MultiGpuReport`] (frames per GPU, link traffic).
 ///
-/// At the end of the sequence the device goes idle and the L2 drains:
-/// its remaining dirty lines are written back and counted on the last
-/// frame's L2 counters (idle-time writebacks).
-pub fn simulate_sequence_warm(
+/// * [`FrameStart::Cold`] simulates each frame on a throwaway rig, as
+///   frame 0 of a sequence. Frames fan out on the worker pool and are
+///   memoized in the [`crate::frame_cache`] under a key covering the
+///   GPU config, the rig shape and the shaders. The report is empty.
+///   MEGsim's representative run is Cold over just the representative
+///   frames, in selection order.
+/// * [`FrameStart::Warm`] threads one rig through the sequence. Pool
+///   workers pull (e.g. decode) and render frames `N + 1`, `N + 2`, …
+///   while frame `N` runs through the timing model on the caller
+///   thread, strictly in frame order, so results are bit-identical at
+///   every thread count. At the end of the sequence the
+///   device goes idle and every back end's L2 drains: the remaining
+///   dirty lines are written back and counted on the last frame's L2
+///   counters (idle-time writebacks).
+///
+/// # Panics
+///
+/// Panics if `rig.gpus` is zero or above [`megsim_timing::MAX_GPUS`].
+pub fn simulate(
     frames: impl Iterator<Item = Frame> + Send,
     shaders: &ShaderTable,
     gpu_config: &GpuConfig,
-) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    let mut gpu = Gpu::new(gpu_config.clone());
-    let mut stats = Vec::new();
-    megsim_exec::iter_pipeline(
-        frames,
-        WARM_PIPELINE_DEPTH,
-        |_, f: Frame| renderer.render_frame(&f, shaders),
-        |_, trace| stats.push(gpu.simulate_frame(&trace, shaders)),
-    );
-    drain_idle_l2(&mut gpu, &mut stats);
-    stats
-}
-
-/// The plain single-threaded warm loop — the pipelined
-/// [`simulate_sequence_warm`] is asserted bit-identical to this.
-pub fn simulate_sequence_warm_sequential(
-    frames: impl Iterator<Item = Frame>,
-    shaders: &ShaderTable,
-    gpu_config: &GpuConfig,
-) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    let mut gpu = Gpu::new(gpu_config.clone());
-    let mut stats: Vec<FrameStats> = frames
-        .map(|f| {
-            let trace = renderer.render_frame(&f, shaders);
-            gpu.simulate_frame(&trace, shaders)
-        })
-        .collect();
-    drain_idle_l2(&mut gpu, &mut stats);
-    stats
-}
-
-/// End-of-sequence L2 drain: attributes the writebacks of the lines
-/// still dirty when the device goes idle to the last frame.
-fn drain_idle_l2(gpu: &mut Gpu, stats: &mut [FrameStats]) {
-    let writebacks = gpu.drain_l2();
-    if let Some(last) = stats.last_mut() {
-        last.memory.l2.writebacks += writebacks;
-    }
-}
-
-/// Warm-state cycle-level simulation of a sequence on an N-GPU rig
-/// ([`MultiGpu`]): frames are dispatched whole (alternate-frame) or as
-/// tile bands (split-frame) across `multi.gpus` instances over a shared
-/// or private memory topology, with interconnect transfers to the
-/// display GPU modeled per link.
-///
-/// Rendering overlaps timing through the same bounded ordered pipeline
-/// as [`simulate_sequence_warm`]; the rig consumes traces strictly in
-/// frame order on the caller thread, so results are bit-identical at
-/// every thread count — and a single-GPU rig is bit-identical to
-/// [`simulate_sequence_warm`] itself. At the end of the sequence every
-/// back end's L2 drains onto the last frame's counters, and the rig's
-/// cumulative [`MultiGpuReport`] (frames per GPU, link traffic) is
-/// returned alongside the per-frame statistics.
-pub fn simulate_sequence_multi(
-    frames: impl Iterator<Item = Frame> + Send,
-    shaders: &ShaderTable,
-    gpu_config: &GpuConfig,
-    multi: MultiGpuConfig,
+    rig: MultiGpuConfig,
+    start: FrameStart,
 ) -> (Vec<FrameStats>, MultiGpuReport) {
     let renderer = Renderer::new(RenderConfig {
         viewport: gpu_config.viewport,
         mode: gpu_config.render_mode,
     });
-    let mut rig = MultiGpu::new(gpu_config.clone(), multi);
     let mut stats = Vec::new();
-    megsim_exec::iter_pipeline(
-        frames,
-        WARM_PIPELINE_DEPTH,
-        |_, f: Frame| renderer.render_frame(&f, shaders),
-        |_, trace| stats.push(rig.simulate_frame(&trace, shaders)),
-    );
-    let writebacks = rig.drain_l2();
-    if let Some(last) = stats.last_mut() {
-        last.memory.l2.writebacks += writebacks;
+    match start {
+        FrameStart::Cold => {
+            let config_fp = frame_cache::stats_config_fingerprint(gpu_config, &rig, shaders);
+            megsim_exec::iter_pipeline(
+                frames,
+                STREAM_PIPELINE_DEPTH,
+                |_, f: Frame| {
+                    frame_cache::stats_or_else(config_fp, &f, || {
+                        let trace = renderer.render_frame(&f, shaders);
+                        MultiGpu::new(gpu_config.clone(), rig).simulate_frame(&trace, shaders)
+                    })
+                },
+                |_, s| stats.push(s),
+            );
+            (stats, MultiGpuReport::default())
+        }
+        FrameStart::Warm => {
+            let mut gpus = MultiGpu::new(gpu_config.clone(), rig);
+            megsim_exec::iter_pipeline(
+                frames,
+                WARM_PIPELINE_DEPTH,
+                |_, f: Frame| renderer.render_frame(&f, shaders),
+                |_, trace| stats.push(gpus.simulate_frame(&trace, shaders)),
+            );
+            let writebacks = gpus.drain_l2();
+            if let Some(last) = stats.last_mut() {
+                last.memory.l2.writebacks += writebacks;
+            }
+            (stats, gpus.report())
+        }
     }
-    (stats, rig.report())
-}
-
-/// Simulates only the selected representative frames on *fresh* N-GPU
-/// rigs — the MEGsim deployment story on a multi-GPU scenario: each
-/// representative frame is dispatched through the rig exactly as frame
-/// 0 of a sequence would be, and its statistics are scaled by cluster
-/// size to estimate the full-sequence totals.
-///
-/// Unlike [`simulate_representatives`], results are **not** routed
-/// through the content-addressed frame cache: the cache key fingerprints
-/// only the GPU configuration, not the rig shape, and a cached
-/// single-GPU result must never be returned for a split-frame rig (or
-/// vice versa).
-pub fn simulate_representatives_multi(
-    frame_of: impl Fn(usize) -> Frame + Sync,
-    selection: &Selection,
-    shaders: &ShaderTable,
-    gpu_config: &GpuConfig,
-    multi: MultiGpuConfig,
-) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    megsim_exec::par_map_indexed(&selection.representatives, |_, rep| {
-        let trace = renderer.render_frame(&frame_of(rep.frame_index), shaders);
-        let mut rig = MultiGpu::new(gpu_config.clone(), multi);
-        rig.simulate_frame(&trace, shaders)
-    })
-}
-
-/// Simulates only the selected representative frames, each on a *fresh*
-/// GPU — what a real MEGsim deployment runs instead of the full
-/// sequence. Representatives are independent, so they fan out on the
-/// worker pool. Returns each representative's statistics, in selection
-/// order.
-pub fn simulate_representatives(
-    frame_of: impl Fn(usize) -> Frame + Sync,
-    selection: &Selection,
-    shaders: &ShaderTable,
-    gpu_config: &GpuConfig,
-) -> Vec<FrameStats> {
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu_config.viewport,
-        mode: gpu_config.render_mode,
-    });
-    let config_fp = frame_cache::stats_config_fingerprint(gpu_config, shaders);
-    megsim_exec::par_map_indexed(&selection.representatives, |_, rep| {
-        let frame = frame_of(rep.frame_index);
-        frame_cache::stats_or_else(config_fp, &frame, || {
-            let trace = renderer.render_frame(&frame, shaders);
-            let mut gpu = Gpu::new(gpu_config.clone());
-            gpu.simulate_frame(&trace, shaders)
-        })
-    })
 }
 
 /// Result of one full MEGsim accuracy experiment on one workload.
@@ -412,6 +304,7 @@ pub fn evaluate_megsim(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::scaled_totals;
     use megsim_workloads::{build, BENCHMARKS};
 
     /// End-to-end smoke test on a miniature benchmark.
@@ -427,7 +320,13 @@ mod tests {
             &gpu_config,
             &megsim,
         );
-        let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu_config);
+        let (per_frame, _) = simulate(
+            workload.iter_frames(),
+            workload.shaders(),
+            &gpu_config,
+            MultiGpuConfig::single(),
+            FrameStart::Cold,
+        );
         let run = evaluate_megsim(&matrix, &per_frame, &megsim);
         assert!(run.frames_simulated() < workload.frames() / 2);
         assert!(run.reduction_factor() > 2.0);
@@ -443,29 +342,8 @@ mod tests {
     }
 
     #[test]
-    fn single_gpu_rig_sequence_is_the_warm_ground_truth() {
-        use megsim_timing::{DispatchMode, MultiGpuConfig, Topology};
-        let info = &BENCHMARKS[5]; // jjo
-        let workload = build(info, 0.01, 4); // 50 frames
-        let gpu_config = GpuConfig::small(192, 192);
-        let warm = simulate_sequence_warm(workload.iter_frames(), workload.shaders(), &gpu_config);
-        for dispatch in [DispatchMode::AlternateFrame, DispatchMode::SplitFrame] {
-            for topology in [Topology::Shared, Topology::Private] {
-                let (stats, report) = simulate_sequence_multi(
-                    workload.iter_frames(),
-                    workload.shaders(),
-                    &gpu_config,
-                    MultiGpuConfig::new(1, dispatch, topology),
-                );
-                assert_eq!(stats, warm, "{dispatch:?} {topology:?} N=1");
-                assert_eq!(report.transfers(), 0);
-            }
-        }
-    }
-
-    #[test]
     fn multi_gpu_representative_estimate_tracks_the_rig_ground_truth() {
-        use megsim_timing::{DispatchMode, MultiGpuConfig, Topology};
+        use megsim_timing::{DispatchMode, Topology};
         let info = &BENCHMARKS[5]; // jjo
         let workload = build(info, 0.02, 8); // 100 frames
         let gpu_config = GpuConfig::small(192, 192);
@@ -478,27 +356,25 @@ mod tests {
         );
         let selection = select_representatives(&matrix, &megsim);
         let multi = MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared);
-        let (per_frame, report) = simulate_sequence_multi(
+        let (per_frame, report) = simulate(
             workload.iter_frames(),
             workload.shaders(),
             &gpu_config,
             multi,
+            FrameStart::Warm,
         );
         assert!(report.transfers() > 0, "worker band pixels must cross");
-        let rep_stats = simulate_representatives_multi(
-            |i| workload.frame(i),
-            &selection,
+        let (rep_stats, _) = simulate(
+            selection
+                .representatives
+                .iter()
+                .map(|r| workload.frame(r.frame_index)),
             workload.shaders(),
             &gpu_config,
             multi,
+            FrameStart::Cold,
         );
-        let estimated = {
-            let mut est = FrameStats::default();
-            for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-                est.merge(&stats.scaled(rep.cluster_size as u64));
-            }
-            est
-        };
+        let estimated = scaled_totals(&selection.representatives, &rep_stats);
         let actual = sequence_totals(&per_frame);
         let errors = metric_errors(&estimated, &actual);
         // Cold representative rigs vs a warm, shared-topology striped
@@ -575,21 +451,29 @@ mod tests {
             &gpu_config,
             &megsim,
         );
-        let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu_config);
-        let run = evaluate_megsim(&matrix, &per_frame, &megsim);
-        let rep_stats = simulate_representatives(
-            |i| workload.frame(i),
-            &run.selection,
+        let single = MultiGpuConfig::single();
+        let (per_frame, _) = simulate(
+            workload.iter_frames(),
             workload.shaders(),
             &gpu_config,
+            single,
+            FrameStart::Cold,
+        );
+        let run = evaluate_megsim(&matrix, &per_frame, &megsim);
+        let (rep_stats, _) = simulate(
+            run.selection
+                .representatives
+                .iter()
+                .map(|r| workload.frame(r.frame_index)),
+            workload.shaders(),
+            &gpu_config,
+            single,
+            FrameStart::Cold,
         );
         // Each frame now gets a fresh GPU in both the full run and the
         // standalone representative run, so the two estimates agree
         // exactly, not just approximately.
-        let mut est = FrameStats::default();
-        for (stats, rep) in rep_stats.iter().zip(&run.selection.representatives) {
-            est.merge(&stats.scaled(rep.cluster_size as u64));
-        }
+        let est = scaled_totals(&run.selection.representatives, &rep_stats);
         assert_eq!(est, run.estimated);
         let errors = metric_errors(&est, &run.actual);
         assert!(errors.cycles < 0.10, "cycles error = {}", errors.cycles);

@@ -6,12 +6,12 @@
 //! independent — every frame is rendered from scratch and timed on a
 //! freshly reset GPU — a frame's [`FrameActivity`] is a pure function
 //! of `(frame content, render config, shader table)` and its
-//! [`FrameStats`] a pure function of `(frame content, GPU config,
-//! shader table)`. That purity is exactly what makes memoization sound:
-//! this module hashes the full frame content (meshes, transforms,
-//! shader bindings, textures, blend/depth state) together with the
-//! config into a 128-bit key, and caches results process-wide in
-//! [`megsim_exec::ConcurrentCache`] instances.
+//! [`FrameStats`] a pure function of `(frame content, GPU config, rig
+//! shape, shader table)`. That purity is exactly what makes
+//! memoization sound: this module hashes the full frame content
+//! (meshes, transforms, shader bindings, textures, blend/depth state)
+//! together with the config into a 128-bit key, and caches results
+//! process-wide in [`megsim_exec::ConcurrentCache`] instances.
 //!
 //! The caches are transparent by construction — a hit returns a value
 //! that recomputation would reproduce bit for bit, so enabling or
@@ -58,7 +58,7 @@ use megsim_gfx::draw::{BlendMode, DrawCall, Frame};
 use megsim_gfx::geometry::Mesh;
 use megsim_gfx::shader::ShaderTable;
 use megsim_store::{codec, Store, StoreStats};
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 
 use parking_lot::Mutex;
 
@@ -630,11 +630,17 @@ pub fn activity_config_fingerprint(config: &RenderConfig, shaders: &ShaderTable)
 
 /// Fingerprint of everything besides frame content that determines a
 /// timing result: the full GPU config (which embeds the render mode and
-/// viewport) and the shader table.
-pub fn stats_config_fingerprint(config: &GpuConfig, shaders: &ShaderTable) -> u128 {
+/// viewport), the rig shape (GPU count, dispatch, memory topology and
+/// link) and the shader table. Keying on the rig means a result cached
+/// for one rig is never served to another.
+pub fn stats_config_fingerprint(
+    config: &GpuConfig,
+    rig: &MultiGpuConfig,
+    shaders: &ShaderTable,
+) -> u128 {
     let mut fp = Fingerprint::new();
     fp.write_u64(0x53544154); // "STAT" domain tag
-    fp.write_bytes(format!("{config:?}|{shaders:?}").as_bytes());
+    fp.write_bytes(format!("{config:?}|{rig:?}|{shaders:?}").as_bytes());
     fp.finish()
 }
 
@@ -805,8 +811,29 @@ mod tests {
         let gc = GpuConfig::default();
         assert_ne!(
             activity_config_fingerprint(&rc, &shaders),
-            stats_config_fingerprint(&gc, &shaders)
+            stats_config_fingerprint(&gc, &MultiGpuConfig::single(), &shaders)
         );
+    }
+
+    #[test]
+    fn rig_shape_separates_stats_keys() {
+        use megsim_timing::{DispatchMode, Topology};
+        let shaders = ShaderTable::new();
+        let gc = GpuConfig::default();
+        let keys: Vec<u128> = [
+            MultiGpuConfig::single(),
+            MultiGpuConfig::new(2, DispatchMode::AlternateFrame, Topology::Private),
+            MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Private),
+            MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared),
+        ]
+        .iter()
+        .map(|rig| stats_config_fingerprint(&gc, rig, &shaders))
+        .collect();
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The crate maps one-to-one onto paper §III:
 //!
 //! * [`features`] — the vector of characteristics (§III-B, Fig. 2)
-//! * [`normalize`] — power-derived group weights (§III-C, Fig. 4)
+//! * [`normalize`](mod@normalize) — power-derived group weights (§III-C, Fig. 4)
 //! * [`similarity`] — the frame Similarity Matrix (§III-D, Fig. 5)
 //! * [`pipeline`] — clustering and representative selection (§III-E/F)
 //! * [`estimate`] — statistic scaling and accuracy metrics (§V-B)
@@ -19,16 +19,22 @@
 //!   `megsim-timing`
 //!
 //! ```no_run
-//! use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate_sequence};
+//! use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 //! use megsim_core::pipeline::MegsimConfig;
-//! use megsim_timing::GpuConfig;
+//! use megsim_timing::{GpuConfig, MultiGpuConfig};
 //! use megsim_workloads::by_alias;
 //!
 //! let workload = by_alias("jjo", 0.1, 42).expect("known benchmark");
 //! let gpu = GpuConfig::mali450_like();
 //! let config = MegsimConfig::default();
 //! let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
-//! let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
+//! let (per_frame, _) = simulate(
+//!     workload.iter_frames(),
+//!     workload.shaders(),
+//!     &gpu,
+//!     MultiGpuConfig::single(),
+//!     FrameStart::Cold,
+//! );
 //! let run = evaluate_megsim(&matrix, &per_frame, &config);
 //! println!(
 //!     "simulate {} of {} frames ({}x), cycles error {:.2}%",
@@ -53,11 +59,9 @@ pub mod random_sampling;
 pub mod similarity;
 
 pub use batch::{parse_manifest, run_batch, BatchJob, BatchOp, BatchReport, CampaignReport};
-pub use estimate::{estimate_totals, metric_errors, sequence_totals, MetricErrors};
+pub use estimate::{estimate_totals, metric_errors, scaled_totals, sequence_totals, MetricErrors};
 pub use evaluate::{
-    characterize_sequence, characterize_stream, evaluate_megsim, simulate_representatives,
-    simulate_representatives_multi, simulate_sequence, simulate_sequence_multi,
-    simulate_sequence_warm, simulate_sequence_warm_sequential, MegsimRun,
+    characterize_sequence, characterize_stream, evaluate_megsim, simulate, FrameStart, MegsimRun,
 };
 pub use features::{
     characterize_frame, characterize_frame_into, feature_matrix, CharacterizationConfig,

@@ -42,7 +42,7 @@ pub mod pipeline;
 pub mod single_flight;
 
 pub use cache::{CacheSnapshot, ConcurrentCache};
-pub use pipeline::{iter_fold, iter_pipeline, ordered_pipeline, shard_merge};
+pub use pipeline::{iter_fold, iter_pipeline, shard_merge};
 pub use single_flight::{FlightOutcome, SingleFlight};
 
 use std::cell::Cell;

@@ -233,7 +233,7 @@ pub fn encode(stream: &CommandStream) -> Bytes {
 /// patterns at one byte per field; each matrix carries a 16-bit change
 /// mask against the previously encoded matrix, and only the changed
 /// elements follow as varints of their byte-swapped XOR deltas
-/// ([`matrix_delta_to_wire`] — lossless, with the structural zeros and
+/// (`matrix_delta_to_wire` — lossless, with the structural zeros and
 /// repeated entries that dominate transforms costing nothing).
 pub fn encode_v2(stream: &CommandStream) -> Bytes {
     let mut out = BytesMut::with_capacity(64 + stream.commands.len() * 8);

@@ -29,10 +29,10 @@
 //! the run ends — the remaining accesses are hits by construction and
 //! hits never generate memory traffic, so every cycle count, stat,
 //! LRU and row-buffer decision matches the scalar model. Per-tile and
-//! per-fragment heap allocation is eliminated by [`TimingScratch`],
+//! per-fragment heap allocation is eliminated by `TimingScratch`,
 //! and texture samplers are memoized per primitive
 //! ([`megsim_gfx::texture::TextureDesc::lod_sampler`]). The
-//! pre-optimization model is retained in [`crate::timing_reference`]
+//! pre-optimization model is retained in `crate::timing_reference`
 //! and pinned bit-for-bit by proptests there.
 
 use megsim_funcsim::{FrameTrace, RenderMode};
@@ -50,7 +50,7 @@ use crate::stats::{FrameStats, UnitBusy};
 /// Raster-phase execution policy: whether [`Gpu::simulate_frame`]
 /// shards its tile loop across the [`megsim_exec`] worker pool.
 ///
-/// Sharding is the record/replay split of [`crate::shard`]: parallel
+/// Sharding is the record/replay split of `crate::shard`: parallel
 /// workers record per-tile memory-traffic logs, the caller thread
 /// replays them tile-index-ascending against the shared caches and
 /// DRAM. The result is bit-identical to the sequential loop in every

@@ -40,7 +40,9 @@ pub mod timing_reference;
 
 pub use config::{GpuConfig, QueueConfig};
 pub use gpu::{Gpu, ShardMode};
-pub use multi_gpu::{DispatchMode, MultiGpu, MultiGpuConfig, MultiGpuReport, WorkDistributor};
+pub use multi_gpu::{
+    DispatchMode, MultiGpu, MultiGpuConfig, MultiGpuReport, WorkDistributor, MAX_GPUS,
+};
 // The rig's topology and link knobs are part of its configuration
 // surface; re-exported so downstream crates need no megsim-mem dep.
 pub use megsim_mem::{LinkConfig, Topology};

@@ -17,7 +17,7 @@
 //! * **Split-frame rendering** ([`DispatchMode::SplitFrame`]) — every
 //!   frame's tile array is split into N contiguous bands (halves,
 //!   quadrants, …) and each GPU rasterizes its band using the PR 6
-//!   record/replay machinery ([`crate::shard`]) as the per-GPU unit.
+//!   record/replay machinery (`crate::shard`) as the per-GPU unit.
 //!   The geometry + tiling phase is duplicated on every GPU (no
 //!   geometry redistribution — the classic SFR cost), a barrier
 //!   separates geometry from raster, and each worker GPU ships its
@@ -26,12 +26,12 @@
 //! # Determinism
 //!
 //! All timing-model state mutation happens on the caller thread. The
-//! only parallel stage is the *pure* [`shard::record_tiles`] fan-out
+//! only parallel stage is the *pure* `shard::record_tiles` fan-out
 //! (no cache, DRAM or clock is touched), so every (N, dispatch,
 //! topology) configuration is bit-identical at any worker-pool size.
 //! Under the shared topology the GPUs' access streams interleave
 //! **round-robin at a fixed granularity** — whole frames under AFR,
-//! [`shard::SHARD_TILES`]-tile shards (GPU 0's shard, GPU 1's shard, …,
+//! `shard::SHARD_TILES`-tile shards (GPU 0's shard, GPU 1's shard, …,
 //! then the next round) under SFR — so the contended hierarchy sees one
 //! well-defined serialized stream rather than a race.
 //!
@@ -43,7 +43,7 @@
 //! [`ShardMode::Force`], which PR 6 pinned bit-identical to the
 //! sequential raster loop. The `tests/multi_gpu.rs` oracle pins both
 //! against the single-GPU warm path (and, under `--features
-//! reference`, against [`crate::ReferenceGpu`]).
+//! reference`, against `crate::ReferenceGpu`).
 
 use megsim_funcsim::FrameTrace;
 use megsim_gfx::shader::ShaderTable;
@@ -55,6 +55,14 @@ use crate::config::GpuConfig;
 use crate::gpu::{Gpu, ShardMode};
 use crate::shard;
 use crate::stats::{FrameStats, UnitBusy};
+
+/// The largest rig [`MultiGpu::new`] builds. Every instance owns its
+/// own front-end caches (and, under [`Topology::Private`], its own L2
+/// and DRAM back end), so an unchecked GPU count read from user input
+/// can ask for more memory than any host has; front ends validate
+/// against this bound and report an input error instead. It sits far
+/// above the N ≤ 4 rigs the multi-GPU studies simulate.
+pub const MAX_GPUS: usize = 64;
 
 /// How the distributor assigns work to the N GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -212,9 +220,14 @@ impl MultiGpu {
     ///
     /// # Panics
     ///
-    /// Panics if `multi.gpus` is zero.
+    /// Panics if `multi.gpus` is zero or above [`MAX_GPUS`].
     pub fn new(config: GpuConfig, multi: MultiGpuConfig) -> Self {
         assert!(multi.gpus > 0, "a rig needs at least one GPU");
+        assert!(
+            multi.gpus <= MAX_GPUS,
+            "a rig holds at most {MAX_GPUS} GPUs, got {}",
+            multi.gpus
+        );
         let pool = MemoryPool::new(multi.topology, multi.gpus, config.l2.clone(), config.dram);
         let mut gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
         for gpu in &mut gpus {

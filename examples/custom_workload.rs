@@ -10,13 +10,13 @@
 //! phases (build, wave, boss); the example shows that MEGsim recovers
 //! exactly that phase structure.
 
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate_sequence};
+use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::pipeline::MegsimConfig;
 use megsim_gfx::draw::BlendMode;
 use megsim_gfx::shader::{ShaderId, ShaderProgram, ShaderTable, TextureFilter};
 use megsim_gfx::texture::TextureDesc;
 use megsim_mem::AddressSpace;
-use megsim_timing::GpuConfig;
+use megsim_timing::{GpuConfig, MultiGpuConfig};
 use megsim_workloads::{meshes, GameType, ObjectClass, SegmentTemplate, Workload, WorkloadSpec};
 
 fn main() {
@@ -112,7 +112,13 @@ fn main() {
         workload.frames()
     );
     let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
-    let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
+    let (per_frame, _) = simulate(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        MultiGpuConfig::single(),
+        FrameStart::Cold,
+    );
     let run = evaluate_megsim(&matrix, &per_frame, &config);
 
     println!(

@@ -13,10 +13,11 @@
 //! characterization (the paper stresses that MEGsim's inputs do not
 //! depend on the simulated microarchitecture, §III-B).
 
-use megsim_core::evaluate::{characterize_sequence, simulate_representatives};
+use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
 use megsim_core::pipeline::{select_representatives, MegsimConfig};
+use megsim_core::scaled_totals;
 use megsim_mem::CacheConfig;
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_timing::{GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 
 fn main() {
@@ -48,17 +49,17 @@ fn main() {
             let mut gpu = baseline.clone();
             gpu.l2 = CacheConfig::new("L2", l2_kib * 1024, 64, 2, 8, 18);
             gpu.fragment_processors = fps;
-            let rep_stats = simulate_representatives(
-                |i| workload.frame(i),
-                &selection,
+            // Simulate only the representatives, each on a fresh GPU.
+            let reps = &selection.representatives;
+            let (rep_stats, _) = simulate(
+                reps.iter().map(|r| workload.frame(r.frame_index)),
                 workload.shaders(),
                 &gpu,
+                MultiGpuConfig::single(),
+                FrameStart::Cold,
             );
             // Scale representative statistics to full-sequence totals.
-            let mut total = FrameStats::default();
-            for (stats, rep) in rep_stats.iter().zip(&selection.representatives) {
-                total.merge(&stats.scaled(rep.cluster_size as u64));
-            }
+            let total = scaled_totals(reps, &rep_stats);
             println!(
                 "{:>8} {:>4} {:>16} {:>12} {:>10.2}",
                 l2_kib,

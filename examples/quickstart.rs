@@ -9,9 +9,9 @@
 //! the cycle-level model → scale by cluster sizes → compare against the
 //! full simulation.
 
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate_sequence};
+use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::pipeline::MegsimConfig;
-use megsim_timing::GpuConfig;
+use megsim_timing::{GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 
 fn main() {
@@ -35,7 +35,13 @@ fn main() {
 
     // 2. Ground truth: full cycle-level simulation (what MEGsim avoids).
     println!("running the full cycle-level simulation (ground truth)...");
-    let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
+    let (per_frame, _) = simulate(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        MultiGpuConfig::single(),
+        FrameStart::Cold,
+    );
 
     // 3. MEGsim: cluster, pick representatives, estimate, compare.
     let run = evaluate_megsim(&matrix, &per_frame, &config);

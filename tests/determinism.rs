@@ -5,13 +5,24 @@
 //! worker-pool size. Parallelism is an execution detail, never an
 //! input to the methodology.
 
-use megsim_core::evaluate::{
-    characterize_sequence, evaluate_megsim, simulate_representatives, simulate_sequence,
-};
+use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::{normalize, SimilarityMatrix};
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_gfx::draw::Frame;
+use megsim_gfx::shader::ShaderTable;
+use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
+
+/// `frames` on one GPU, each cold (`start = Cold`) or warm from the
+/// previous frame (`start = Warm`).
+fn simulate_single(
+    frames: impl Iterator<Item = Frame> + Send,
+    shaders: &ShaderTable,
+    gpu: &GpuConfig,
+    start: FrameStart,
+) -> Vec<FrameStats> {
+    simulate(frames, shaders, gpu, MultiGpuConfig::single(), start).0
+}
 
 /// Everything the pipeline produces, flattened for exact comparison.
 struct PipelineArtifacts {
@@ -42,14 +53,12 @@ fn run_pipeline() -> PipelineArtifacts {
         }
     }
 
-    let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
+    let shaders = workload.shaders();
+    let per_frame = simulate_single(workload.iter_frames(), shaders, &gpu, FrameStart::Cold);
     let run = evaluate_megsim(&matrix, &per_frame, &config);
-    let rep_stats = simulate_representatives(
-        |i| workload.frame(i),
-        &run.selection,
-        workload.shaders(),
-        &gpu,
-    );
+    let reps = run.selection.representatives.iter();
+    let rep_frames = reps.map(|r| workload.frame(r.frame_index));
+    let rep_stats = simulate_single(rep_frames, shaders, &gpu, FrameStart::Cold);
 
     PipelineArtifacts {
         features: matrix.rows.as_slice().to_vec(),
@@ -163,7 +172,6 @@ fn tile_sharded_timing_is_bit_identical_at_any_thread_count() {
 /// worker-pool size.
 #[test]
 fn streamed_replay_is_bit_identical_to_materialized() {
-    use megsim_core::evaluate::simulate_sequence_warm;
     use megsim_funcsim::RenderMode;
     use megsim_gl::{decode, encode_with_version, play, record_sequence, FrameIter};
 
@@ -182,14 +190,22 @@ fn streamed_replay_is_bit_identical_to_materialized() {
             let mut cfg = GpuConfig::small(128, 128);
             cfg.render_mode = mode;
             megsim_exec::set_threads(1);
-            let baseline =
-                simulate_sequence_warm(replay.frames.iter().cloned(), &replay.shaders, &cfg);
+            let baseline = simulate_single(
+                replay.frames.iter().cloned(),
+                &replay.shaders,
+                &cfg,
+                FrameStart::Warm,
+            );
             for threads in [1usize, 2, 8] {
                 megsim_exec::set_threads(threads);
                 let iter = FrameIter::new(std::io::Cursor::new(&bytes[..])).expect("valid header");
                 let shaders = iter.shaders().clone();
-                let streamed =
-                    simulate_sequence_warm(iter.map(|f| f.expect("valid frame")), &shaders, &cfg);
+                let streamed = simulate_single(
+                    iter.map(|f| f.expect("valid frame")),
+                    &shaders,
+                    &cfg,
+                    FrameStart::Warm,
+                );
                 assert_eq!(
                     streamed, baseline,
                     "streamed replay differs: v{version} {mode:?} at {threads} threads"
@@ -249,24 +265,40 @@ fn exact_streaming_selection_is_bit_identical_to_batch() {
 /// against).
 #[test]
 fn multi_gpu_rig_is_bit_identical_at_any_thread_count() {
-    use megsim_core::evaluate::{simulate_sequence_multi, simulate_sequence_warm};
-    use megsim_timing::{DispatchMode, MultiGpuConfig, Topology};
+    use megsim_funcsim::{RenderConfig, Renderer};
+    use megsim_timing::{DispatchMode, Gpu, Topology};
 
     let workload = by_alias("pvz", 0.02, 9).expect("known alias");
     let frames: Vec<_> = (0..8).map(|i| workload.frame(i)).collect();
     let shaders = workload.shaders();
     let gpu = GpuConfig::small(192, 192);
 
+    // The oracle: one plain `Gpu` warmed across the frames, with the
+    // idle L2 drain counted on the last frame.
     megsim_exec::set_threads(1);
-    let warm = simulate_sequence_warm(frames.iter().cloned(), shaders, &gpu);
+    let renderer = Renderer::new(RenderConfig {
+        viewport: gpu.viewport,
+        mode: gpu.render_mode,
+    });
+    let mut single = Gpu::new(gpu.clone());
+    let mut warm: Vec<FrameStats> = frames
+        .iter()
+        .map(|f| single.simulate_frame(&renderer.render_frame(f, shaders), shaders))
+        .collect();
+    warm.last_mut().expect("frames").memory.l2.writebacks += single.drain_l2();
 
     for n in [1usize, 2, 4] {
         for dispatch in [DispatchMode::AlternateFrame, DispatchMode::SplitFrame] {
             for topology in [Topology::Shared, Topology::Private] {
                 let multi = MultiGpuConfig::new(n, dispatch, topology);
                 megsim_exec::set_threads(1);
-                let baseline =
-                    simulate_sequence_multi(frames.iter().cloned(), shaders, &gpu, multi);
+                let baseline = simulate(
+                    frames.iter().cloned(),
+                    shaders,
+                    &gpu,
+                    multi,
+                    FrameStart::Warm,
+                );
                 if n == 1 {
                     assert_eq!(
                         baseline.0, warm,
@@ -276,7 +308,13 @@ fn multi_gpu_rig_is_bit_identical_at_any_thread_count() {
                 }
                 for threads in [2usize, 8] {
                     megsim_exec::set_threads(threads);
-                    let got = simulate_sequence_multi(frames.iter().cloned(), shaders, &gpu, multi);
+                    let got = simulate(
+                        frames.iter().cloned(),
+                        shaders,
+                        &gpu,
+                        multi,
+                        FrameStart::Warm,
+                    );
                     assert_eq!(
                         got, baseline,
                         "N={n} {dispatch:?} {topology:?} differs at {threads} threads"

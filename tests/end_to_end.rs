@@ -1,17 +1,33 @@
 //! Cross-crate integration tests: the full MEGsim stack on miniature
 //! workloads, checking the invariants that tie the crates together.
 
-use megsim_core::evaluate::{
-    characterize_sequence, evaluate_megsim, simulate_representatives, simulate_sequence,
-};
+use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::sequence_totals;
 use megsim_funcsim::{RenderConfig, Renderer};
-use megsim_timing::{Gpu, GpuConfig};
+use megsim_gfx::draw::Frame;
+use megsim_gfx::shader::ShaderTable;
+use megsim_timing::{FrameStats, Gpu, GpuConfig, MultiGpuConfig};
 use megsim_workloads::{build, by_alias, BENCHMARKS};
 
 fn small_gpu() -> GpuConfig {
     GpuConfig::small(256, 256)
+}
+
+/// Every frame on its own fresh single GPU.
+fn simulate_cold(
+    frames: impl Iterator<Item = Frame> + Send,
+    shaders: &ShaderTable,
+    gpu: &GpuConfig,
+) -> Vec<FrameStats> {
+    simulate(
+        frames,
+        shaders,
+        gpu,
+        MultiGpuConfig::single(),
+        FrameStart::Cold,
+    )
+    .0
 }
 
 #[test]
@@ -47,7 +63,7 @@ fn full_pipeline_is_deterministic() {
     let run = |seed_offset: u64| {
         let w2 = by_alias("pvz", 0.01, 3 + seed_offset).expect("known alias");
         let m = characterize_sequence(w2.iter_frames(), w2.shaders(), &gpu, &cfg);
-        let pf = simulate_sequence(w2.iter_frames(), w2.shaders(), &gpu);
+        let pf = simulate_cold(w2.iter_frames(), w2.shaders(), &gpu);
         evaluate_megsim(&m, &pf, &cfg)
     };
     let a = run(0);
@@ -66,7 +82,7 @@ fn megsim_estimate_tracks_ground_truth_on_every_benchmark() {
         let w = build(info, 0.012, 21);
         let cfg = MegsimConfig::default().with_seed(1);
         let m = characterize_sequence(w.iter_frames(), w.shaders(), &gpu, &cfg);
-        let pf = simulate_sequence(w.iter_frames(), w.shaders(), &gpu);
+        let pf = simulate_cold(w.iter_frames(), w.shaders(), &gpu);
         let run = evaluate_megsim(&m, &pf, &cfg);
         assert!(
             run.errors.cycles < 0.10,
@@ -93,9 +109,14 @@ fn standalone_representative_simulation_matches_full_run_closely() {
     let w = by_alias("hcr", 0.02, 9).expect("known alias");
     let cfg = MegsimConfig::default();
     let m = characterize_sequence(w.iter_frames(), w.shaders(), &gpu, &cfg);
-    let pf = simulate_sequence(w.iter_frames(), w.shaders(), &gpu);
+    let pf = simulate_cold(w.iter_frames(), w.shaders(), &gpu);
     let run = evaluate_megsim(&m, &pf, &cfg);
-    let rep_stats = simulate_representatives(|i| w.frame(i), &run.selection, w.shaders(), &gpu);
+    let reps = &run.selection.representatives;
+    let rep_stats = simulate_cold(
+        reps.iter().map(|r| w.frame(r.frame_index)),
+        w.shaders(),
+        &gpu,
+    );
     assert_eq!(rep_stats.len(), run.frames_simulated());
     for (standalone, rep) in rep_stats.iter().zip(&run.selection.representatives) {
         let in_full = &pf[rep.frame_index];
@@ -117,7 +138,7 @@ fn standalone_representative_simulation_matches_full_run_closely() {
 fn sequence_totals_equal_sum_of_frames() {
     let gpu = small_gpu();
     let w = by_alias("jjo", 0.005, 2).expect("known alias");
-    let pf = simulate_sequence(w.iter_frames(), w.shaders(), &gpu);
+    let pf = simulate_cold(w.iter_frames(), w.shaders(), &gpu);
     let totals = sequence_totals(&pf);
     assert_eq!(totals.cycles, pf.iter().map(|f| f.cycles).sum::<u64>());
     assert_eq!(

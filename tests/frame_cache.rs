@@ -1,18 +1,19 @@
 //! The content-addressed frame cache is a pure wall-clock optimization:
 //! every pipeline output must be **bit-identical** with the cache on or
 //! off, cold or warm, at any worker-pool thread count — and a warm
-//! re-run must actually hit.
+//! re-run must actually hit. The cache key covers the rig shape: the
+//! same frames simulated cold on three rigs in one process must each
+//! match their cache-off results, so a key shared between rigs would
+//! surface as a bit difference.
 //!
 //! Everything lives in ONE `#[test]` because the cache-enabled flag and
 //! the worker-pool size are process-global: parallel test functions
 //! toggling them would race each other.
 
-use megsim_core::evaluate::{
-    characterize_sequence, evaluate_megsim, simulate_representatives, simulate_sequence,
-};
+use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::frame_cache;
 use megsim_core::pipeline::MegsimConfig;
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_timing::{DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, Topology};
 use megsim_workloads::by_alias;
 
 /// Everything the flow produces, flattened for exact comparison.
@@ -23,6 +24,9 @@ struct FlowArtifacts {
     representatives: Vec<(usize, usize)>,
     rep_stats: Vec<FrameStats>,
     estimated: FrameStats,
+    /// Cold per-frame statistics on an N=2 SFR shared-memory rig and an
+    /// N=2 AFR private-memory rig, over the single GPU's frames.
+    rig_frames: Vec<Vec<FrameStats>>,
 }
 
 fn run_flow() -> FlowArtifacts {
@@ -30,14 +34,28 @@ fn run_flow() -> FlowArtifacts {
     let gpu = GpuConfig::small(192, 192);
     let config = MegsimConfig::default();
     let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
-    let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
-    let run = evaluate_megsim(&matrix, &per_frame, &config);
-    let rep_stats = simulate_representatives(
-        |i| workload.frame(i),
-        &run.selection,
-        workload.shaders(),
+    let shaders = workload.shaders();
+    let single = MultiGpuConfig::single();
+    let per_frame = simulate(
+        workload.iter_frames(),
+        shaders,
         &gpu,
-    );
+        single,
+        FrameStart::Cold,
+    )
+    .0;
+    let run = evaluate_megsim(&matrix, &per_frame, &config);
+    let reps = run.selection.representatives.iter();
+    let rep_frames = reps.map(|r| workload.frame(r.frame_index));
+    let rep_stats = simulate(rep_frames, shaders, &gpu, single, FrameStart::Cold).0;
+    let rigs = [
+        MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared),
+        MultiGpuConfig::new(2, DispatchMode::AlternateFrame, Topology::Private),
+    ];
+    let rig_frames = rigs
+        .into_iter()
+        .map(|rig| simulate(workload.iter_frames(), shaders, &gpu, rig, FrameStart::Cold).0)
+        .collect();
     FlowArtifacts {
         features: matrix.rows.as_slice().to_vec(),
         per_frame,
@@ -49,6 +67,7 @@ fn run_flow() -> FlowArtifacts {
             .collect(),
         rep_stats,
         estimated: run.estimated,
+        rig_frames,
     }
 }
 
@@ -71,6 +90,16 @@ fn cache_state_and_thread_count_never_change_results() {
             "pipeline output differs with cache={enabled} at {threads} threads"
         );
     }
+    // The rig rows can only expose a shared key if the rigs disagree:
+    // split-frame duplicates geometry and ships band pixels, so it
+    // differs from the single GPU. A cold alternate-frame rig runs every
+    // frame as frame 0 on the display GPU, so it equals the single GPU
+    // while still being keyed apart from it.
+    let [sfr, afr] = &baseline.rig_frames[..] else {
+        panic!("one row per rig");
+    };
+    assert_ne!(sfr, &baseline.per_frame, "SFR rig must differ from one GPU");
+    assert_eq!(afr, &baseline.per_frame, "cold AFR frames run on GPU 0");
 
     // A cold enabled run already hits: the representatives simulated
     // standalone were cached during the full-sequence pass.

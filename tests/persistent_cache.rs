@@ -8,10 +8,10 @@
 
 use std::time::Instant;
 
-use megsim_core::evaluate::{characterize_sequence, simulate_sequence};
+use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
 use megsim_core::frame_cache;
 use megsim_core::pipeline::MegsimConfig;
-use megsim_timing::{FrameStats, GpuConfig};
+use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 
 /// Both heavy passes, flattened for exact comparison.
@@ -26,7 +26,13 @@ fn run_campaign() -> Artifacts {
     let gpu = GpuConfig::small(192, 192);
     let config = MegsimConfig::default();
     let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
-    let per_frame = simulate_sequence(workload.iter_frames(), workload.shaders(), &gpu);
+    let (per_frame, _) = simulate(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        MultiGpuConfig::single(),
+        FrameStart::Cold,
+    );
     Artifacts {
         features: matrix.rows.as_slice().to_vec(),
         per_frame,
