@@ -89,10 +89,8 @@ fn secs(mut f: impl FnMut()) -> f64 {
 /// Measures the seed engine vs the fast path single-threaded (so the
 /// ratio is pure algorithmic gain: bound pruning, seeding memoization,
 /// scratch reuse, blocked tiles — no thread-count dependence), checks
-/// the results are bit-identical while doing so, and merges the numbers
-/// into `BENCH_4.json` at the repo root.
-fn write_bench_summary() {
-    let mut entries: Vec<(String, f64)> = Vec::new();
+/// the results are bit-identical while doing so, and prints the numbers.
+fn print_bench_summary() {
     megsim_exec::set_threads(1);
 
     // Full §III-F BIC search on the paper-shape workload.
@@ -118,9 +116,6 @@ fn write_bench_summary() {
         optimized,
         reference / optimized
     );
-    entries.push(("cluster_search_reference_secs".to_string(), reference));
-    entries.push(("cluster_search_optimized_secs".to_string(), optimized));
-    entries.push(("cluster_search_speedup".to_string(), reference / optimized));
 
     // Silhouette scoring (the ablation's O(n²·d) pass).
     let sil_data = feature_like_data(1200, 32);
@@ -144,12 +139,6 @@ fn write_bench_summary() {
         optimized,
         reference / optimized
     );
-    entries.push(("cluster_silhouette_reference_secs".to_string(), reference));
-    entries.push(("cluster_silhouette_optimized_secs".to_string(), optimized));
-    entries.push((
-        "cluster_silhouette_speedup".to_string(),
-        reference / optimized,
-    ));
 
     // §III-D similarity matrix: blocked SoA tiles vs the seed per-row
     // scan (reconstructed inline — the production path now always runs
@@ -173,22 +162,11 @@ fn write_bench_summary() {
         optimized,
         reference / optimized
     );
-    entries.push(("cluster_similarity_reference_secs".to_string(), reference));
-    entries.push(("cluster_similarity_optimized_secs".to_string(), optimized));
-    entries.push((
-        "cluster_similarity_speedup".to_string(),
-        reference / optimized,
-    ));
 
     megsim_exec::set_threads(0);
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_4.json");
-    if let Err(e) = megsim_bench::report::merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 fn main() {
     benches();
-    write_bench_summary();
+    print_bench_summary();
 }

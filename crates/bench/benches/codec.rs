@@ -3,20 +3,20 @@
 //! overlapped through the frame pipeline) against the materialized
 //! decode-everything-first path.
 //!
-//! Three readings merge into `BENCH_7.json` at the repo root:
+//! Three readings are printed:
 //!
 //! * encoded size of the 8-alias golden-corpus workloads under each
 //!   wire version (the acceptance bar is v2 ≥ 25% smaller),
 //! * decode throughput in MB/s for each version,
 //! * warm-replay frames/s streamed vs. materialized at 1/2/max worker
-//!   threads, recorded next to `codec_available_parallelism` — on a
+//!   threads, printed next to the available core count — on a
 //!   1-core runner decode/render/timing overlap is impossible and
 //!   ~1.0× is the expected reading.
 
 use std::io::Cursor;
 use std::time::Instant;
 
-use megsim_bench::report::{available_cores, core_note, merge_bench_json};
+use megsim_bench::report::{available_cores, core_note};
 use megsim_core::{simulate, FrameStart};
 use megsim_gl::{decode, encode, encode_v2, play, record_sequence, FrameIter};
 use megsim_timing::{GpuConfig, MultiGpuConfig};
@@ -44,8 +44,6 @@ fn sweep_points(cores: usize) -> Vec<usize> {
 
 fn main() {
     let cores = available_cores();
-    let mut entries: Vec<(String, f64)> =
-        vec![("codec_available_parallelism".to_string(), cores as f64)];
 
     // Wire-format size: the golden-corpus workloads (same scale/seed/
     // frame-count as crates/gl/tests/data) encoded under each version.
@@ -59,9 +57,6 @@ fn main() {
         v2_total += encode_v2(&stream).len();
     }
     let shrink = 100.0 * (1.0 - v2_total as f64 / v1_total as f64);
-    entries.push(("codec_v1_corpus_bytes".to_string(), v1_total as f64));
-    entries.push(("codec_v2_corpus_bytes".to_string(), v2_total as f64));
-    entries.push(("codec_v2_shrink_pct".to_string(), shrink));
     println!("codec size: v1 {v1_total} B, v2 {v2_total} B ({shrink:.1}% smaller)");
 
     // Decode throughput on a longer single-workload trace.
@@ -73,7 +68,6 @@ fn main() {
             std::hint::black_box(decode(&bytes).expect("valid trace"));
         });
         let mb_per_sec = bytes.len() as f64 / t / 1e6;
-        entries.push((format!("codec_{name}_decode_mb_per_sec"), mb_per_sec));
         println!(
             "codec decode {name}: {mb_per_sec:.1} MB/s over {} B",
             bytes.len()
@@ -109,18 +103,6 @@ fn main() {
                 FrameStart::Warm,
             ));
         });
-        entries.push((
-            format!("codec_replay_materialized_t{threads}_frames_per_sec"),
-            n / materialized,
-        ));
-        entries.push((
-            format!("codec_replay_streamed_t{threads}_frames_per_sec"),
-            n / streamed,
-        ));
-        entries.push((
-            format!("codec_streamed_speedup_t{threads}"),
-            materialized / streamed,
-        ));
         println!(
             "codec replay: streamed t{threads} {:.1} frames/s vs materialized {:.1} ({:.2}x on {cores} core(s)){}",
             n / streamed,
@@ -130,9 +112,4 @@ fn main() {
         );
     }
     megsim_exec::set_threads(0);
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_7.json");
-    if let Err(e) = merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }

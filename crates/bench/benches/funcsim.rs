@@ -90,14 +90,13 @@ fn secs(mut f: impl FnMut()) -> f64 {
 /// Measures single-thread frames/sec of the retained scalar reference
 /// rasterizer vs the optimized incremental path (activity-only, the
 /// characterization hot loop) over a small bundled-workload suite, and
-/// merges the numbers into `BENCH_2.json` at the repo root.
-fn write_bench_summary() {
+/// prints the numbers.
+fn print_bench_summary() {
     let suite: Vec<_> = ["bbr1", "jjo", "pvz"]
         .iter()
         .map(|alias| by_alias(alias, 0.02, 7).expect("known alias"))
         .collect();
     let frame_count: usize = suite.iter().map(megsim_workloads::Workload::frames).sum();
-    let mut entries: Vec<(String, f64)> = Vec::new();
     let mut total_reference = 0.0;
     let mut total_optimized = 0.0;
     for (name, mode) in [
@@ -133,26 +132,12 @@ fn write_bench_summary() {
             n / optimized,
             reference / optimized
         );
-        entries.push((
-            format!("funcsim_{name}_reference_frames_per_sec"),
-            n / reference,
-        ));
-        entries.push((
-            format!("funcsim_{name}_optimized_frames_per_sec"),
-            n / optimized,
-        ));
-        entries.push((format!("funcsim_{name}_speedup"), reference / optimized));
     }
     let overall = total_reference / total_optimized;
     println!("funcsim overall single-thread speedup: {overall:.2}x");
-    entries.push(("funcsim_overall_speedup".to_string(), overall));
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_2.json");
-    if let Err(e) = megsim_bench::report::merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 fn main() {
     benches();
-    write_bench_summary();
+    print_bench_summary();
 }

@@ -6,16 +6,15 @@
 //! sweep (pinned by `tests/determinism.rs`), so the curve measures
 //! pure overlap.
 //!
-//! Results merge into `BENCH_6.json` at the repo root. Every speedup is
-//! recorded next to `intra_frame_available_parallelism`: on a 1-core
-//! runner overlap is impossible and ~1.0× (or slightly below, from
-//! record-stage overhead) is the expected reading — the printed note
-//! and the recorded core count keep that from masquerading as a
-//! regression or a win.
+//! Every speedup is printed next to the available core count: on a
+//! 1-core runner overlap is impossible and ~1.0× (or slightly below,
+//! from record-stage overhead) is the expected reading — the printed
+//! note and core count keep that from masquerading as a regression or
+//! a win.
 
 use std::time::Instant;
 
-use megsim_bench::report::{available_cores, core_note, merge_bench_json};
+use megsim_bench::report::{available_cores, core_note};
 use megsim_core::{simulate, FrameStart};
 use megsim_funcsim::{FrameTrace, RenderConfig, RenderMode, Renderer};
 use megsim_timing::{Gpu, GpuConfig, MultiGpuConfig, ShardMode};
@@ -58,16 +57,7 @@ fn sweep_points(cores: usize) -> Vec<usize> {
 fn main() {
     let cores = available_cores();
     let sweep = sweep_points(cores);
-    let mut entries: Vec<(String, f64)> = vec![
-        (
-            "intra_frame_available_parallelism".to_string(),
-            cores as f64,
-        ),
-        (
-            "intra_frame_thread_sweep_max".to_string(),
-            *sweep.last().expect("non-empty sweep") as f64,
-        ),
-    ];
+    println!("intra-frame bench: {cores} available core(s), thread sweep {sweep:?}");
 
     // Tile-sharded timing: simulate a warm trace sequence per render
     // mode with the raster phase forced onto the record/replay path at
@@ -96,24 +86,12 @@ fn main() {
         };
         megsim_exec::set_threads(1);
         let sequential = secs(|| run(ShardMode::Off));
-        entries.push((
-            format!("intra_frame_{name}_sequential_frames_per_sec"),
-            n / sequential,
-        ));
         for &threads in &sweep {
             megsim_exec::set_threads(threads);
             let sharded = secs(|| run(ShardMode::Force));
             if threads == 4 {
                 best_t4_speedup = best_t4_speedup.max(sequential / sharded);
             }
-            entries.push((
-                format!("intra_frame_{name}_sharded_t{threads}_frames_per_sec"),
-                n / sharded,
-            ));
-            entries.push((
-                format!("intra_frame_{name}_shard_speedup_t{threads}"),
-                sequential / sharded,
-            ));
             println!(
                 "intra-frame {name}: sharded t{threads} {:.1} frames/s vs sequential {:.1} ({:.2}x on {cores} core(s)){}",
                 n / sharded,
@@ -145,14 +123,6 @@ fn main() {
         if threads == 1 {
             warm_t1 = warm;
         }
-        entries.push((
-            format!("intra_frame_warm_pipeline_t{threads}_frames_per_sec"),
-            frames / warm,
-        ));
-        entries.push((
-            format!("intra_frame_warm_pipeline_speedup_t{threads}"),
-            warm_t1 / warm,
-        ));
         println!(
             "warm pipeline: t{threads} {:.1} frames/s ({:.2}x vs t1 on {cores} core(s)){}",
             frames / warm,
@@ -163,15 +133,7 @@ fn main() {
     megsim_exec::set_threads(0);
 
     if cores >= 4 {
-        entries.push((
-            "intra_frame_best_shard_speedup_t4".to_string(),
-            best_t4_speedup,
-        ));
-    }
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_6.json");
-    if let Err(e) = merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
+        println!("intra-frame best sharded speedup at 4 threads: {best_t4_speedup:.2}x");
     }
 
     // CI scaling gate (`MEGSIM_SCALING_GATE=<min speedup>`): on a

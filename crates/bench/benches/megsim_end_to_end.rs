@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
-use megsim_core::frame_cache;
 use megsim_core::pipeline::Selection;
 use megsim_core::pipeline::{select_representatives, MegsimConfig};
+use megsim_core::FrameCache;
 use megsim_gfx::shader::ShaderTable;
 use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
@@ -36,24 +36,25 @@ fn simulate_cold(
     frames: impl Iterator<Item = megsim_gfx::draw::Frame> + Send,
     shaders: &ShaderTable,
     gpu: &GpuConfig,
+    cache: Option<&FrameCache>,
 ) -> Vec<FrameStats> {
-    simulate(
-        frames,
-        shaders,
-        gpu,
-        MultiGpuConfig::single(),
-        FrameStart::Cold,
-    )
-    .0
+    let start = FrameStart::Cold(cache);
+    simulate(frames, shaders, gpu, MultiGpuConfig::single(), start).0
 }
 
 /// Simulates only the selected representative frames.
-fn simulate_reps(workload: &Workload, selection: &Selection, gpu: &GpuConfig) -> Vec<FrameStats> {
+fn simulate_reps(
+    workload: &Workload,
+    selection: &Selection,
+    gpu: &GpuConfig,
+    cache: Option<&FrameCache>,
+) -> Vec<FrameStats> {
     let reps = selection.representatives.iter();
     simulate_cold(
         reps.map(|r| workload.frame(r.frame_index)),
         workload.shaders(),
         gpu,
+        cache,
     )
 }
 
@@ -69,7 +70,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 megsim_exec::set_threads(threads);
-                b.iter(|| simulate_cold(workload.iter_frames(), workload.shaders(), &gpu));
+                b.iter(|| simulate_cold(workload.iter_frames(), workload.shaders(), &gpu, None));
             },
         );
     }
@@ -88,9 +89,10 @@ fn bench_end_to_end(c: &mut Criterion) {
                         workload.shaders(),
                         &gpu,
                         &config,
+                        None,
                     );
                     let selection = select_representatives(&matrix, &config);
-                    simulate_reps(&workload, &selection, &gpu)
+                    simulate_reps(&workload, &selection, &gpu, None)
                 });
             },
         );
@@ -105,53 +107,50 @@ criterion_group! {
     targets = bench_end_to_end
 }
 
-/// Times the single-thread MEGsim flow twice — cold cache, then warm —
-/// and merges end-to-end frames/sec plus the frame-cache hit rate into
-/// `BENCH_2.json` at the repo root.
-fn write_bench_summary() {
+/// Times the single-thread MEGsim flow twice over one frame cache —
+/// cold, then warm — and prints end-to-end frames/sec plus the cache's
+/// tier counts.
+fn print_cache_summary() {
     megsim_exec::set_threads(1);
     let workload = by_alias("pvz", 0.02, 7).expect("known alias");
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default();
+    let cache = FrameCache::new();
     let flow = || {
-        let matrix =
-            characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+        let matrix = characterize_sequence(
+            workload.iter_frames(),
+            workload.shaders(),
+            &gpu,
+            &config,
+            Some(&cache),
+        );
         let selection = select_representatives(&matrix, &config);
-        simulate_reps(&workload, &selection, &gpu)
+        simulate_reps(&workload, &selection, &gpu, Some(&cache))
     };
-    frame_cache::set_enabled(true);
-    frame_cache::clear();
     let start = Instant::now();
     black_box(flow());
     let cold = start.elapsed().as_secs_f64();
     let start = Instant::now();
     black_box(flow());
     let warm = start.elapsed().as_secs_f64();
-    let report = frame_cache::report();
-    println!("{}", report.summary());
+    println!("{}", cache.summary());
     println!(
         "megsim flow (pvz, {} frames, 1 thread): cold {cold:.3} s, warm {warm:.3} s",
         workload.frames()
     );
     let n = workload.frames() as f64;
-    let entries = vec![
-        ("end_to_end_cold_frames_per_sec".to_string(), n / cold),
-        ("end_to_end_warm_frames_per_sec".to_string(), n / warm),
-        ("frame_cache_hit_rate".to_string(), report.hit_rate()),
-    ];
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_2.json");
-    if let Err(e) = megsim_bench::report::merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    println!(
+        "megsim flow end to end: cold {:.1} frames/s, warm {:.1} frames/s",
+        n / cold,
+        n / warm
+    );
     megsim_exec::set_threads(0);
 }
 
 fn main() {
     // The criterion groups compare full simulation against the MEGsim
-    // flow; run them with the frame cache off so repeated `iter` calls
-    // keep measuring simulation rather than cache lookups.
-    frame_cache::set_enabled(false);
+    // flow without a frame cache, so repeated `iter` calls keep
+    // measuring simulation rather than cache lookups.
     benches();
-    frame_cache::set_enabled(true);
-    write_bench_summary();
+    print_cache_summary();
 }

@@ -4,15 +4,14 @@
 //! representative-vs-full accuracy deltas of the MEGsim methodology on
 //! each rig shape (the PR 10 Fig.-7-style table).
 //!
-//! Results merge into `BENCH_10.json` at the repo root. Rig simulation
-//! is single-threaded timing-model work by construction (only the pure
-//! tile-record stage fans out), so the throughput numbers measure model
-//! cost, not host parallelism; `multi_gpu_available_parallelism` is
-//! recorded alongside for context.
+//! Rig simulation is single-threaded timing-model work by construction
+//! (only the pure tile-record stage fans out), so the throughput numbers
+//! measure model cost, not host parallelism; the available core count
+//! is printed alongside for context.
 
 use std::time::Instant;
 
-use megsim_bench::report::{available_cores, merge_bench_json};
+use megsim_bench::report::available_cores;
 use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
 use megsim_core::pipeline::{select_representatives, MegsimConfig};
 use megsim_core::{metric_errors, scaled_totals, sequence_totals};
@@ -67,7 +66,7 @@ fn rig_sequence(
 }
 
 fn main() {
-    let cores = available_cores();
+    println!("multi-GPU bench: {} available core(s)", available_cores());
     megsim_exec::set_threads(1);
     let workload = by_alias("jjo", 0.01, 7).expect("known alias"); // 50 frames
     let shaders = workload.shaders();
@@ -81,8 +80,6 @@ fn main() {
         .map(|f| renderer.render_frame(&f, shaders))
         .collect();
     let n_frames = traces.len() as f64;
-    let mut entries: Vec<(String, f64)> =
-        vec![("multi_gpu_available_parallelism".to_string(), cores as f64)];
 
     // Rig throughput (host frames/s) and simulated frame latency per
     // (dispatch, topology) at N = 1/2/4. Simulated cycles show the
@@ -102,14 +99,6 @@ fn main() {
                     std::hint::black_box(rig.simulate_frame(t, shaders).cycles);
                 }
             });
-            entries.push((
-                format!("multi_gpu_{label}_n{n}_frames_per_sec"),
-                n_frames / wall,
-            ));
-            entries.push((
-                format!("multi_gpu_{label}_n{n}_sim_cycles_per_frame"),
-                total_cycles as f64 / n_frames,
-            ));
             println!(
                 "multi-GPU {label} N={n}: {:.1} frames/s simulated, {:.0} model cycles/frame",
                 n_frames / wall,
@@ -137,11 +126,16 @@ fn main() {
             .map(|s| s.cycles)
             .sum();
         cycles_at.push(total as f64);
-        entries.push((
-            format!("multi_gpu_sfr_link_bw{bw}_sim_cycles"),
-            total as f64,
-        ));
     }
+    let sweep: Vec<String> = bandwidths
+        .iter()
+        .zip(&cycles_at)
+        .map(|(bw, c)| format!("{bw}: {c:.0}"))
+        .collect();
+    println!(
+        "interconnect sweep (N=2 sfr private, bytes/cycle: sim cycles): {}",
+        sweep.join(", ")
+    );
     let compute_bound = cycles_at.last().copied().expect("non-empty sweep");
     let crossover = bandwidths
         .iter()
@@ -149,10 +143,6 @@ fn main() {
         .find(|(_, &c)| c <= compute_bound * 1.01)
         .map(|(&bw, _)| bw)
         .expect("widest link is its own bound");
-    entries.push((
-        "multi_gpu_interconnect_crossover_bytes_per_cycle".to_string(),
-        crossover as f64,
-    ));
     println!(
         "interconnect crossover: compute-bound from {crossover} bytes/cycle \
          ({:.2}x cycles at 1 byte/cycle)",
@@ -166,7 +156,7 @@ fn main() {
     // truth. The cycles delta quantifies how much warm-state and
     // cross-GPU contention the cold representative rigs miss.
     let megsim = MegsimConfig::default().with_seed(3);
-    let matrix = characterize_sequence(workload.iter_frames(), shaders, &cfg, &megsim);
+    let matrix = characterize_sequence(workload.iter_frames(), shaders, &cfg, &megsim, None);
     let selection = select_representatives(&matrix, &megsim);
     println!(
         "accuracy: {} of {} frames simulated per rig ({:.1}x reduction)",
@@ -190,18 +180,10 @@ fn main() {
                 shaders,
                 &cfg,
                 multi,
-                FrameStart::Cold,
+                FrameStart::Cold(None),
             );
             let estimated = scaled_totals(reps, &rep_stats);
             let errors = metric_errors(&estimated, &actual);
-            entries.push((
-                format!("multi_gpu_{label}_n{n}_rep_cycles_err"),
-                errors.cycles,
-            ));
-            entries.push((
-                format!("multi_gpu_{label}_n{n}_rep_dram_err"),
-                errors.dram_accesses,
-            ));
             println!(
                 "  {n}  {label:<12} {:>9.2}% {:>8.2}% {:>7.2}%",
                 errors.cycles * 100.0,
@@ -211,9 +193,4 @@ fn main() {
         }
     }
     megsim_exec::set_threads(0);
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_10.json");
-    if let Err(e) = merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }

@@ -2,8 +2,7 @@
 //! selection path against the exact two-pass batch path, across three
 //! decades of trace length (10³, 10⁴, 10⁵ synthetic frames).
 //!
-//! Readings merge into `BENCH_9.json` at the repo root. Three claims are
-//! recorded: (1) the headline wall-clock speedup at 10⁵ frames, (2) the
+//! Three claims are printed: (1) the headline wall-clock speedup at 10⁵ frames, (2) the
 //! streaming path's near-linear n-scaling (the 10⁵/10⁴ time ratio,
 //! guarded below 30× — an O(n²) path would read ~100×), and (3) the
 //! bounded-memory fence (peak retained rows vs the reservoir knob).
@@ -12,12 +11,12 @@
 
 use std::time::Instant;
 
-use megsim_bench::report::{available_cores, merge_bench_json, stream_context_entries};
+use megsim_bench::report::available_cores;
 use megsim_core::evaluate::characterize_stream;
 use megsim_core::pipeline::{
     select_representatives, select_representatives_stream, MegsimConfig, StreamClusterConfig,
 };
-use megsim_core::{frame_cache, FeatureMatrix};
+use megsim_core::{FeatureMatrix, FrameCache};
 use megsim_timing::GpuConfig;
 use megsim_workloads::by_alias;
 
@@ -52,8 +51,12 @@ fn main() {
     let cores = available_cores();
     let config = MegsimConfig::default().with_seed(42);
     let stream = StreamClusterConfig::default();
-    let mut entries = stream_context_entries(100_000, stream.reservoir_capacity, stream.batch_size);
-    entries.push(("stream_available_parallelism".to_string(), cores as f64));
+    // Every streaming reading is unreadable without the knobs that
+    // bounded it and the hardware it ran on.
+    println!(
+        "stream bench: reservoir {} rows, mini-batch {}, {cores} available core(s)",
+        stream.reservoir_capacity, stream.batch_size
+    );
 
     let mut stream_secs_by_n = Vec::new();
     for &n in &[1_000usize, 10_000, 100_000] {
@@ -75,13 +78,6 @@ fn main() {
             outcome.peak_rows_retained,
             fence
         );
-        entries.push((format!("stream_cluster_n{n}_batch_secs"), batch));
-        entries.push((format!("stream_cluster_n{n}_stream_secs"), streamed));
-        entries.push((format!("stream_cluster_n{n}_speedup"), batch / streamed));
-        entries.push((
-            format!("stream_cluster_n{n}_peak_rows"),
-            outcome.peak_rows_retained as f64,
-        ));
         println!(
             "n={n}: batch {batch:.3}s, stream {streamed:.3}s ({:.1}x), k={} peak_rows={}",
             batch / streamed,
@@ -94,7 +90,6 @@ fn main() {
     // n-scaling guard: a 10x problem must cost nowhere near 100x. The
     // streaming path is O(n·k); a quadratic regression would read ~100.
     let scaling = stream_secs_by_n[2] / stream_secs_by_n[1];
-    entries.push(("stream_cluster_scaling_1e5_over_1e4".to_string(), scaling));
     println!("stream n-scaling 1e5/1e4: {scaling:.1}x (guard < 30)");
     assert!(
         scaling < 30.0,
@@ -104,12 +99,11 @@ fn main() {
     // End-to-end fused pipeline: 10⁴ real frames (a 100-frame workload
     // cycled with the frame cache on, so replay cost stays realistic
     // without 10⁴ distinct renders) through decode→characterize→cluster.
-    frame_cache::set_enabled(true);
     let workload = by_alias("jjo", 0.02, 42).expect("known alias");
     let frames: Vec<_> = workload.generate_frames();
     let gpu = GpuConfig::small(192, 192);
     let n_e2e = 10_000usize;
-    frame_cache::clear();
+    let cache = FrameCache::new();
     let e2e = secs(1, || {
         let sel = characterize_stream(
             frames.iter().cycle().take(n_e2e).cloned(),
@@ -117,23 +111,14 @@ fn main() {
             &gpu,
             &config,
             &stream,
+            Some(&cache),
         );
         assert_eq!(sel.selection.labels.len(), n_e2e);
         std::hint::black_box(sel);
     });
-    frame_cache::clear();
-    entries.push((
-        "stream_characterize_1e4_frames_per_sec".to_string(),
-        n_e2e as f64 / e2e,
-    ));
     println!(
         "fused characterize+cluster: {} frames in {e2e:.2}s ({:.0} frames/s)",
         n_e2e,
         n_e2e as f64 / e2e
     );
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_9.json");
-    if let Err(e) = merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }

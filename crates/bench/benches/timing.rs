@@ -68,11 +68,10 @@ fn secs(mut f: impl FnMut()) -> f64 {
 /// Measures single-thread frames/sec of the retained scalar reference
 /// timing model vs the coalesced fast path across the three rendering
 /// modes, plus the sequential-vs-pipelined warm-sequence throughput,
-/// and merges the numbers into `BENCH_3.json` at the repo root.
-fn write_bench_summary() {
+/// and prints the numbers.
+fn print_bench_summary() {
     let workload = by_alias("bbr1", 0.02, 7).expect("known alias");
     let shaders = workload.shaders();
-    let mut entries: Vec<(String, f64)> = Vec::new();
     let mut total_reference = 0.0;
     let mut total_optimized = 0.0;
     for (name, mode) in MODES {
@@ -108,19 +107,9 @@ fn write_bench_summary() {
             n / optimized,
             reference / optimized
         );
-        entries.push((
-            format!("timing_{name}_reference_frames_per_sec"),
-            n / reference,
-        ));
-        entries.push((
-            format!("timing_{name}_optimized_frames_per_sec"),
-            n / optimized,
-        ));
-        entries.push((format!("timing_{name}_speedup"), reference / optimized));
     }
     let overall = total_reference / total_optimized;
     println!("timing overall single-thread speedup: {overall:.2}x");
-    entries.push(("timing_overall_speedup".to_string(), overall));
 
     // Warm-sequence pipeline: functional rendering of frame N + 1
     // overlaps timing of frame N. At one thread the pipeline runs as the
@@ -158,27 +147,9 @@ fn write_bench_summary() {
         sequential / pipelined,
         megsim_bench::report::core_note(cores)
     );
-    entries.push((
-        "timing_warm_sequential_frames_per_sec".to_string(),
-        frames / sequential,
-    ));
-    entries.push((
-        "timing_warm_pipelined_frames_per_sec".to_string(),
-        frames / pipelined,
-    ));
-    entries.push((
-        "timing_warm_pipeline_speedup".to_string(),
-        sequential / pipelined,
-    ));
-    entries.push(("timing_warm_pipeline_cores".to_string(), cores as f64));
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_3.json");
-    if let Err(e) = megsim_bench::report::merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 fn main() {
     benches();
-    write_bench_summary();
+    print_bench_summary();
 }

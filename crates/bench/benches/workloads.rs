@@ -66,10 +66,9 @@ fn assert_identical(w: &Workload) {
 /// Measures seed-vs-fast generation single-threaded per benchmark (so
 /// the ratio is pure algorithmic gain: placement memoization, static
 /// draw skeletons, exact-capacity draw lists — no thread-count
-/// dependence), then the parallel `generate_frames` fan-out, and merges
-/// the numbers into `BENCH_5.json` at the repo root.
-fn write_bench_summary() {
-    let mut entries: Vec<(String, f64)> = Vec::new();
+/// dependence), then the parallel `generate_frames` fan-out, and prints
+/// the numbers.
+fn print_bench_summary() {
     megsim_exec::set_threads(1);
 
     let workloads = suite(FRAME_SCALE, SEED);
@@ -92,12 +91,6 @@ fn write_bench_summary() {
             optimized,
             reference / optimized
         );
-        entries.push((format!("workloads_{}_reference_secs", w.alias), reference));
-        entries.push((format!("workloads_{}_optimized_secs", w.alias), optimized));
-        entries.push((
-            format!("workloads_{}_speedup", w.alias),
-            reference / optimized,
-        ));
         ref_total += reference;
         opt_total += optimized;
     }
@@ -107,9 +100,6 @@ fn write_bench_summary() {
         opt_total,
         ref_total / opt_total
     );
-    entries.push(("workloads_suite_reference_secs".to_string(), ref_total));
-    entries.push(("workloads_suite_optimized_secs".to_string(), opt_total));
-    entries.push(("workloads_suite_speedup".to_string(), ref_total / opt_total));
 
     // Parallel batch synthesis: thread sweep of `generate_frames` over
     // the whole suite. On a 1-core container the ratio is ~1; recorded
@@ -133,21 +123,9 @@ fn write_bench_summary() {
         parallel,
         serial / parallel
     );
-    entries.push(("workloads_batch_1t_secs".to_string(), serial));
-    entries.push(("workloads_batch_parallel_secs".to_string(), parallel));
-    entries.push((
-        "workloads_batch_parallel_speedup".to_string(),
-        serial / parallel,
-    ));
-    entries.push(("workloads_batch_cores".to_string(), cores as f64));
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_5.json");
-    if let Err(e) = megsim_bench::report::merge_bench_json(&path, &entries) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 fn main() {
     benches();
-    write_bench_summary();
+    print_bench_summary();
 }

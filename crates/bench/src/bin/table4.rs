@@ -11,15 +11,13 @@ fn main() {
     );
     // Deployment-style pass: simulate each benchmark's representatives
     // standalone. The content-addressed frame cache serves these from
-    // the ground-truth pass; the delta below covers just this pass, not
-    // the process lifetime, so the hit rate reflects the pass itself.
+    // the ground-truth pass; the pass's own scope counts just this pass,
+    // so the hit rate reflects the pass itself.
     let runs = run_all_megsim(&data, &ctx.megsim);
-    let before = megsim_core::frame_cache::report();
-    let reps = resimulate_representatives(&data, &runs, &ctx.gpu);
+    let pass = ctx.cache.scope();
+    let reps = resimulate_representatives(&data, &runs, &ctx.gpu, &pass);
     eprintln!(
         "re-simulated {reps} representative frames; {}",
-        megsim_core::frame_cache::report()
-            .delta_since(&before)
-            .summary()
+        pass.summary()
     );
 }

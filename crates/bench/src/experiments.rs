@@ -7,7 +7,9 @@ use megsim_core::evaluate::{
 };
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::random_sampling;
-use megsim_core::{scaled_totals, sequence_totals, FeatureMatrix, GroupWeights, SimilarityMatrix};
+use megsim_core::{
+    scaled_totals, sequence_totals, FeatureMatrix, FrameCache, GroupWeights, SimilarityMatrix,
+};
 use megsim_power::{EnergyModel, PowerBreakdown};
 use megsim_stats::{multiple_correlation, pearson, quantile};
 use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
@@ -41,7 +43,7 @@ impl BenchmarkData {
 }
 
 /// Shared experiment context.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Context {
     /// Command-line options.
     pub args: ExperimentArgs,
@@ -49,6 +51,8 @@ pub struct Context {
     pub gpu: GpuConfig,
     /// The MEGsim configuration (§III defaults).
     pub megsim: MegsimConfig,
+    /// The run's frame cache, shared by every pass over the context.
+    pub cache: FrameCache,
 }
 
 impl Context {
@@ -62,6 +66,7 @@ impl Context {
             args,
             gpu: GpuConfig::mali450_like(),
             megsim,
+            cache: FrameCache::new(),
         }
     }
 }
@@ -83,6 +88,7 @@ pub fn compute_benchmark(ctx: &Context, info: &BenchmarkInfo) -> BenchmarkData {
         workload.shaders(),
         &ctx.gpu,
         &ctx.megsim,
+        Some(&ctx.cache),
     );
     eprintln!("[{}] cycle-accurate ground-truth simulation...", info.alias);
     let (per_frame, _) = simulate(
@@ -90,7 +96,7 @@ pub fn compute_benchmark(ctx: &Context, info: &BenchmarkInfo) -> BenchmarkData {
         workload.shaders(),
         &ctx.gpu,
         MultiGpuConfig::single(),
-        FrameStart::Cold,
+        FrameStart::Cold(Some(&ctx.cache)),
     );
     let totals = sequence_totals(&per_frame);
     BenchmarkData {
@@ -434,16 +440,17 @@ pub fn run_all_megsim(data: &[BenchmarkData], config: &MegsimConfig) -> Vec<Megs
 }
 
 /// Re-simulates every run's representatives standalone — the pass a
-/// real MEGsim deployment executes instead of the full sequence. With
-/// the content-addressed frame cache enabled these re-simulations hit
-/// the statistics already computed during the ground-truth pass, so
-/// the cost is near zero; the per-run estimates must match
+/// real MEGsim deployment executes instead of the full sequence. When
+/// `cache` is (a scope of) the cache the ground-truth pass filled, these
+/// re-simulations hit the statistics it already computed, so the cost
+/// is near zero; the per-run estimates must match
 /// [`MegsimRun::estimated`] exactly either way. Returns the number of
 /// representative frames simulated.
 pub fn resimulate_representatives(
     data: &[BenchmarkData],
     runs: &[MegsimRun],
     gpu: &GpuConfig,
+    cache: &FrameCache,
 ) -> usize {
     let mut total = 0;
     for (d, run) in data.iter().zip(runs) {
@@ -453,7 +460,7 @@ pub fn resimulate_representatives(
             d.workload.shaders(),
             gpu,
             MultiGpuConfig::single(),
-            FrameStart::Cold,
+            FrameStart::Cold(Some(cache)),
         );
         let estimated = scaled_totals(reps, &rep_stats);
         assert_eq!(
@@ -900,7 +907,7 @@ pub fn rendering_modes(ctx: &Context, sample_frames: usize) -> String {
                 workload.shaders(),
                 &gpu,
                 MultiGpuConfig::single(),
-                FrameStart::Cold,
+                FrameStart::Cold(Some(&ctx.cache)),
             );
             let row = ModeRow {
                 fragments_shaded: stats

@@ -86,42 +86,10 @@ pub fn write_artifact(dir: &str, name: &str, contents: &str) -> io::Result<()> {
     std::fs::write(Path::new(dir).join(name), contents)
 }
 
-/// Renders a flat `{"key": number}` JSON object, one entry per line,
-/// keys sorted — the `BENCH_N.json` format the benches emit so the
-/// perf trajectory stays machine-readable across PRs. Non-finite
-/// values are dropped (JSON has no NaN/Inf).
-pub fn bench_json(entries: &[(String, f64)]) -> String {
-    let mut sorted: Vec<&(String, f64)> = entries.iter().filter(|(_, v)| v.is_finite()).collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in sorted.iter().enumerate() {
-        let _ = write!(out, "  \"{k}\": {v}");
-        out.push_str(if i + 1 < sorted.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Parses a flat string→number JSON object as written by
-/// [`bench_json`] (no nesting, no string values, no escapes in keys).
-/// Unparseable pairs are skipped.
-fn parse_bench_json(text: &str) -> Vec<(String, f64)> {
-    let inner = text.trim().trim_start_matches('{').trim_end_matches('}');
-    inner
-        .split(',')
-        .filter_map(|pair| {
-            let (k, v) = pair.split_once(':')?;
-            let key = k.trim().trim_matches('"');
-            let value: f64 = v.trim().parse().ok()?;
-            (!key.is_empty()).then(|| (key.to_string(), value))
-        })
-        .collect()
-}
-
-/// Hardware threads available to the worker pool. Every
-/// pipeline/sharding speedup in a `BENCH_N.json` must be recorded next
-/// to this number: a ~1.0× ratio measured on a 1-core runner reflects
-/// the hardware, not the code, and is unreadable without it.
+/// Hardware threads available to the worker pool. Every printed
+/// pipeline/sharding speedup must be read next to this number: a ~1.0×
+/// ratio measured on a 1-core runner reflects the hardware, not the
+/// code, and is unreadable without it.
 pub fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -136,46 +104,6 @@ pub fn core_note(cores: usize) -> &'static str {
     } else {
         ""
     }
-}
-
-/// Context entries every streaming-clustering reading needs written
-/// next to it: the problem size and the memory knobs. A streaming
-/// speedup is unreadable without the `cluster_n_frames` it was
-/// measured at, and a peak-memory reading cannot be compared across
-/// PRs without the `stream_reservoir_size` that bounded it.
-pub fn stream_context_entries(
-    n_frames: usize,
-    reservoir_size: usize,
-    batch_size: usize,
-) -> Vec<(String, f64)> {
-    vec![
-        ("cluster_n_frames".to_string(), n_frames as f64),
-        ("stream_reservoir_size".to_string(), reservoir_size as f64),
-        ("stream_batch_size".to_string(), batch_size as f64),
-    ]
-}
-
-/// Merges `entries` into the flat-JSON benchmark summary at `path`,
-/// creating the file if absent. Existing keys are overwritten by new
-/// values; keys only present in the file are preserved, so the
-/// different benches can each contribute their slice of a summary:
-/// the funcsim bench maintains `BENCH_2.json`, the timing bench
-/// `BENCH_3.json`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the final write.
-pub fn merge_bench_json(path: &Path, entries: &[(String, f64)]) -> io::Result<()> {
-    let mut merged = std::fs::read_to_string(path)
-        .map(|text| parse_bench_json(&text))
-        .unwrap_or_default();
-    for (key, value) in entries {
-        match merged.iter_mut().find(|(k, _)| k == key) {
-            Some(slot) => slot.1 = *value,
-            None => merged.push((key.clone(), *value)),
-        }
-    }
-    std::fs::write(path, bench_json(&merged))
 }
 
 #[cfg(test)]
@@ -204,59 +132,6 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "frame,vscv_0,vscv_1,fscv_0,prim");
         assert_eq!(lines[1], "0,1,2,3,4");
-    }
-
-    #[test]
-    fn bench_json_is_sorted_and_parseable() {
-        let entries = vec![
-            ("zeta".to_string(), 2.5),
-            ("alpha".to_string(), 120.0),
-            ("nan".to_string(), f64::NAN),
-        ];
-        let json = bench_json(&entries);
-        assert!(json.starts_with("{\n  \"alpha\": 120"));
-        assert!(!json.contains("nan"), "non-finite values must be dropped");
-        let back = parse_bench_json(&json);
-        assert_eq!(
-            back,
-            vec![("alpha".to_string(), 120.0), ("zeta".to_string(), 2.5)]
-        );
-    }
-
-    #[test]
-    fn merge_bench_json_overwrites_and_preserves() {
-        let path = std::env::temp_dir().join("megsim_bench2_test.json");
-        let _ = std::fs::remove_file(&path);
-        merge_bench_json(&path, &[("a".to_string(), 1.0), ("b".to_string(), 2.0)]).expect("write");
-        merge_bench_json(&path, &[("b".to_string(), 9.0), ("c".to_string(), 3.0)]).expect("merge");
-        let back = parse_bench_json(&std::fs::read_to_string(&path).expect("read"));
-        assert_eq!(
-            back,
-            vec![
-                ("a".to_string(), 1.0),
-                ("b".to_string(), 9.0),
-                ("c".to_string(), 3.0)
-            ]
-        );
-    }
-
-    #[test]
-    fn stream_context_entries_name_the_knobs() {
-        let entries = stream_context_entries(100_000, 1024, 256);
-        assert_eq!(
-            entries,
-            vec![
-                ("cluster_n_frames".to_string(), 100_000.0),
-                ("stream_reservoir_size".to_string(), 1024.0),
-                ("stream_batch_size".to_string(), 256.0),
-            ]
-        );
-        // The keys must survive the round trip through the flat JSON.
-        let back = parse_bench_json(&bench_json(&entries));
-        assert_eq!(back.len(), 3);
-        assert!(back
-            .iter()
-            .any(|(k, v)| k == "cluster_n_frames" && *v == 100_000.0));
     }
 
     #[test]

@@ -7,7 +7,9 @@ use std::io::BufReader;
 use megsim_bench::report;
 use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::pipeline::{select_representatives, MegsimConfig, Selection, StreamClusterConfig};
-use megsim_core::{metric_errors, scaled_totals, sequence_totals, FeatureMatrix, StreamSelection};
+use megsim_core::{
+    metric_errors, scaled_totals, sequence_totals, FeatureMatrix, FrameCache, StreamSelection,
+};
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::{ShaderKind, ShaderTable};
 use megsim_gl::{
@@ -50,11 +52,12 @@ commands:
                `<name> <characterize|estimate> <trace> [seed=N]
                [out=PATH] [ground-truth]` (# comments allowed); prints
                a per-campaign cache-tier table
-  help         print this message
+  help         print this message (also --help or -h anywhere)
 
 global options:
   --threads N  worker threads for the parallel stages (0 = MEGSIM_THREADS
-               env or all cores); results are identical at any count
+               env or all cores; at most 1024); results are identical at
+               any count
   --no-frame-cache
                disable the content-addressed frame-result cache (results
                are identical either way; only wall-clock time changes)
@@ -74,16 +77,82 @@ global options:
                two-pass path) and --stream-batch N sets the mini-batch
                size (default 256)";
 
+/// Options every command accepts.
+const GLOBAL_FLAGS: &[&str] = &["threads", "no-frame-cache", "cache-dir", "no-persist"];
+
+/// The flags `command` reads besides [`GLOBAL_FLAGS`], or `None` for an
+/// unknown command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "record" => &["benchmark", "scale", "seed", "out", "codec-version"],
+        "characterize" => &["out"],
+        "select" => &["out", "seed", "stream-cluster", "reservoir", "stream-batch"],
+        "estimate" => &[
+            "seed",
+            "ground-truth",
+            "stream-cluster",
+            "reservoir",
+            "stream-batch",
+            "gpus",
+            "dispatch",
+            "mem",
+        ],
+        "info" | "batch" => &[],
+        _ => return None,
+    })
+}
+
 /// Dispatches a full argv (including program name).
 pub fn run(argv: &[String]) -> Result<(), String> {
-    use megsim_core::frame_cache;
     let mut opts = Options::parse(argv)?;
+    if opts.has("help") || matches!(opts.command.as_str(), "help" | "") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let command = opts.command.clone();
+    let allowed =
+        command_flags(&command).ok_or_else(|| format!("unknown command '{command}'\n{USAGE}"))?;
+    opts.reject_unknown_flags(allowed)?;
     let threads: usize = opts.flag("threads", 0)?;
+    if threads > megsim_exec::MAX_THREADS {
+        return Err(format!(
+            "--threads must be at most {}, got {threads}",
+            megsim_exec::MAX_THREADS
+        ));
+    }
     megsim_exec::set_threads(threads);
-    frame_cache::set_enabled(!opts.has("no-frame-cache"));
-    // Attach the persistent disk tier if requested. Opening can only
-    // fail on directory-level problems, and even then the run proceeds
-    // cold: a broken cache must never fail a campaign.
+    // One frame cache for the whole invocation, so every pass (and every
+    // batch campaign) reuses the others' frames; none with
+    // --no-frame-cache.
+    let cache = (!opts.has("no-frame-cache")).then(|| open_cache(&opts));
+    let cache = cache.as_ref();
+    let result = match command.as_str() {
+        "record" => record(&mut opts),
+        "info" => info(&mut opts),
+        "characterize" => characterize(&mut opts, cache),
+        "select" => select(&mut opts, cache),
+        "estimate" => estimate(&mut opts, cache),
+        "batch" => batch(&mut opts, cache),
+        other => unreachable!("command_flags accepted '{other}'"),
+    };
+    if let Some(cache) = cache {
+        if cache.counts().lookups() > 0 {
+            eprintln!("{}", cache.summary());
+        }
+        match cache.flush() {
+            Ok(0) => {}
+            Ok(sealed) => eprintln!("cache store: sealed {sealed} new records"),
+            Err(e) => eprintln!("warning: cache store flush failed: {e}"),
+        }
+    }
+    result
+}
+
+/// The invocation's frame cache, over the persistent disk tier if one
+/// is requested. Opening the store can only fail on directory-level
+/// problems, and even then the run proceeds cold: a broken cache must
+/// never fail a campaign.
+fn open_cache(opts: &Options) -> FrameCache {
     let cache_dir = opts.flags.get("cache-dir").cloned().or_else(|| {
         if opts.has("no-persist") {
             None
@@ -93,58 +162,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 .filter(|s| !s.is_empty())
         }
     });
-    let store_attached = match &cache_dir {
-        Some(dir) => match frame_cache::set_store_dir(std::path::Path::new(dir)) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!("warning: cannot open cache dir {dir}: {e}; running cold");
-                false
-            }
-        },
-        None => false,
-    };
-    let before = frame_cache::report();
-    let result = match opts.command.as_str() {
-        "record" => record(&mut opts),
-        "info" => info(&mut opts),
-        "characterize" => characterize(&mut opts),
-        "select" => select(&mut opts),
-        "estimate" => estimate(&mut opts),
-        "batch" => batch(&mut opts),
-        "help" | "--help" | "-h" | "" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    };
-    // Per-invocation cache accounting: the delta since dispatch, not
-    // process-lifetime totals (they differ under tests and embedding).
-    let delta = frame_cache::report().delta_since(&before);
-    let lookups = delta.activity_hits
-        + delta.activity_disk_hits
-        + delta.activity_shared_hits
-        + delta.activity_misses
-        + delta.stats_hits
-        + delta.stats_disk_hits
-        + delta.stats_shared_hits
-        + delta.stats_misses;
-    if frame_cache::is_enabled() && lookups > 0 {
-        eprintln!("{}", delta.summary());
+    match cache_dir {
+        Some(dir) => FrameCache::open(std::path::Path::new(&dir)).unwrap_or_else(|e| {
+            eprintln!("warning: cannot open cache dir {dir}: {e}; running cold");
+            FrameCache::new()
+        }),
+        None => FrameCache::new(),
     }
-    if store_attached {
-        match frame_cache::flush_store() {
-            Ok(sealed) => {
-                if sealed > 0 {
-                    eprintln!("cache store: sealed {sealed} new records");
-                }
-            }
-            Err(e) => eprintln!("warning: cache store flush failed: {e}"),
-        }
-        // Detach so embedding callers (and the CLI tests) that invoke
-        // `run` repeatedly in one process get per-invocation stores.
-        frame_cache::detach_store();
-    }
-    result
 }
 
 /// Parsed command line: a subcommand, positional arguments and flags.
@@ -168,8 +192,12 @@ impl Options {
         let mut i = 0;
         while i < rest.len() {
             let a = rest[i];
-            if let Some(name) = a.strip_prefix("--") {
+            if a == "-h" {
+                bools.push("help".to_string());
+                i += 1;
+            } else if let Some(name) = a.strip_prefix("--") {
                 if name == "ground-truth"
+                    || name == "help"
                     || name == "no-frame-cache"
                     || name == "no-persist"
                     || name == "stream-cluster"
@@ -222,6 +250,24 @@ impl Options {
 
     fn has(&self, name: &str) -> bool {
         self.bools.iter().any(|b| b == name)
+    }
+
+    /// Fails naming a flag that is neither global nor in `allowed` (the
+    /// alphabetically first, if there are several).
+    fn reject_unknown_flags(&self, allowed: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .keys()
+            .chain(&self.bools)
+            .filter(|f| !GLOBAL_FLAGS.contains(&f.as_str()) && !allowed.contains(&f.as_str()))
+            .min();
+        match unknown {
+            Some(flag) => Err(format!(
+                "unknown option --{flag} for '{}' (see megsim --help)",
+                self.command
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -279,10 +325,11 @@ fn characterize_trace(
     path: &str,
     gpu: &GpuConfig,
     config: &MegsimConfig,
+    cache: Option<&FrameCache>,
 ) -> Result<(ShaderTable, FeatureMatrix), String> {
     let mut frames = StreamedFrames::open(path)?;
     let shaders = frames.iter.shaders().clone();
-    let matrix = characterize_sequence(&mut frames, &shaders, gpu, config);
+    let matrix = characterize_sequence(&mut frames, &shaders, gpu, config, cache);
     frames.finish(path)?;
     Ok((shaders, matrix))
 }
@@ -311,10 +358,12 @@ fn select_stream(
     gpu: &GpuConfig,
     config: &MegsimConfig,
     stream: &StreamClusterConfig,
+    cache: Option<&FrameCache>,
 ) -> Result<(ShaderTable, StreamSelection), String> {
     let mut frames = StreamedFrames::open(path)?;
     let shaders = frames.iter.shaders().clone();
-    let selection = megsim_core::characterize_stream(&mut frames, &shaders, gpu, config, stream);
+    let selection =
+        megsim_core::characterize_stream(&mut frames, &shaders, gpu, config, stream, cache);
     frames.finish(path)?;
     Ok((shaders, selection))
 }
@@ -329,6 +378,7 @@ fn estimate_representatives(
     shaders: &ShaderTable,
     gpu: &GpuConfig,
     rig: MultiGpuConfig,
+    cache: Option<&FrameCache>,
 ) -> Result<FrameStats, String> {
     let wanted: HashSet<usize> = selection
         .representatives
@@ -351,7 +401,8 @@ fn estimate_representatives(
         .map(|r| reps.remove(&r.frame_index))
         .collect::<Option<_>>()
         .ok_or_else(|| format!("{path}: trace ended before every representative frame"))?;
-    let (rep_stats, _) = simulate(frames.into_iter(), shaders, gpu, rig, FrameStart::Cold);
+    let start = FrameStart::Cold(cache);
+    let (rep_stats, _) = simulate(frames.into_iter(), shaders, gpu, rig, start);
     Ok(scaled_totals(&selection.representatives, &rep_stats))
 }
 
@@ -423,10 +474,10 @@ fn info(opts: &mut Options) -> Result<(), String> {
     Ok(())
 }
 
-fn characterize(opts: &mut Options) -> Result<(), String> {
+fn characterize(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
     let path = opts.trace_path()?;
     let gpu = GpuConfig::mali450_like();
-    let (_, matrix) = characterize_trace(&path, &gpu, &MegsimConfig::default())?;
+    let (_, matrix) = characterize_trace(&path, &gpu, &MegsimConfig::default(), cache)?;
     let csv = report::feature_matrix_csv(&matrix);
     match opts.flags.get("out") {
         Some(out) => {
@@ -442,14 +493,14 @@ fn characterize(opts: &mut Options) -> Result<(), String> {
     Ok(())
 }
 
-fn select(opts: &mut Options) -> Result<(), String> {
+fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
     let path = opts.trace_path()?;
     let seed: u64 = opts.flag("seed", 42)?;
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default().with_seed(seed);
     let selection = if opts.has("stream-cluster") {
         let stream = stream_cluster_config(opts)?;
-        let (_, streamed) = select_stream(&path, &gpu, &config, &stream)?;
+        let (_, streamed) = select_stream(&path, &gpu, &config, &stream, cache)?;
         eprintln!(
             "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
             streamed.reservoir_len,
@@ -459,7 +510,7 @@ fn select(opts: &mut Options) -> Result<(), String> {
         );
         streamed.selection
     } else {
-        let (_, matrix) = characterize_trace(&path, &gpu, &config)?;
+        let (_, matrix) = characterize_trace(&path, &gpu, &config, cache)?;
         select_representatives(&matrix, &config)
     };
     println!(
@@ -521,7 +572,7 @@ fn topology_name(topology: Topology) -> &'static str {
     }
 }
 
-fn estimate(opts: &mut Options) -> Result<(), String> {
+fn estimate(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
     let path = opts.trace_path()?;
     let seed: u64 = opts.flag("seed", 42)?;
     let ground_truth = opts.has("ground-truth");
@@ -539,7 +590,7 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
     // scaled representative totals instead of `evaluate_megsim`.
     let (shaders, matrix, selection) = if opts.has("stream-cluster") {
         let stream = stream_cluster_config(opts)?;
-        let (shaders, streamed) = select_stream(&path, &gpu, &config, &stream)?;
+        let (shaders, streamed) = select_stream(&path, &gpu, &config, &stream, cache)?;
         eprintln!(
             "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
             streamed.reservoir_len,
@@ -549,14 +600,14 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
         );
         (shaders, None, streamed.selection)
     } else {
-        let (shaders, matrix) = characterize_trace(&path, &gpu, &config)?;
+        let (shaders, matrix) = characterize_trace(&path, &gpu, &config, cache)?;
         let selection = select_representatives(&matrix, &config);
         (shaders, Some(matrix), selection)
     };
     // A second streaming pass picks up just the representative frames
     // (the rest of the trace flows through without being retained) and
     // simulates each on a fresh rig.
-    let estimated = estimate_representatives(&path, &selection, &shaders, &gpu, rig)?;
+    let estimated = estimate_representatives(&path, &selection, &shaders, &gpu, rig, cache)?;
     if rig_scenario {
         println!(
             "multi-GPU rig: {} GPUs, {} dispatch, {} memory",
@@ -585,7 +636,7 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
         let start = if rig_scenario {
             FrameStart::Warm
         } else {
-            FrameStart::Cold
+            FrameStart::Cold(cache)
         };
         let (per_frame, report) = simulate(&mut frames, &shaders, &gpu, rig, start);
         frames.finish(&path)?;
@@ -643,13 +694,13 @@ fn estimate(opts: &mut Options) -> Result<(), String> {
 /// Runs one batch campaign body. Returns the campaign's one-line
 /// summary; all detail goes to `out=` files so concurrent campaigns
 /// never interleave on stdout.
-fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
+fn run_campaign(job: &megsim_core::BatchJob, cache: Option<&FrameCache>) -> Result<String, String> {
     use megsim_core::BatchOp;
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default().with_seed(job.seed);
     match job.op {
         BatchOp::Characterize => {
-            let (_, matrix) = characterize_trace(&job.trace, &gpu, &config)?;
+            let (_, matrix) = characterize_trace(&job.trace, &gpu, &config, cache)?;
             let mut summary = format!("{} x {} features", matrix.frames(), matrix.dim());
             if let Some(out) = &job.out {
                 let csv = report::feature_matrix_csv(&matrix);
@@ -659,7 +710,7 @@ fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
             Ok(summary)
         }
         BatchOp::Estimate => {
-            let (shaders, matrix) = characterize_trace(&job.trace, &gpu, &config)?;
+            let (shaders, matrix) = characterize_trace(&job.trace, &gpu, &config, cache)?;
             let selection = select_representatives(&matrix, &config);
             let estimated = estimate_representatives(
                 &job.trace,
@@ -667,6 +718,7 @@ fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
                 &shaders,
                 &gpu,
                 MultiGpuConfig::single(),
+                cache,
             )?;
             let mut summary = format!(
                 "{}/{} frames, {} cycles",
@@ -681,7 +733,7 @@ fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
                     &shaders,
                     &gpu,
                     MultiGpuConfig::single(),
-                    FrameStart::Cold,
+                    FrameStart::Cold(cache),
                 );
                 frames.finish(&job.trace)?;
                 let run = evaluate_megsim(&matrix, &per_frame, &config);
@@ -708,7 +760,7 @@ fn run_campaign(job: &megsim_core::BatchJob) -> Result<String, String> {
     }
 }
 
-fn batch(opts: &mut Options) -> Result<(), String> {
+fn batch(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
     let manifest_path = opts.trace_path()?;
     let text = std::fs::read_to_string(&manifest_path)
         .map_err(|e| format!("cannot read {manifest_path}: {e}"))?;
@@ -721,7 +773,7 @@ fn batch(opts: &mut Options) -> Result<(), String> {
         jobs.len(),
         megsim_exec::thread_count()
     );
-    let report = megsim_core::run_batch(&jobs, run_campaign);
+    let report = megsim_core::run_batch(&jobs, cache, run_campaign);
     print!("{}", report.table());
     if report.failures() > 0 {
         Err(format!(
@@ -754,6 +806,62 @@ mod tests {
     #[test]
     fn help_runs() {
         run(&argv(&["help"])).expect("help works");
+    }
+
+    #[test]
+    fn help_flags_print_usage_anywhere() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["estimate", "/nonexistent/x.mglt", "--help"],
+            &["record", "-h", "--gpu", "2"],
+        ] {
+            run(&argv(args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        }
+    }
+
+    #[test]
+    fn commands_reject_flags_they_do_not_read() {
+        // `--gpu` is a typo of `--gpus`: it must fail before any work,
+        // not run a silently single-GPU estimate.
+        for (args, flag) in [
+            (
+                &["estimate", "/nonexistent/x.mglt", "--gpu", "2"][..],
+                "--gpu",
+            ),
+            (
+                &["characterize", "/nonexistent/x.mglt", "--seed", "3"],
+                "--seed",
+            ),
+            (
+                &["info", "/nonexistent/x.mglt", "--ground-truth"],
+                "--ground-truth",
+            ),
+            (&["batch", "/nonexistent/m", "--out", "x.csv"], "--out"),
+            (&["select", "/nonexistent/x.mglt", "--gpus", "2"], "--gpus"),
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+            assert!(err.contains("unknown option"), "{args:?}: {err}");
+        }
+        // Global options stay valid for every command.
+        let err = run(&argv(&["info", "/nonexistent/x.mglt", "--threads", "1"])).unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
+    }
+
+    #[test]
+    fn threads_beyond_the_cap_are_rejected_at_once() {
+        let too_many = (megsim_exec::MAX_THREADS + 1).to_string();
+        for value in ["100000000000", too_many.as_str()] {
+            let err = run(&argv(&[
+                "estimate",
+                "/nonexistent/x.mglt",
+                "--threads",
+                value,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--threads"), "--threads {value}: {err}");
+        }
     }
 
     #[test]

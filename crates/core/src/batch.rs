@@ -7,22 +7,23 @@
 //! `megsim-exec` pool, so campaigns overlap each other while each
 //! campaign's own nested parallel passes run inline on its worker (the
 //! pool never oversubscribes). Campaigns over overlapping traces
-//! share frame results three ways — the in-memory cache, the optional
-//! disk store, and the in-flight single-flight map in
-//! [`crate::frame_cache`] that collapses *concurrent* identical frames
-//! into one simulation.
+//! share frame results three ways through the batch's one
+//! [`FrameCache`] — the in-memory cache, the optional disk store, and
+//! the in-flight single-flight map that collapses *concurrent*
+//! identical frames into one simulation.
 //!
 //! This module is deliberately ignorant of trace files: a campaign's
 //! body is a caller-supplied closure (the CLI wires in the `megsim-gl`
 //! streaming replay), and this module contributes what the closure
 //! cannot see — scheduling, wall-clock accounting, and per-campaign
-//! cache-tier attribution via [`frame_cache::take_thread_counts`].
+//! cache-tier attribution: each campaign looks frames up through its
+//! own [`FrameCache::scope`], whose counts are its row.
 
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::frame_cache::{self, TierCounts};
+use crate::frame_cache::{FrameCache, TierCounts};
 
 /// What a batch campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,27 +235,26 @@ impl BatchReport {
 ///
 /// `run_job` executes one campaign body and returns its summary line;
 /// errors are captured per campaign (one bad trace fails its row, not
-/// the batch). Each campaign runs wholly on one worker thread — its
-/// nested parallel passes degrade to sequential there — which is what
-/// makes the per-thread tier counters attributable to the campaign.
-pub fn run_batch<F>(jobs: &[BatchJob], run_job: F) -> BatchReport
+/// the batch). With a `cache`, each campaign gets its own
+/// [`FrameCache::scope`] of it: the scope's counts are the campaign's
+/// row, and they roll up into `cache`, so the rows sum to the batch's
+/// counts. Without one, every row counts zero.
+pub fn run_batch<F>(jobs: &[BatchJob], cache: Option<&FrameCache>, run_job: F) -> BatchReport
 where
-    F: Fn(&BatchJob) -> Result<String, String> + Sync,
+    F: Fn(&BatchJob, Option<&FrameCache>) -> Result<String, String> + Sync,
 {
     let start = Instant::now();
     let rows: Mutex<Vec<(usize, CampaignReport)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     megsim_exec::par_for_each_task((0..jobs.len()).collect(), |i| {
         let job = &jobs[i];
-        // Drop whatever a previous campaign on this worker left behind,
-        // so the take() below is this campaign's counts alone.
-        let _ = frame_cache::take_thread_counts();
+        let scope = cache.map(FrameCache::scope);
         let t0 = Instant::now();
-        let outcome = run_job(job);
+        let outcome = run_job(job, scope.as_ref());
         let report = CampaignReport {
             name: job.name.clone(),
             outcome,
             seconds: t0.elapsed().as_secs_f64(),
-            tiers: frame_cache::take_thread_counts(),
+            tiers: scope.map_or(TierCounts::ZERO, |s| s.counts()),
         };
         rows.lock().push((i, report));
     });
@@ -342,7 +342,7 @@ mod tests {
                 ground_truth: false,
             })
             .collect();
-        let report = run_batch(&jobs, |job| {
+        let report = run_batch(&jobs, None, |job, _| {
             if job.name == "c3" {
                 Err("boom".into())
             } else {
@@ -362,9 +362,7 @@ mod tests {
         // A synthetic "campaign" that looks up the same frame under the
         // same config fingerprint: whichever campaign gets there first
         // computes; the rest hit memory or share the in-flight result.
-        // Unique config fp keeps this test's keys disjoint from other
-        // tests sharing the process-global cache.
-        let config_fp = 0xB47C_0000_0000_0000_0000_0000_0000_0001u128;
+        let cache = FrameCache::new();
         let jobs: Vec<BatchJob> = (0..4)
             .map(|i| BatchJob {
                 name: format!("c{i}"),
@@ -375,15 +373,20 @@ mod tests {
                 ground_truth: false,
             })
             .collect();
-        let report = run_batch(&jobs, |_| {
-            let stats = frame_cache::stats_or_else(config_fp, &Frame::new(), || FrameStats {
+        let report = run_batch(&jobs, Some(&cache), |_, scope| {
+            let scope = scope.expect("a batch cache gives every campaign a scope");
+            let stats = scope.stats_or_else(1, &Frame::new(), || FrameStats {
                 cycles: 1234,
                 ..FrameStats::default()
             });
             assert_eq!(stats.cycles, 1234);
             Ok("ok".into())
         });
+        for c in &report.campaigns {
+            assert_eq!(c.tiers.lookups(), 1, "{}", report.table());
+        }
         let totals = report.totals();
+        assert_eq!(totals, cache.counts(), "{}", report.table());
         assert_eq!(totals.lookups(), 4, "{}", report.table());
         let computed = totals.stats_computed;
         assert!(computed >= 1, "{}", report.table());

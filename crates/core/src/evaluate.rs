@@ -21,13 +21,15 @@
 //! window of frames resident, regardless of trace length.
 //!
 //! The independence of cold frames makes them memoizable: characterize
-//! and cold simulation consult the content-addressed
-//! [`crate::frame_cache`], so a frame that reappears — across
-//! random-sampling trials, repeated sweeps, or representative
-//! re-simulation — is simulated once. Warm runs never use the cache
-//! (their results depend on simulation order, not just frame content).
+//! and cold simulation take an optional [`FrameCache`], the
+//! content-addressed run state of [`crate::frame_cache`], so a frame
+//! that reappears — across random-sampling trials, repeated sweeps, or
+//! representative re-simulation — is simulated once. `None` computes
+//! every frame. Warm runs take no cache (their results depend on
+//! simulation order, not just frame content), which is why only
+//! [`FrameStart::Cold`] carries one.
 
-use megsim_funcsim::{RenderConfig, Renderer};
+use megsim_funcsim::{FrameActivity, RenderConfig, Renderer};
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::ShaderTable;
 use megsim_timing::{FrameStats, GpuConfig, MultiGpu, MultiGpuConfig, MultiGpuReport};
@@ -36,7 +38,7 @@ use megsim_cluster::StreamClusterer;
 
 use crate::estimate::{estimate_totals, metric_errors, sequence_totals, MetricErrors};
 use crate::features::{characterize_frame_into, feature_matrix, FeatureMatrix};
-use crate::frame_cache;
+use crate::frame_cache::{self, FrameCache};
 use crate::normalize::RunningGroupMass;
 use crate::pipeline::{
     finish_stream, select_representatives, MegsimConfig, Selection, StreamClusterConfig,
@@ -56,12 +58,14 @@ const STREAM_PIPELINE_DEPTH: usize = 16;
 /// Frames are pulled off the iterator incrementally and never
 /// materialized as a whole sequence: a streaming source (a trace
 /// decoder) is characterized in O(window) frame memory via
-/// [`megsim_exec::iter_pipeline`].
+/// [`megsim_exec::iter_pipeline`]. With a `cache`, each frame's
+/// activity is looked up there first.
 pub fn characterize_sequence(
     frames: impl Iterator<Item = Frame> + Send,
     shaders: &ShaderTable,
     gpu_config: &GpuConfig,
     config: &MegsimConfig,
+    cache: Option<&FrameCache>,
 ) -> FeatureMatrix {
     let render_config = RenderConfig {
         viewport: gpu_config.viewport,
@@ -73,9 +77,7 @@ pub fn characterize_sequence(
     megsim_exec::iter_pipeline(
         frames,
         STREAM_PIPELINE_DEPTH,
-        |_, f: Frame| {
-            frame_cache::activity_or_else(config_fp, &f, || renderer.frame_activity(&f, shaders))
-        },
+        |_, f: Frame| activity(cache, config_fp, &renderer, &f, shaders),
         |_, activity| activities.push(activity),
     );
     feature_matrix(activities.iter(), shaders, &config.characterization)
@@ -97,7 +99,7 @@ pub fn characterize_sequence(
 /// **bitwise** what [`characterize_sequence`] +
 /// [`crate::pipeline::select_representatives`] produce, at any thread
 /// count — the oracle the proptest suite and the CI determinism matrix
-/// pin.
+/// pin. `cache` serves activities as in [`characterize_sequence`].
 ///
 /// # Panics
 ///
@@ -108,6 +110,7 @@ pub fn characterize_stream(
     gpu_config: &GpuConfig,
     config: &MegsimConfig,
     stream: &StreamClusterConfig,
+    cache: Option<&FrameCache>,
 ) -> StreamSelection {
     let render_config = RenderConfig {
         viewport: gpu_config.viewport,
@@ -129,9 +132,7 @@ pub fn characterize_stream(
         // Map stage: render + characterize, pure per frame (cache hits
         // are content-addressed, so results are order-independent).
         |_, f: Frame| {
-            let activity = frame_cache::activity_or_else(config_fp, &f, || {
-                renderer.frame_activity(&f, shaders)
-            });
+            let activity = activity(cache, config_fp, &renderer, &f, shaders);
             let mut row = Vec::with_capacity(dim);
             characterize_frame_into(&activity, shaders, &characterization, &mut row);
             row
@@ -155,13 +156,29 @@ pub fn characterize_stream(
     finish_stream(fold.clusterer)
 }
 
+/// A frame's functional activity, through `cache` when there is one.
+fn activity(
+    cache: Option<&FrameCache>,
+    config_fp: u128,
+    renderer: &Renderer,
+    frame: &Frame,
+    shaders: &ShaderTable,
+) -> FrameActivity {
+    let compute = || renderer.frame_activity(frame, shaders);
+    match cache {
+        Some(cache) => cache.activity_or_else(config_fp, frame, compute),
+        None => compute(),
+    }
+}
+
 /// How each simulated frame finds the rig's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameStart {
+#[derive(Debug, Clone, Copy)]
+pub enum FrameStart<'a> {
     /// Every frame runs on its own freshly built rig (cold caches). This
     /// is the paper's per-frame ground truth and how MEGsim simulates
-    /// its representatives.
-    Cold,
+    /// its representatives. Each frame's result is looked up in the
+    /// cache first, if one is given.
+    Cold(Option<&'a FrameCache>),
     /// One rig carries its cache, DRAM and clock state from each frame
     /// into the next — the ground truth for cache warm-up and
     /// multi-GPU studies.
@@ -185,9 +202,9 @@ const WARM_PIPELINE_DEPTH: usize = 4;
 /// cumulative [`MultiGpuReport`] (frames per GPU, link traffic).
 ///
 /// * [`FrameStart::Cold`] simulates each frame on a throwaway rig, as
-///   frame 0 of a sequence. Frames fan out on the worker pool and are
-///   memoized in the [`crate::frame_cache`] under a key covering the
-///   GPU config, the rig shape and the shaders. The report is empty.
+///   frame 0 of a sequence. Frames fan out on the worker pool and, with
+///   a cache, are memoized under a key covering the GPU config, the rig
+///   shape and the shaders. The report is empty.
 ///   MEGsim's representative run is Cold over just the representative
 ///   frames, in selection order.
 /// * [`FrameStart::Warm`] threads one rig through the sequence. Pool
@@ -207,7 +224,7 @@ pub fn simulate(
     shaders: &ShaderTable,
     gpu_config: &GpuConfig,
     rig: MultiGpuConfig,
-    start: FrameStart,
+    start: FrameStart<'_>,
 ) -> (Vec<FrameStats>, MultiGpuReport) {
     let renderer = Renderer::new(RenderConfig {
         viewport: gpu_config.viewport,
@@ -215,16 +232,20 @@ pub fn simulate(
     });
     let mut stats = Vec::new();
     match start {
-        FrameStart::Cold => {
+        FrameStart::Cold(cache) => {
             let config_fp = frame_cache::stats_config_fingerprint(gpu_config, &rig, shaders);
             megsim_exec::iter_pipeline(
                 frames,
                 STREAM_PIPELINE_DEPTH,
                 |_, f: Frame| {
-                    frame_cache::stats_or_else(config_fp, &f, || {
+                    let compute = || {
                         let trace = renderer.render_frame(&f, shaders);
                         MultiGpu::new(gpu_config.clone(), rig).simulate_frame(&trace, shaders)
-                    })
+                    };
+                    match cache {
+                        Some(cache) => cache.stats_or_else(config_fp, &f, compute),
+                        None => compute(),
+                    }
                 },
                 |_, s| stats.push(s),
             );
@@ -319,13 +340,14 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             &megsim,
+            None,
         );
         let (per_frame, _) = simulate(
             workload.iter_frames(),
             workload.shaders(),
             &gpu_config,
             MultiGpuConfig::single(),
-            FrameStart::Cold,
+            FrameStart::Cold(None),
         );
         let run = evaluate_megsim(&matrix, &per_frame, &megsim);
         assert!(run.frames_simulated() < workload.frames() / 2);
@@ -353,6 +375,7 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             &megsim,
+            None,
         );
         let selection = select_representatives(&matrix, &megsim);
         let multi = MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared);
@@ -372,7 +395,7 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             multi,
-            FrameStart::Cold,
+            FrameStart::Cold(None),
         );
         let estimated = scaled_totals(&selection.representatives, &rep_stats);
         let actual = sequence_totals(&per_frame);
@@ -397,6 +420,7 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             &megsim,
+            None,
         );
         let batch = select_representatives(&matrix, &megsim);
         let streamed = characterize_stream(
@@ -405,6 +429,7 @@ mod tests {
             &gpu_config,
             &megsim,
             &StreamClusterConfig::exact(),
+            None,
         );
         assert_eq!(streamed.selection, batch);
     }
@@ -423,6 +448,7 @@ mod tests {
             &StreamClusterConfig::default()
                 .with_reservoir_capacity(40)
                 .with_batch_size(20),
+            None,
         );
         assert!(
             streamed.peak_rows_retained <= 40 + 20,
@@ -450,6 +476,7 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             &megsim,
+            None,
         );
         let single = MultiGpuConfig::single();
         let (per_frame, _) = simulate(
@@ -457,7 +484,7 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             single,
-            FrameStart::Cold,
+            FrameStart::Cold(None),
         );
         let run = evaluate_megsim(&matrix, &per_frame, &megsim);
         let (rep_stats, _) = simulate(
@@ -468,7 +495,7 @@ mod tests {
             workload.shaders(),
             &gpu_config,
             single,
-            FrameStart::Cold,
+            FrameStart::Cold(None),
         );
         // Each frame now gets a fresh GPU in both the full run and the
         // standalone representative run, so the two estimates agree

@@ -2,7 +2,7 @@
 //!
 //! The experiment sweeps (random-sampling trials, per-seed/per-mode
 //! grids, representative re-simulation) render and time the *same*
-//! frames many times over. Because PR 1 made per-frame simulation
+//! frames many times over. Because per-frame simulation is
 //! independent — every frame is rendered from scratch and timed on a
 //! freshly reset GPU — a frame's [`FrameActivity`] is a pure function
 //! of `(frame content, render config, shader table)` and its
@@ -10,29 +10,32 @@
 //! shape, shader table)`. That purity is exactly what makes
 //! memoization sound: this module hashes the full frame content
 //! (meshes, transforms, shader bindings, textures, blend/depth state)
-//! together with the config into a 128-bit key, and caches results
-//! process-wide in [`megsim_exec::ConcurrentCache`] instances.
+//! together with the config into a 128-bit key, and a [`FrameCache`]
+//! maps keys to results.
 //!
-//! The caches are transparent by construction — a hit returns a value
-//! that recomputation would reproduce bit for bit, so enabling or
-//! disabling the cache (or racing inserts, or dropping entries at
-//! capacity) can never change pipeline output, only wall-clock time.
-//! [`set_enabled`] (the CLI's `--no-frame-cache`) exists for
-//! benchmarking and for double-checking that property, which
-//! `tests/frame_cache.rs` does on every run.
+//! A [`FrameCache`] is one run's state, passed explicitly (as an
+//! `Option<&FrameCache>`) to the passes that look frames up; nothing
+//! about it is process-global, so two caches in one process never see
+//! each other's entries or counts. `None` is no cache at all (the
+//! CLI's `--no-frame-cache`). The cache is transparent by construction
+//! — a hit returns a value that recomputation would reproduce bit for
+//! bit, so passing a cache or not (or racing inserts, or dropping
+//! entries at capacity) can never change pipeline output, only
+//! wall-clock time. `tests/frame_cache.rs` checks that property on
+//! every run.
 //!
 //! ## Tiers
 //!
 //! A lookup walks up to three tiers, each transparent in the same
 //! sense:
 //!
-//! 1. **Memory** — the process-wide [`ConcurrentCache`] maps.
-//! 2. **Disk** — an optional [`megsim_store::Store`] attached with
-//!    [`set_store_dir`] (the CLI's `--cache-dir`). Reads are
+//! 1. **Memory** — two [`ConcurrentCache`] maps (activity, stats).
+//! 2. **Disk** — an optional [`megsim_store::Store`] attached by
+//!    [`FrameCache::open`] (the CLI's `--cache-dir`). Reads are
 //!    CRC-verified and re-decoded; anything torn or corrupt is a miss.
 //!    Computed results are written behind (buffered in the store,
-//!    flushed to a sealed segment by [`flush_store`] or on drop), so a
-//!    later process starts warm.
+//!    flushed to a sealed segment by [`FrameCache::flush`] or on drop),
+//!    so a later process starts warm.
 //! 3. **Compute** — render / simulate the frame.
 //!
 //! The miss path (disk + compute) runs under a
@@ -40,17 +43,20 @@
 //! concurrent identical frames — e.g. two batch campaigns over
 //! overlapping traces — simulate once and share the result.
 //!
-//! Per-tier counters are kept process-wide (see [`report`]) and
-//! per-thread ([`take_thread_counts`]); the batch runner uses the
-//! latter to attribute tiers to campaigns, which works because a
-//! campaign's nested parallel calls run inline on its worker thread.
+//! ## Counting
+//!
+//! Every lookup counts the tier that served it in [`TierCounts`].
+//! [`FrameCache::scope`] returns a handle over the same tiers with its
+//! own zeroed counts, which also roll up into the parent's. The batch
+//! runner gives each campaign a scope and the experiment binaries give
+//! each pass one; either reads its unit's counts alone, whichever
+//! threads its lookups ran on.
 
-use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use megsim_exec::{ConcurrentCache, FlightOutcome, SingleFlight};
 use megsim_funcsim::{FrameActivity, RenderConfig};
@@ -62,99 +68,9 @@ use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 
 use parking_lot::Mutex;
 
-/// Entries per cache (activity and stats each); beyond this, inserts
-/// are dropped and the pipeline just recomputes.
+/// Entries per memory map (activity and stats each); beyond this,
+/// inserts are dropped and the pipeline just recomputes.
 const CACHE_CAPACITY: usize = 1 << 14;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static ACTIVITY: OnceLock<ConcurrentCache<FrameActivity>> = OnceLock::new();
-static STATS: OnceLock<ConcurrentCache<FrameStats>> = OnceLock::new();
-static ACTIVITY_FLIGHTS: OnceLock<SingleFlight<FrameActivity>> = OnceLock::new();
-static STATS_FLIGHTS: OnceLock<SingleFlight<FrameStats>> = OnceLock::new();
-static STORE: Mutex<Option<Arc<Store>>> = Mutex::new(None);
-
-fn activity_cache() -> &'static ConcurrentCache<FrameActivity> {
-    ACTIVITY.get_or_init(|| ConcurrentCache::new(CACHE_CAPACITY))
-}
-
-fn stats_cache() -> &'static ConcurrentCache<FrameStats> {
-    STATS.get_or_init(|| ConcurrentCache::new(CACHE_CAPACITY))
-}
-
-fn activity_flights() -> &'static SingleFlight<FrameActivity> {
-    ACTIVITY_FLIGHTS.get_or_init(SingleFlight::new)
-}
-
-fn stats_flights() -> &'static SingleFlight<FrameStats> {
-    STATS_FLIGHTS.get_or_init(SingleFlight::new)
-}
-
-fn store() -> Option<Arc<Store>> {
-    STORE.lock().clone()
-}
-
-/// Attaches (or replaces) the persistent disk tier, opening the store
-/// under `dir` and rebuilding its index from the segments found there.
-///
-/// Corrupt or torn segment data is tolerated (it degrades to misses);
-/// only directory-level problems — cannot create, cannot list — return
-/// an error. Callers should treat that error as a *warning* and keep
-/// running cold: a missing disk tier must never fail a run, which is
-/// why this function's only failure mode is "no store attached".
-pub fn set_store_dir(dir: &Path) -> io::Result<()> {
-    let opened = Arc::new(Store::open(dir)?);
-    let mut slot = STORE.lock();
-    *slot = Some(opened);
-    Ok(())
-}
-
-/// Detaches the disk tier (flushing it best-effort via `Drop` if this
-/// was the last reference). Subsequent lookups are memory + compute
-/// only.
-pub fn detach_store() {
-    *STORE.lock() = None;
-}
-
-/// Flushes write-behind results to a durable sealed segment, returning
-/// the number of records sealed. A no-op `Ok(0)` without a store.
-pub fn flush_store() -> io::Result<u64> {
-    match store() {
-        Some(s) => s.flush(),
-        None => Ok(0),
-    }
-}
-
-/// Statistics of the attached store, if any.
-pub fn store_stats() -> Option<StoreStats> {
-    store().map(|s| s.stats())
-}
-
-/// Whether a persistent disk tier is currently attached.
-pub fn has_store() -> bool {
-    STORE.lock().is_some()
-}
-
-/// Globally enables or disables both frame caches (they default to
-/// enabled). Disabling does not drop existing entries; re-enabling
-/// resumes hitting them.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the frame caches are currently consulted.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Drops every cached in-memory entry and zeroes all tier counters.
-/// The attached store (if any) is untouched: clearing memory and
-/// re-running is exactly the cross-process warm-start path.
-pub fn clear() {
-    activity_cache().clear();
-    stats_cache().clear();
-    GLOBAL_TIERS.reset();
-    LOCAL_TIERS.with(|c| c.set(TierCounts::ZERO));
-}
 
 /// Which result kind a lookup was for.
 #[derive(Clone, Copy)]
@@ -172,8 +88,8 @@ enum Tier {
     Computed,
 }
 
-/// Per-tier lookup counts for one scope (a thread, a campaign, or the
-/// whole process). `memory`/`disk`/`shared` are hits at the named tier;
+/// Per-tier lookup counts for one scope (a pass, a campaign, or a whole
+/// run). `memory`/`disk`/`shared` are hits at the named tier;
 /// `computed` lookups fell through everything and simulated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCounts {
@@ -277,202 +193,227 @@ impl TierCounts {
     }
 }
 
-/// Process-wide tier counters (atomics; `stats()` reads are
-/// per-counter consistent, which is all the reports need).
-struct GlobalTiers {
-    slots: [AtomicU64; 8],
+/// The tiers a cache shares with all of its scopes.
+struct Tiers {
+    activity: ConcurrentCache<FrameActivity>,
+    stats: ConcurrentCache<FrameStats>,
+    activity_flights: SingleFlight<FrameActivity>,
+    stats_flights: SingleFlight<FrameStats>,
+    store: Option<Store>,
 }
 
-impl GlobalTiers {
-    const fn new() -> Self {
-        Self {
-            slots: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-        }
-    }
+/// One scope's tier counts. Each count also lands in every enclosing
+/// scope, so a run's counts are the sum of its scopes'.
+struct Counter {
+    counts: Mutex<TierCounts>,
+    parent: Option<Arc<Counter>>,
+}
 
-    fn index(kind: Kind, tier: Tier) -> usize {
-        let k = match kind {
-            Kind::Activity => 0,
-            Kind::Stats => 4,
-        };
-        k + match tier {
-            Tier::Memory => 0,
-            Tier::Disk => 1,
-            Tier::Shared => 2,
-            Tier::Computed => 3,
-        }
+impl Counter {
+    fn new(parent: Option<Arc<Counter>>) -> Arc<Self> {
+        Arc::new(Self {
+            counts: Mutex::new(TierCounts::ZERO),
+            parent,
+        })
     }
 
     fn add(&self, kind: Kind, tier: Tier) {
-        self.slots[Self::index(kind, tier)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        for slot in &self.slots {
-            slot.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn counts(&self) -> TierCounts {
-        let v = |i: usize| self.slots[i].load(Ordering::Relaxed);
-        TierCounts {
-            activity_memory: v(0),
-            activity_disk: v(1),
-            activity_shared: v(2),
-            activity_computed: v(3),
-            stats_memory: v(4),
-            stats_disk: v(5),
-            stats_shared: v(6),
-            stats_computed: v(7),
+        self.counts.lock().add(kind, tier);
+        if let Some(parent) = &self.parent {
+            parent.add(kind, tier);
         }
     }
 }
 
-static GLOBAL_TIERS: GlobalTiers = GlobalTiers::new();
-
-thread_local! {
-    /// This thread's tier counts since the last [`take_thread_counts`].
-    static LOCAL_TIERS: Cell<TierCounts> = const { Cell::new(TierCounts::ZERO) };
+/// The frame-result cache of one run: the memory maps, the in-flight
+/// tables, the optional disk tier and the tier counts (see the module
+/// docs). Dropping the last handle flushes the disk tier best-effort.
+pub struct FrameCache {
+    tiers: Arc<Tiers>,
+    counter: Arc<Counter>,
 }
 
-fn count(kind: Kind, tier: Tier) {
-    GLOBAL_TIERS.add(kind, tier);
-    LOCAL_TIERS.with(|c| {
-        let mut counts = c.get();
-        counts.add(kind, tier);
-        c.set(counts);
-    });
-}
+impl FrameCache {
+    /// An empty cache without a disk tier.
+    pub fn new() -> Self {
+        Self::with_store(None)
+    }
 
-/// Returns and zeroes the calling thread's tier counts.
-///
-/// This is how the batch runner attributes cache tiers to campaigns: a
-/// campaign runs entirely on one worker thread (its nested parallel
-/// calls degrade to sequential there), so the thread's counts between
-/// two `take` calls are that campaign's. When a single-flight leader
-/// computes a frame that followers share, the disk/compute count lands
-/// on the leader's campaign and each follower counts one `shared`.
-pub fn take_thread_counts() -> TierCounts {
-    LOCAL_TIERS.with(|c| c.replace(TierCounts::ZERO))
-}
+    /// An empty memory tier over the disk tier under `dir`, whose index
+    /// is rebuilt from the segments found there.
+    ///
+    /// Corrupt or torn segment data is tolerated (it degrades to
+    /// misses); only directory-level problems — cannot create, cannot
+    /// list — return an error. Callers should treat that error as a
+    /// *warning* and run without the disk tier: a missing store must
+    /// never fail a run.
+    pub fn open(dir: &Path) -> io::Result<Self> {
+        Ok(Self::with_store(Some(Store::open(dir)?)))
+    }
 
-/// A snapshot of both caches' statistics, for experiment reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FrameCacheReport {
-    /// Characterization-pass lookups served by the in-memory cache.
-    pub activity_hits: u64,
-    /// Characterization-pass lookups served by the disk store.
-    pub activity_disk_hits: u64,
-    /// Characterization-pass lookups served by a concurrent identical
-    /// in-flight computation.
-    pub activity_shared_hits: u64,
-    /// Characterization-pass lookups that fell through every tier and
-    /// computed.
-    pub activity_misses: u64,
-    /// Entries in the activity cache.
-    pub activity_entries: usize,
-    /// Timing-pass lookups served by the in-memory cache.
-    pub stats_hits: u64,
-    /// Timing-pass lookups served by the disk store.
-    pub stats_disk_hits: u64,
-    /// Timing-pass lookups served by a concurrent identical in-flight
-    /// computation.
-    pub stats_shared_hits: u64,
-    /// Timing-pass lookups that fell through every tier and computed.
-    pub stats_misses: u64,
-    /// Entries in the stats cache.
-    pub stats_entries: usize,
-}
-
-impl FrameCacheReport {
-    /// Overall hit rate across both caches and all hit tiers, in
-    /// `[0, 1]` (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.activity_hits
-            + self.activity_disk_hits
-            + self.activity_shared_hits
-            + self.stats_hits
-            + self.stats_disk_hits
-            + self.stats_shared_hits;
-        let total = hits + self.activity_misses + self.stats_misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
+    fn with_store(store: Option<Store>) -> Self {
+        Self {
+            tiers: Arc::new(Tiers {
+                activity: ConcurrentCache::new(CACHE_CAPACITY),
+                stats: ConcurrentCache::new(CACHE_CAPACITY),
+                activity_flights: SingleFlight::new(),
+                stats_flights: SingleFlight::new(),
+                store,
+            }),
+            counter: Counter::new(None),
         }
     }
 
-    /// One-line human-readable summary for experiment logs. The
-    /// `key value` pairs are stable and machine-parseable (the
-    /// cross-process warm-start test greps them).
+    /// A handle over the same tiers with its own zeroed counts. Lookups
+    /// through it also count in `self`.
+    pub fn scope(&self) -> FrameCache {
+        FrameCache {
+            tiers: Arc::clone(&self.tiers),
+            counter: Counter::new(Some(Arc::clone(&self.counter))),
+        }
+    }
+
+    /// Lookups through this handle and its scopes, per serving tier.
+    pub fn counts(&self) -> TierCounts {
+        *self.counter.counts.lock()
+    }
+
+    /// Entries in the memory tier, both kinds.
+    pub fn entries(&self) -> usize {
+        self.tiers.activity.len() + self.tiers.stats.len()
+    }
+
+    /// Flushes write-behind results to a durable sealed segment,
+    /// returning the number of records sealed; `Ok(0)` without a disk
+    /// tier.
+    pub fn flush(&self) -> io::Result<u64> {
+        match &self.tiers.store {
+            Some(store) => store.flush(),
+            None => Ok(0),
+        }
+    }
+
+    /// Statistics of the disk tier, if one is attached.
+    pub fn store_stats(&self) -> Option<StoreStats> {
+        self.tiers.store.as_ref().map(Store::stats)
+    }
+
+    /// One-line summary of [`counts`](Self::counts) and
+    /// [`entries`](Self::entries). The `key value` pairs are stable and
+    /// machine-parseable (the cross-process warm-start test greps them).
     pub fn summary(&self) -> String {
+        let t = self.counts();
         format!(
             "frame cache: activity mem {} disk {} shared {} computed {}, \
              stats mem {} disk {} shared {} computed {} \
              ({:.1}% hit, {} entries)",
-            self.activity_hits,
-            self.activity_disk_hits,
-            self.activity_shared_hits,
-            self.activity_misses,
-            self.stats_hits,
-            self.stats_disk_hits,
-            self.stats_shared_hits,
-            self.stats_misses,
-            self.hit_rate() * 100.0,
-            self.activity_entries + self.stats_entries,
+            t.activity_memory,
+            t.activity_disk,
+            t.activity_shared,
+            t.activity_computed,
+            t.stats_memory,
+            t.stats_disk,
+            t.stats_shared,
+            t.stats_computed,
+            t.hit_rate() * 100.0,
+            self.entries(),
         )
     }
 
-    /// The counters accumulated since `earlier` (entries stay at their
-    /// current values — they are gauges, not counters). This is what
-    /// turns process-lifetime totals into per-campaign numbers:
-    /// snapshot at campaign start, delta at the end.
-    pub fn delta_since(&self, earlier: &FrameCacheReport) -> FrameCacheReport {
-        FrameCacheReport {
-            activity_hits: self.activity_hits.saturating_sub(earlier.activity_hits),
-            activity_disk_hits: self
-                .activity_disk_hits
-                .saturating_sub(earlier.activity_disk_hits),
-            activity_shared_hits: self
-                .activity_shared_hits
-                .saturating_sub(earlier.activity_shared_hits),
-            activity_misses: self.activity_misses.saturating_sub(earlier.activity_misses),
-            activity_entries: self.activity_entries,
-            stats_hits: self.stats_hits.saturating_sub(earlier.stats_hits),
-            stats_disk_hits: self.stats_disk_hits.saturating_sub(earlier.stats_disk_hits),
-            stats_shared_hits: self
-                .stats_shared_hits
-                .saturating_sub(earlier.stats_shared_hits),
-            stats_misses: self.stats_misses.saturating_sub(earlier.stats_misses),
-            stats_entries: self.stats_entries,
+    /// Returns the cached [`FrameActivity`] for `(config_fp, frame)`,
+    /// or computes (and caches) it.
+    pub fn activity_or_else(
+        &self,
+        config_fp: u128,
+        frame: &Frame,
+        compute: impl FnOnce() -> FrameActivity,
+    ) -> FrameActivity {
+        self.tiered_or_else(
+            Kind::Activity,
+            &self.tiers.activity,
+            &self.tiers.activity_flights,
+            combine(config_fp, frame_fingerprint(frame)),
+            codec::decode_activity,
+            codec::encode_activity,
+            compute,
+        )
+    }
+
+    /// Returns the cached [`FrameStats`] for `(config_fp, frame)`, or
+    /// computes (and caches) it.
+    pub fn stats_or_else(
+        &self,
+        config_fp: u128,
+        frame: &Frame,
+        compute: impl FnOnce() -> FrameStats,
+    ) -> FrameStats {
+        self.tiered_or_else(
+            Kind::Stats,
+            &self.tiers.stats,
+            &self.tiers.stats_flights,
+            combine(config_fp, frame_fingerprint(frame)),
+            codec::decode_stats,
+            codec::encode_stats,
+            compute,
+        )
+    }
+
+    /// The shared three-tier lookup: memory, then (under single-flight)
+    /// disk, then compute with write-behind. See the module docs for
+    /// why every tier is transparent.
+    #[allow(clippy::too_many_arguments)]
+    fn tiered_or_else<V: Clone>(
+        &self,
+        kind: Kind,
+        cache: &ConcurrentCache<V>,
+        flights: &SingleFlight<V>,
+        key: u128,
+        decode: impl Fn(&[u8]) -> Option<V>,
+        encode: impl Fn(&V) -> Vec<u8>,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let count = |tier| self.counter.add(kind, tier);
+        if let Some(v) = cache.lookup(key) {
+            count(Tier::Memory);
+            return v;
         }
+        let store = self.tiers.store.as_ref();
+        let (v, outcome) = flights.run(key, || {
+            if let Some(v) = store.and_then(|s| s.get(key)).and_then(|b| decode(&b)) {
+                count(Tier::Disk);
+                cache.insert(key, v.clone());
+                return v;
+            }
+            let v = compute();
+            count(Tier::Computed);
+            cache.insert(key, v.clone());
+            if let Some(store) = store {
+                store.put(key, encode(&v));
+            }
+            v
+        });
+        if outcome == FlightOutcome::Shared {
+            // The leader already counted its tier and populated the
+            // memory cache; this lookup only waited.
+            count(Tier::Shared);
+        }
+        v
     }
 }
 
-/// Current statistics of both caches (process-lifetime totals; combine
-/// with [`FrameCacheReport::delta_since`] for per-campaign numbers).
-pub fn report() -> FrameCacheReport {
-    let t = GLOBAL_TIERS.counts();
-    FrameCacheReport {
-        activity_hits: t.activity_memory,
-        activity_disk_hits: t.activity_disk,
-        activity_shared_hits: t.activity_shared,
-        activity_misses: t.activity_computed,
-        activity_entries: activity_cache().len(),
-        stats_hits: t.stats_memory,
-        stats_disk_hits: t.stats_disk,
-        stats_shared_hits: t.stats_shared,
-        stats_misses: t.stats_computed,
-        stats_entries: stats_cache().len(),
+impl Default for FrameCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for FrameCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameCache")
+            .field("counts", &self.counts())
+            .field("entries", &self.entries())
+            .field("store", &self.tiers.store.as_ref().map(Store::dir))
+            .finish()
     }
 }
 
@@ -654,92 +595,6 @@ fn combine(config_fp: u128, frame_fp: u128) -> u128 {
     fp.finish()
 }
 
-/// The shared three-tier lookup: memory, then (under single-flight)
-/// disk, then compute with write-behind. See the module docs for why
-/// every tier is transparent.
-fn tiered_or_else<V: Clone>(
-    kind: Kind,
-    cache: &ConcurrentCache<V>,
-    flights: &SingleFlight<V>,
-    key: u128,
-    decode: impl Fn(&[u8]) -> Option<V>,
-    encode: impl Fn(&V) -> Vec<u8>,
-    compute: impl FnOnce() -> V,
-) -> V {
-    if let Some(v) = cache.lookup(key) {
-        count(kind, Tier::Memory);
-        return v;
-    }
-    let (v, outcome) = flights.run(key, || {
-        if let Some(store) = store() {
-            if let Some(bytes) = store.get(key) {
-                if let Some(v) = decode(&bytes) {
-                    count(kind, Tier::Disk);
-                    cache.insert(key, v.clone());
-                    return v;
-                }
-            }
-        }
-        let v = compute();
-        count(kind, Tier::Computed);
-        cache.insert(key, v.clone());
-        if let Some(store) = store() {
-            store.put(key, encode(&v));
-        }
-        v
-    });
-    if outcome == FlightOutcome::Shared {
-        // The leader already counted its tier and populated the memory
-        // cache; this lookup only waited.
-        count(kind, Tier::Shared);
-    }
-    v
-}
-
-/// Returns the cached [`FrameActivity`] for `(config_fp, frame)`, or
-/// computes (and caches) it. With the cache disabled this is just
-/// `compute()`.
-pub fn activity_or_else(
-    config_fp: u128,
-    frame: &Frame,
-    compute: impl FnOnce() -> FrameActivity,
-) -> FrameActivity {
-    if !is_enabled() {
-        return compute();
-    }
-    tiered_or_else(
-        Kind::Activity,
-        activity_cache(),
-        activity_flights(),
-        combine(config_fp, frame_fingerprint(frame)),
-        codec::decode_activity,
-        codec::encode_activity,
-        compute,
-    )
-}
-
-/// Returns the cached [`FrameStats`] for `(config_fp, frame)`, or
-/// computes (and caches) it. With the cache disabled this is just
-/// `compute()`.
-pub fn stats_or_else(
-    config_fp: u128,
-    frame: &Frame,
-    compute: impl FnOnce() -> FrameStats,
-) -> FrameStats {
-    if !is_enabled() {
-        return compute();
-    }
-    tiered_or_else(
-        Kind::Stats,
-        stats_cache(),
-        stats_flights(),
-        combine(config_fp, frame_fingerprint(frame)),
-        codec::decode_stats,
-        codec::encode_stats,
-        compute,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,5 +700,48 @@ mod tests {
         b.write_bytes(b"a");
         b.write_bytes(b"bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    fn stats_with(cycles: u64) -> FrameStats {
+        FrameStats {
+            cycles,
+            ..FrameStats::default()
+        }
+    }
+
+    #[test]
+    fn separate_caches_never_share_entries_or_counts() {
+        let a = FrameCache::new();
+        let b = FrameCache::new();
+        let frame = frame_with(0.25);
+        assert_eq!(a.stats_or_else(7, &frame, || stats_with(1)).cycles, 1);
+        // Same key in another cache: not served from `a`, computes.
+        assert_eq!(b.stats_or_else(7, &frame, || stats_with(2)).cycles, 2);
+        assert_eq!(a.stats_or_else(7, &frame, || stats_with(3)).cycles, 1);
+        let (ca, cb) = (a.counts(), b.counts());
+        assert_eq!((ca.stats_computed, ca.stats_memory), (1, 1));
+        assert_eq!((cb.stats_computed, cb.stats_memory), (1, 0));
+        assert_eq!((a.entries(), b.entries()), (1, 1));
+    }
+
+    #[test]
+    fn scopes_share_tiers_and_roll_their_counts_up() {
+        let run = FrameCache::new();
+        let (first, second) = (run.scope(), run.scope());
+        let frame = frame_with(0.5);
+        first.stats_or_else(9, &frame, || stats_with(4));
+        let nested = second.scope();
+        assert_eq!(nested.stats_or_else(9, &frame, || stats_with(5)).cycles, 4);
+        assert_eq!(first.counts().stats_computed, 1);
+        assert_eq!(first.counts().lookups(), 1);
+        assert_eq!(nested.counts().stats_memory, 1);
+        assert_eq!(second.counts(), nested.counts());
+        let mut sum = first.counts();
+        sum.merge(&second.counts());
+        assert_eq!(run.counts(), sum);
+        assert_eq!(run.entries(), 1);
+        assert!(run
+            .summary()
+            .starts_with("frame cache: activity mem 0 disk 0"));
     }
 }

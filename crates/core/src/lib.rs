@@ -17,23 +17,34 @@
 //! * [`random_sampling`] — the §V-C baseline
 //! * [`evaluate`] — end-to-end drivers over `megsim-funcsim` +
 //!   `megsim-timing`
+//! * [`frame_cache`] — the run's content-addressed [`FrameCache`],
+//!   passed to every pass that may reuse a frame result
 //!
 //! ```no_run
 //! use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 //! use megsim_core::pipeline::MegsimConfig;
+//! use megsim_core::FrameCache;
 //! use megsim_timing::{GpuConfig, MultiGpuConfig};
 //! use megsim_workloads::by_alias;
 //!
 //! let workload = by_alias("jjo", 0.1, 42).expect("known benchmark");
 //! let gpu = GpuConfig::mali450_like();
 //! let config = MegsimConfig::default();
-//! let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+//! // One cache for the run: later passes reuse earlier frame results.
+//! let cache = FrameCache::new();
+//! let matrix = characterize_sequence(
+//!     workload.iter_frames(),
+//!     workload.shaders(),
+//!     &gpu,
+//!     &config,
+//!     Some(&cache),
+//! );
 //! let (per_frame, _) = simulate(
 //!     workload.iter_frames(),
 //!     workload.shaders(),
 //!     &gpu,
 //!     MultiGpuConfig::single(),
-//!     FrameStart::Cold,
+//!     FrameStart::Cold(Some(&cache)),
 //! );
 //! let run = evaluate_megsim(&matrix, &per_frame, &config);
 //! println!(
@@ -67,6 +78,7 @@ pub use features::{
     characterize_frame, characterize_frame_into, feature_matrix, CharacterizationConfig,
     FeatureMatrix,
 };
+pub use frame_cache::{FrameCache, TierCounts};
 pub use normalize::{normalize, GroupWeights, RunningGroupMass};
 pub use pipeline::{
     select_representatives, select_representatives_stream, MegsimConfig, Representative, Selection,

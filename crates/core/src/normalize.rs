@@ -257,7 +257,7 @@ mod tests {
             (0..37)
                 .map(|i| {
                     (0..5)
-                        .map(|c| ((i * 7 + c * 13) as f64).sin().abs() * 10f64.powi((c % 3) as i32))
+                        .map(|c| ((i * 7 + c * 13) as f64).sin().abs() * 10f64.powi(c % 3))
                         .collect()
                 })
                 .collect(),

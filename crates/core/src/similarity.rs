@@ -254,7 +254,7 @@ mod tests {
             (0..131)
                 .map(|i| {
                     (0..7)
-                        .map(|d| ((i * 31 + d * 17) as f64).sin() * 10f64.powi((d % 3) as i32))
+                        .map(|d| ((i * 31 + d * 17) as f64).sin() * 10f64.powi(d % 3))
                         .collect()
                 })
                 .collect(),

@@ -1,23 +1,21 @@
 //! A small sharded concurrent memoization cache.
 //!
 //! Built for the frame-result memoization of the MEGsim pipeline:
-//! many worker threads look up 128-bit content keys, misses compute
-//! outside any lock, and hit/miss counters feed the experiment reports.
-//! Determinism note: because values stored under a key are themselves
-//! deterministic functions of the key (content-addressed), a lost
-//! insert race or a capacity-evicted entry can only cause *recompute*,
-//! never a different result — so results are bit-identical whether the
-//! cache is cold, warm, full, or disabled.
+//! many worker threads look up 128-bit content keys and misses compute
+//! outside any lock. Determinism note: because values stored under a
+//! key are themselves deterministic functions of the key
+//! (content-addressed), a lost insert race or a capacity-dropped entry
+//! can only cause *recompute*, never a different result — so results
+//! are bit-identical whether the cache is cold, warm, full, or absent.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 /// Number of independently-locked shards (power of two).
 const SHARDS: usize = 16;
 
-/// A fixed-capacity concurrent `u128 → V` map with hit/miss statistics.
+/// A fixed-capacity concurrent `u128 → V` map.
 ///
 /// Keys are expected to already be uniformly distributed (content
 /// hashes); the top bits select the shard. When a shard reaches its
@@ -26,8 +24,6 @@ const SHARDS: usize = 16;
 pub struct ConcurrentCache<V> {
     shards: Vec<Mutex<HashMap<u128, V>>>,
     per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<V: Clone> ConcurrentCache<V> {
@@ -36,8 +32,6 @@ impl<V: Clone> ConcurrentCache<V> {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -46,19 +40,9 @@ impl<V: Clone> ConcurrentCache<V> {
         &self.shards[(key >> 124) as usize & (SHARDS - 1)]
     }
 
-    /// Looks `key` up, counting a hit or miss. The counter update
-    /// happens under the shard lock, so a [`stats`](Self::stats) or
-    /// [`clear`](Self::clear) holding every shard observes counters and
-    /// contents as one consistent snapshot.
+    /// The value stored under `key`, if any.
     pub fn lookup(&self, key: u128) -> Option<V> {
-        let shard = self.shard(key).lock();
-        let found = shard.get(&key).cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        self.shard(key).lock().get(&key).cloned()
     }
 
     /// Stores `key → value` unless the shard is at capacity (the value
@@ -70,29 +54,6 @@ impl<V: Clone> ConcurrentCache<V> {
         }
     }
 
-    /// Returns the cached value for `key`, computing and storing it on
-    /// a miss. `compute` runs outside any lock, so concurrent misses on
-    /// the same key may compute redundantly (both arrive at the same
-    /// value; one insert wins).
-    pub fn get_or_insert_with(&self, key: u128, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.lookup(key) {
-            return v;
-        }
-        let v = compute();
-        self.insert(key, v.clone());
-        v
-    }
-
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Entries currently stored.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -102,52 +63,6 @@ impl<V: Clone> ConcurrentCache<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Locks every shard at once, in index order (the only multi-shard
-    /// acquisition in the crate, so the fixed order cannot deadlock).
-    fn lock_all(&self) -> Vec<std::sync::MutexGuard<'_, HashMap<u128, V>>> {
-        self.shards.iter().map(Mutex::lock).collect()
-    }
-
-    /// One consistent snapshot of the counters and entry count.
-    ///
-    /// Taken while holding every shard lock, so no concurrent insert,
-    /// lookup or clear can land between reading the counters and
-    /// counting the entries — `hits + misses` always equals the number
-    /// of lookups that contributed to `entries`.
-    pub fn stats(&self) -> CacheSnapshot {
-        let guards = self.lock_all();
-        CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: guards.iter().map(|g| g.len()).sum(),
-        }
-    }
-
-    /// Drops all entries and zeroes the statistics as one atomic
-    /// transition: every shard lock is held while both the maps and the
-    /// counters reset, so a concurrent lookup can never see cleared
-    /// shards with stale counters (or vice versa).
-    pub fn clear(&self) {
-        let mut guards = self.lock_all();
-        for guard in &mut guards {
-            guard.clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A consistent point-in-time view of a [`ConcurrentCache`]'s activity,
-/// from [`ConcurrentCache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries stored at snapshot time.
-    pub entries: usize,
 }
 
 #[cfg(test)]
@@ -155,31 +70,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_and_miss_counting() {
+    fn lookup_finds_only_inserted_keys() {
         let cache = ConcurrentCache::new(64);
+        assert!(cache.is_empty());
         assert_eq!(cache.lookup(1), None);
         cache.insert(1, 10u64);
         assert_eq!(cache.lookup(1), Some(10));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.lookup(2), None);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn get_or_insert_computes_once_per_key() {
-        let cache = ConcurrentCache::new(64);
-        let mut calls = 0;
-        let v = cache.get_or_insert_with(7, || {
-            calls += 1;
-            42u64
-        });
-        assert_eq!(v, 42);
-        let v = cache.get_or_insert_with(7, || {
-            calls += 1;
-            99u64
-        });
-        assert_eq!(v, 42, "second call must hit");
-        assert_eq!(calls, 1);
     }
 
     #[test]
@@ -196,61 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let cache = ConcurrentCache::new(64);
-        cache.insert(5, 5u64);
-        let _ = cache.lookup(5);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
-    }
-
-    #[test]
-    fn stats_snapshot_is_consistent_under_concurrent_inserts() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let cache = Arc::new(ConcurrentCache::new(4096));
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
-            .map(|t| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    for k in 0..512u128 {
-                        let key = (k << 112) ^ (t as u128);
-                        cache.get_or_insert_with(key, || k as u64);
-                    }
-                })
-            })
-            .collect();
-        let reader = {
-            let cache = Arc::clone(&cache);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = cache.stats();
-                    // Every stored entry was inserted after a counted
-                    // miss, and the snapshot holds all shard locks, so
-                    // it can never observe more entries than misses.
-                    assert!(
-                        snap.entries as u64 <= snap.misses,
-                        "inconsistent snapshot: {snap:?}"
-                    );
-                }
-            })
-        };
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        reader.join().unwrap();
-        let snap = cache.stats();
-        assert_eq!(snap.entries, cache.len());
-        assert_eq!(snap.hits, cache.hits());
-        assert_eq!(snap.misses, cache.misses());
-    }
-
-    #[test]
     fn concurrent_use_is_consistent() {
         use std::sync::Arc;
         let cache = Arc::new(ConcurrentCache::new(1024));
@@ -260,7 +103,10 @@ mod tests {
                 std::thread::spawn(move || {
                     for k in 0..256u128 {
                         let key = k << 120; // top bits vary → all shards
-                        let v = cache.get_or_insert_with(key, || k as u64 * 3);
+                        let v = cache.lookup(key).unwrap_or_else(|| {
+                            cache.insert(key, k as u64 * 3);
+                            k as u64 * 3
+                        });
                         assert_eq!(v, k as u64 * 3);
                     }
                 })

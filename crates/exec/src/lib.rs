@@ -27,7 +27,8 @@
 //! Worker count resolves, in order: [`set_threads`] (e.g. from a
 //! `--threads N` flag), the `MEGSIM_THREADS` environment variable,
 //! then [`std::thread::available_parallelism`]. A value of `1` runs
-//! inline on the caller with zero pool overhead.
+//! inline on the caller with zero pool overhead. No source may ask for
+//! more than [`MAX_THREADS`].
 //!
 //! Nested calls do not oversubscribe: a `par_map_range` issued from
 //! inside a pool worker runs sequentially on that worker, so an outer
@@ -41,7 +42,7 @@ pub mod cache;
 pub mod pipeline;
 pub mod single_flight;
 
-pub use cache::{CacheSnapshot, ConcurrentCache};
+pub use cache::ConcurrentCache;
 pub use pipeline::{iter_fold, iter_pipeline, shard_merge};
 pub use single_flight::{FlightOutcome, SingleFlight};
 
@@ -51,6 +52,13 @@ use std::sync::OnceLock;
 
 use crossbeam::thread::{available_parallelism, scope};
 use parking_lot::Mutex;
+
+/// The most worker threads any parallel call spawns. Streaming sources
+/// (a trace decoder) report no length, so a pass over one spawns the
+/// full thread count; an unbounded count would try to spawn that many
+/// OS threads. [`set_threads`] clamps to this value and a larger
+/// `MEGSIM_THREADS` is ignored as invalid.
+pub const MAX_THREADS: usize = 1024;
 
 /// Explicit override set by [`set_threads`]; 0 = unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -65,10 +73,10 @@ thread_local! {
 }
 
 /// Overrides the worker-thread count for all subsequent parallel
-/// calls. `0` clears the override, returning to `MEGSIM_THREADS` /
-/// available parallelism.
+/// calls, clamped to [`MAX_THREADS`]. `0` clears the override,
+/// returning to `MEGSIM_THREADS` / available parallelism.
 pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::Relaxed);
+    THREAD_OVERRIDE.store(n.min(MAX_THREADS), Ordering::Relaxed);
 }
 
 /// The worker-thread count parallel calls will currently use.
@@ -80,13 +88,13 @@ pub fn thread_count() -> usize {
     *DEFAULT_THREADS.get_or_init(|| {
         if let Ok(value) = std::env::var("MEGSIM_THREADS") {
             if let Ok(n) = value.trim().parse::<usize>() {
-                if n > 0 {
+                if (1..=MAX_THREADS).contains(&n) {
                     return n;
                 }
             }
             eprintln!("warning: ignoring invalid MEGSIM_THREADS={value:?}");
         }
-        available_parallelism().map(|n| n.get()).unwrap_or(1)
+        available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
     })
 }
 

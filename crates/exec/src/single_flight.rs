@@ -1,10 +1,10 @@
 //! In-flight computation dedup ("single-flight") for content-addressed
 //! work.
 //!
-//! [`ConcurrentCache::get_or_insert_with`](crate::ConcurrentCache)
-//! deliberately computes outside any lock, so two threads missing on
-//! the same key both compute — fine for cheap values, wasteful when the
-//! value is a full frame simulation. A [`SingleFlight`] map closes that
+//! A [`ConcurrentCache`](crate::ConcurrentCache) miss computes outside
+//! any lock, so two threads missing on the same key both compute —
+//! fine for cheap values, wasteful when the value is a full frame
+//! simulation. A [`SingleFlight`] map closes that
 //! window: the first thread to claim a key becomes the *leader* and
 //! computes; any thread arriving while the computation is in flight
 //! becomes a *follower*, blocks, and receives a clone of the leader's
@@ -23,7 +23,6 @@
 //! propagates only on the leader's thread.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// How a [`SingleFlight::run`] call obtained its value.
@@ -76,7 +75,6 @@ impl<V> Drop for PoisonGuard<'_, V> {
 /// rather than key cardinality (long-term storage is the cache's job).
 pub struct SingleFlight<V> {
     flights: Mutex<HashMap<u128, Arc<Flight<V>>>>,
-    shared_served: AtomicU64,
 }
 
 impl<V: Clone> SingleFlight<V> {
@@ -84,7 +82,6 @@ impl<V: Clone> SingleFlight<V> {
     pub fn new() -> Self {
         Self {
             flights: Mutex::new(HashMap::new()),
-            shared_served: AtomicU64::new(0),
         }
     }
 
@@ -136,21 +133,12 @@ impl<V: Clone> SingleFlight<V> {
                     FlightState::Running => {
                         state = flight.done.wait(state).expect("flight state");
                     }
-                    FlightState::Done(value) => {
-                        self.shared_served.fetch_add(1, Ordering::Relaxed);
-                        return (value.clone(), FlightOutcome::Shared);
-                    }
+                    FlightState::Done(value) => return (value.clone(), FlightOutcome::Shared),
                     FlightState::Poisoned => break,
                 }
             }
             // Leader died; loop and re-contend for a fresh flight.
         }
-    }
-
-    /// How many calls were served a shared in-flight result instead of
-    /// computing — the batch dedup factor's numerator.
-    pub fn shared_served(&self) -> u64 {
-        self.shared_served.load(Ordering::Relaxed)
     }
 
     /// Keys currently being computed.
@@ -168,7 +156,7 @@ impl<V: Clone> Default for SingleFlight<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
     #[test]
@@ -180,28 +168,32 @@ mod tests {
         let (v, outcome) = sf.run(1, || 20u64);
         assert_eq!((v, outcome), (20, FlightOutcome::Led));
         assert_eq!(sf.in_flight(), 0);
-        assert_eq!(sf.shared_served(), 0);
     }
 
     #[test]
     fn concurrent_identical_keys_compute_once() {
         let sf = Arc::new(SingleFlight::new());
         let computes = Arc::new(AtomicU64::new(0));
+        let shared = Arc::new(AtomicU64::new(0));
         let gate = Arc::new(Barrier::new(8));
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let sf = Arc::clone(&sf);
                 let computes = Arc::clone(&computes);
+                let shared = Arc::clone(&shared);
                 let gate = Arc::clone(&gate);
                 std::thread::spawn(move || {
                     gate.wait();
-                    let (v, _) = sf.run(42, || {
+                    let (v, outcome) = sf.run(42, || {
                         computes.fetch_add(1, Ordering::Relaxed);
                         // Widen the in-flight window so followers pile up.
                         std::thread::sleep(std::time::Duration::from_millis(20));
                         7u64
                     });
                     assert_eq!(v, 7);
+                    if outcome == FlightOutcome::Shared {
+                        shared.fetch_add(1, Ordering::Relaxed);
+                    }
                 })
             })
             .collect();
@@ -212,12 +204,10 @@ mod tests {
         // sleep makes "exactly one" overwhelmingly likely, but the only
         // *guarantee* is computes + shared == 8.
         let computes = computes.load(Ordering::Relaxed);
+        let shared = shared.load(Ordering::Relaxed);
         assert!(computes >= 1);
-        assert_eq!(computes + sf.shared_served(), 8);
-        assert!(
-            sf.shared_served() > 0,
-            "no dedup observed despite the window"
-        );
+        assert_eq!(computes + shared, 8);
+        assert!(shared > 0, "no dedup observed despite the window");
         assert_eq!(sf.in_flight(), 0);
     }
 
@@ -227,12 +217,14 @@ mod tests {
         let threads: Vec<_> = (0..4u64)
             .map(|k| {
                 let sf = Arc::clone(&sf);
-                std::thread::spawn(move || sf.run(u128::from(k), move || k * 3).0)
+                std::thread::spawn(move || sf.run(u128::from(k), move || k * 3))
             })
             .collect();
-        let values: Vec<u64> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let results: Vec<(u64, FlightOutcome)> =
+            threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let values: Vec<u64> = results.iter().map(|r| r.0).collect();
         assert_eq!(values, vec![0, 3, 6, 9]);
-        assert_eq!(sf.shared_served(), 0);
+        assert!(results.iter().all(|r| r.1 == FlightOutcome::Led));
     }
 
     #[test]

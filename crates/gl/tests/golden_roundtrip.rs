@@ -57,8 +57,8 @@ fn corpus_matches_current_format_version() {
     );
     for b in BENCHMARKS {
         for (path, expected) in [
-            (corpus_path(&b.alias), FORMAT_VERSION),
-            (corpus_path_v2(&b.alias), FORMAT_VERSION_V2),
+            (corpus_path(b.alias), FORMAT_VERSION),
+            (corpus_path_v2(b.alias), FORMAT_VERSION_V2),
         ] {
             let bytes = fs::read(&path).expect("corpus file present");
             assert_eq!(&bytes[..4], b"MGLT", "{}: magic", b.alias);
@@ -73,7 +73,7 @@ fn corpus_matches_current_format_version() {
 #[test]
 fn corpus_roundtrips_byte_identical() {
     for b in BENCHMARKS {
-        let golden = fs::read(corpus_path(&b.alias)).expect("corpus file present");
+        let golden = fs::read(corpus_path(b.alias)).expect("corpus file present");
         let stream = decode(&golden).expect("corpus decodes");
         assert_eq!(
             encode(&stream).as_ref(),
@@ -81,7 +81,7 @@ fn corpus_roundtrips_byte_identical() {
             "{}: re-encode is not byte-identical",
             b.alias
         );
-        let (_, fresh) = record_alias(&b.alias);
+        let (_, fresh) = record_alias(b.alias);
         assert_eq!(
             fresh.as_ref(),
             golden.as_slice(),
@@ -98,8 +98,8 @@ fn corpus_roundtrips_byte_identical() {
 #[test]
 fn v2_corpus_roundtrips_byte_identical_and_compact() {
     for b in BENCHMARKS {
-        let golden_v1 = fs::read(corpus_path(&b.alias)).expect("v1 corpus present");
-        let golden_v2 = fs::read(corpus_path_v2(&b.alias)).expect("v2 corpus present");
+        let golden_v1 = fs::read(corpus_path(b.alias)).expect("v1 corpus present");
+        let golden_v2 = fs::read(corpus_path_v2(b.alias)).expect("v2 corpus present");
         let from_v1 = decode(&golden_v1).expect("v1 corpus decodes");
         let from_v2 = decode(&golden_v2).expect("v2 corpus decodes");
         assert_eq!(
@@ -129,7 +129,7 @@ fn v2_corpus_roundtrips_byte_identical_and_compact() {
 #[test]
 fn cross_version_transcode_is_lossless() {
     for b in BENCHMARKS {
-        let golden = fs::read(corpus_path(&b.alias)).expect("corpus file present");
+        let golden = fs::read(corpus_path(b.alias)).expect("corpus file present");
         let stream = decode(&golden).expect("corpus decodes");
         let via_v2 = decode(&encode_v2(&stream)).expect("transcoded v2 decodes");
         assert_eq!(stream, via_v2, "{}: v1 -> v2 -> decode drifted", b.alias);
@@ -147,10 +147,10 @@ fn cross_version_transcode_is_lossless() {
 #[test]
 fn corpus_replays_to_original_frames() {
     for b in BENCHMARKS {
-        let golden = fs::read(corpus_path(&b.alias)).expect("corpus file present");
+        let golden = fs::read(corpus_path(b.alias)).expect("corpus file present");
         let stream = decode(&golden).expect("corpus decodes");
         let replay = play(&stream).expect("corpus plays");
-        let (frames, _) = record_alias(&b.alias);
+        let (frames, _) = record_alias(b.alias);
         assert_eq!(replay.frames.len(), frames.len(), "{}", b.alias);
         for (i, (orig, back)) in frames.iter().zip(&replay.frames).enumerate() {
             assert_eq!(orig.draws.len(), back.draws.len(), "{} frame {i}", b.alias);
@@ -180,9 +180,9 @@ fn regenerate_corpus() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
     fs::create_dir_all(dir.join("v2")).expect("create corpus dirs");
     for b in BENCHMARKS {
-        let (_, bytes) = record_alias(&b.alias);
-        fs::write(corpus_path(&b.alias), &bytes).expect("write corpus file");
+        let (_, bytes) = record_alias(b.alias);
+        fs::write(corpus_path(b.alias), &bytes).expect("write corpus file");
         let stream = decode(&bytes).expect("self-produced trace decodes");
-        fs::write(corpus_path_v2(&b.alias), encode_v2(&stream)).expect("write v2 corpus file");
+        fs::write(corpus_path_v2(b.alias), encode_v2(&stream)).expect("write v2 corpus file");
     }
 }

@@ -86,7 +86,7 @@ proptest! {
     /// bytes that exist.
     #[test]
     fn corpus_survives_bit_flips(bench in 0usize..8, v2 in any::<bool>(), flip in 0usize..8192, bit in 0u8..8) {
-        let mut bytes = corpus_bytes(&BENCHMARKS[bench].alias, v2);
+        let mut bytes = corpus_bytes(BENCHMARKS[bench].alias, v2);
         let idx = flip % bytes.len();
         bytes[idx] ^= 1 << bit;
         if let Err(e) = decode(&bytes) {
@@ -104,7 +104,7 @@ proptest! {
     /// with an error offset at or before the cut.
     #[test]
     fn corpus_truncation_errors_in_range(bench in 0usize..8, v2 in any::<bool>(), cut in 0usize..8192) {
-        let bytes = corpus_bytes(&BENCHMARKS[bench].alias, v2);
+        let bytes = corpus_bytes(BENCHMARKS[bench].alias, v2);
         let cut = cut % bytes.len();
         let err = decode(&bytes[..cut]).expect_err("truncated trace must not decode");
         prop_assert!(

@@ -111,13 +111,19 @@ fn main() {
         workload.name,
         workload.frames()
     );
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        None,
+    );
     let (per_frame, _) = simulate(
         workload.iter_frames(),
         workload.shaders(),
         &gpu,
         MultiGpuConfig::single(),
-        FrameStart::Cold,
+        FrameStart::Cold(None),
     );
     let run = evaluate_megsim(&matrix, &per_frame, &config);
 

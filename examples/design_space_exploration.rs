@@ -32,6 +32,7 @@ fn main() {
         workload.shaders(),
         &baseline,
         &config,
+        None,
     );
     let selection = select_representatives(&matrix, &config);
     println!(
@@ -56,7 +57,7 @@ fn main() {
                 workload.shaders(),
                 &gpu,
                 MultiGpuConfig::single(),
-                FrameStart::Cold,
+                FrameStart::Cold(None),
             );
             // Scale representative statistics to full-sequence totals.
             let total = scaled_totals(reps, &rep_stats);

@@ -22,7 +22,13 @@ fn main() {
         workload.name,
         workload.frames()
     );
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        None,
+    );
     let normalized = normalize(&matrix, &config.weights);
 
     // Fig. 5: the similarity matrix, darker = more similar.

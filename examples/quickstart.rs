@@ -31,7 +31,13 @@ fn main() {
 
     // 1. Fast functional characterization (the paper's §III-B pass).
     println!("characterizing frames functionally...");
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        None,
+    );
 
     // 2. Ground truth: full cycle-level simulation (what MEGsim avoids).
     println!("running the full cycle-level simulation (ground truth)...");
@@ -40,7 +46,7 @@ fn main() {
         workload.shaders(),
         &gpu,
         MultiGpuConfig::single(),
-        FrameStart::Cold,
+        FrameStart::Cold(None),
     );
 
     // 3. MEGsim: cluster, pick representatives, estimate, compare.

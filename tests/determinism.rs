@@ -19,7 +19,7 @@ fn simulate_single(
     frames: impl Iterator<Item = Frame> + Send,
     shaders: &ShaderTable,
     gpu: &GpuConfig,
-    start: FrameStart,
+    start: FrameStart<'_>,
 ) -> Vec<FrameStats> {
     simulate(frames, shaders, gpu, MultiGpuConfig::single(), start).0
 }
@@ -42,7 +42,13 @@ fn run_pipeline() -> PipelineArtifacts {
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default();
 
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        None,
+    );
     let normalized = normalize(&matrix, &config.weights);
     let sim = SimilarityMatrix::from_points(&normalized);
     let n = sim.len();
@@ -54,11 +60,16 @@ fn run_pipeline() -> PipelineArtifacts {
     }
 
     let shaders = workload.shaders();
-    let per_frame = simulate_single(workload.iter_frames(), shaders, &gpu, FrameStart::Cold);
+    let per_frame = simulate_single(
+        workload.iter_frames(),
+        shaders,
+        &gpu,
+        FrameStart::Cold(None),
+    );
     let run = evaluate_megsim(&matrix, &per_frame, &config);
     let reps = run.selection.representatives.iter();
     let rep_frames = reps.map(|r| workload.frame(r.frame_index));
-    let rep_stats = simulate_single(rep_frames, shaders, &gpu, FrameStart::Cold);
+    let rep_stats = simulate_single(rep_frames, shaders, &gpu, FrameStart::Cold(None));
 
     PipelineArtifacts {
         features: matrix.rows.as_slice().to_vec(),
@@ -232,7 +243,13 @@ fn exact_streaming_selection_is_bit_identical_to_batch() {
     let stream = StreamClusterConfig::exact();
 
     megsim_exec::set_threads(1);
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        None,
+    );
     let batch = select_representatives(&matrix, &config);
 
     for threads in [1usize, 2, 8] {
@@ -243,6 +260,7 @@ fn exact_streaming_selection_is_bit_identical_to_batch() {
             &gpu,
             &config,
             &stream,
+            None,
         );
         assert_eq!(
             streamed.selection, batch,

@@ -20,14 +20,8 @@ fn simulate_cold(
     shaders: &ShaderTable,
     gpu: &GpuConfig,
 ) -> Vec<FrameStats> {
-    simulate(
-        frames,
-        shaders,
-        gpu,
-        MultiGpuConfig::single(),
-        FrameStart::Cold,
-    )
-    .0
+    let start = FrameStart::Cold(None);
+    simulate(frames, shaders, gpu, MultiGpuConfig::single(), start).0
 }
 
 #[test]
@@ -62,7 +56,7 @@ fn full_pipeline_is_deterministic() {
     let cfg = MegsimConfig::default().with_seed(17);
     let run = |seed_offset: u64| {
         let w2 = by_alias("pvz", 0.01, 3 + seed_offset).expect("known alias");
-        let m = characterize_sequence(w2.iter_frames(), w2.shaders(), &gpu, &cfg);
+        let m = characterize_sequence(w2.iter_frames(), w2.shaders(), &gpu, &cfg, None);
         let pf = simulate_cold(w2.iter_frames(), w2.shaders(), &gpu);
         evaluate_megsim(&m, &pf, &cfg)
     };
@@ -81,7 +75,7 @@ fn megsim_estimate_tracks_ground_truth_on_every_benchmark() {
         // ~40-75 frames per benchmark keeps this test quick.
         let w = build(info, 0.012, 21);
         let cfg = MegsimConfig::default().with_seed(1);
-        let m = characterize_sequence(w.iter_frames(), w.shaders(), &gpu, &cfg);
+        let m = characterize_sequence(w.iter_frames(), w.shaders(), &gpu, &cfg, None);
         let pf = simulate_cold(w.iter_frames(), w.shaders(), &gpu);
         let run = evaluate_megsim(&m, &pf, &cfg);
         assert!(
@@ -108,7 +102,7 @@ fn standalone_representative_simulation_matches_full_run_closely() {
     let gpu = small_gpu();
     let w = by_alias("hcr", 0.02, 9).expect("known alias");
     let cfg = MegsimConfig::default();
-    let m = characterize_sequence(w.iter_frames(), w.shaders(), &gpu, &cfg);
+    let m = characterize_sequence(w.iter_frames(), w.shaders(), &gpu, &cfg, None);
     let pf = simulate_cold(w.iter_frames(), w.shaders(), &gpu);
     let run = evaluate_megsim(&m, &pf, &cfg);
     let reps = &run.selection.representatives;

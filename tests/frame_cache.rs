@@ -6,13 +6,13 @@
 //! match their cache-off results, so a key shared between rigs would
 //! surface as a bit difference.
 //!
-//! Everything lives in ONE `#[test]` because the cache-enabled flag and
-//! the worker-pool size are process-global: parallel test functions
-//! toggling them would race each other.
+//! Everything lives in ONE `#[test]` because the worker-pool size is
+//! process-global: parallel test functions setting it would race each
+//! other. The cache itself is a value each run is handed (or not).
 
 use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
-use megsim_core::frame_cache;
 use megsim_core::pipeline::MegsimConfig;
+use megsim_core::FrameCache;
 use megsim_timing::{DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, Topology};
 use megsim_workloads::by_alias;
 
@@ -29,32 +29,32 @@ struct FlowArtifacts {
     rig_frames: Vec<Vec<FrameStats>>,
 }
 
-fn run_flow() -> FlowArtifacts {
+fn run_flow(cache: Option<&FrameCache>) -> FlowArtifacts {
     let workload = by_alias("pvz", 0.01, 42).expect("known alias"); // 50 frames
     let gpu = GpuConfig::small(192, 192);
     let config = MegsimConfig::default();
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        cache,
+    );
     let shaders = workload.shaders();
     let single = MultiGpuConfig::single();
-    let per_frame = simulate(
-        workload.iter_frames(),
-        shaders,
-        &gpu,
-        single,
-        FrameStart::Cold,
-    )
-    .0;
+    let cold = FrameStart::Cold(cache);
+    let per_frame = simulate(workload.iter_frames(), shaders, &gpu, single, cold).0;
     let run = evaluate_megsim(&matrix, &per_frame, &config);
     let reps = run.selection.representatives.iter();
     let rep_frames = reps.map(|r| workload.frame(r.frame_index));
-    let rep_stats = simulate(rep_frames, shaders, &gpu, single, FrameStart::Cold).0;
+    let rep_stats = simulate(rep_frames, shaders, &gpu, single, cold).0;
     let rigs = [
         MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared),
         MultiGpuConfig::new(2, DispatchMode::AlternateFrame, Topology::Private),
     ];
     let rig_frames = rigs
         .into_iter()
-        .map(|rig| simulate(workload.iter_frames(), shaders, &gpu, rig, FrameStart::Cold).0)
+        .map(|rig| simulate(workload.iter_frames(), shaders, &gpu, rig, cold).0)
         .collect();
     FlowArtifacts {
         features: matrix.rows.as_slice().to_vec(),
@@ -76,10 +76,9 @@ fn cache_state_and_thread_count_never_change_results() {
     let mut runs = Vec::new();
     for enabled in [false, true] {
         for threads in [1usize, 8] {
-            frame_cache::set_enabled(enabled);
-            frame_cache::clear();
+            let cache = enabled.then(FrameCache::new);
             megsim_exec::set_threads(threads);
-            runs.push(((enabled, threads), run_flow()));
+            runs.push(((enabled, threads), run_flow(cache.as_ref())));
         }
     }
 
@@ -103,29 +102,27 @@ fn cache_state_and_thread_count_never_change_results() {
 
     // A cold enabled run already hits: the representatives simulated
     // standalone were cached during the full-sequence pass.
-    frame_cache::set_enabled(true);
-    frame_cache::clear();
-    let cold = run_flow();
-    let report = frame_cache::report();
+    let cache = FrameCache::new();
+    let cold = run_flow(Some(&cache));
+    let counts = cache.counts();
     assert!(
-        report.stats_hits > 0,
+        counts.stats_memory > 0,
         "representative re-simulation should hit the stats cache: {}",
-        report.summary()
+        cache.summary()
     );
-    assert!(report.stats_entries > 0 && report.activity_entries > 0);
+    assert!(counts.stats_computed > 0 && counts.activity_computed > 0);
+    assert!(cache.entries() > 0);
 
     // A warm re-run hits on both caches and still matches bit-for-bit.
-    let warm = run_flow();
+    let warm = run_flow(Some(&cache));
     assert_eq!(&cold, &warm, "warm cache run diverged from cold run");
-    let report = frame_cache::report();
+    let counts = cache.counts();
     assert!(
-        report.activity_hits > 0,
+        counts.activity_memory > 0,
         "warm characterization should hit the activity cache: {}",
-        report.summary()
+        cache.summary()
     );
-    assert!(report.hit_rate() > 0.0);
+    assert!(counts.hit_rate() > 0.0);
 
     megsim_exec::set_threads(0);
-    frame_cache::set_enabled(true);
-    frame_cache::clear();
 }

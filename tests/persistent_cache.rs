@@ -3,14 +3,16 @@
 //! store attached or not, warm or cold, corrupted or pristine — and a
 //! disk-warm re-run must be dramatically faster than computing.
 //!
-//! Everything lives in ONE `#[test]` because the attached store, the
-//! cache-enabled flag and the tier counters are process-global.
+//! Each step opens its own `FrameCache` over the store directory, the
+//! way a fresh process would. The steps share one `#[test]` only
+//! because they run in sequence over that one directory; no cache
+//! state is process-global.
 
 use std::time::Instant;
 
 use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
-use megsim_core::frame_cache;
 use megsim_core::pipeline::MegsimConfig;
+use megsim_core::FrameCache;
 use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 
@@ -21,17 +23,23 @@ struct Artifacts {
     per_frame: Vec<FrameStats>,
 }
 
-fn run_campaign() -> Artifacts {
+fn run_campaign(cache: &FrameCache) -> Artifacts {
     let workload = by_alias("pvz", 0.01, 42).expect("known alias"); // 50 frames
     let gpu = GpuConfig::small(192, 192);
     let config = MegsimConfig::default();
-    let matrix = characterize_sequence(workload.iter_frames(), workload.shaders(), &gpu, &config);
+    let matrix = characterize_sequence(
+        workload.iter_frames(),
+        workload.shaders(),
+        &gpu,
+        &config,
+        Some(cache),
+    );
     let (per_frame, _) = simulate(
         workload.iter_frames(),
         workload.shaders(),
         &gpu,
         MultiGpuConfig::single(),
-        FrameStart::Cold,
+        FrameStart::Cold(Some(cache)),
     );
     Artifacts {
         features: matrix.rows.as_slice().to_vec(),
@@ -48,36 +56,33 @@ fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn disk_tier_is_transparent_fast_and_corruption_tolerant() {
     let dir = unique_temp_dir("t1");
-    frame_cache::set_enabled(true);
 
     // --- Cold run: everything computes, results are written behind.
-    frame_cache::set_store_dir(&dir).expect("store opens on a fresh dir");
-    frame_cache::clear();
+    let cache = FrameCache::open(&dir).expect("store opens on a fresh dir");
     let t0 = Instant::now();
-    let cold = run_campaign();
+    let cold = run_campaign(&cache);
     let cold_secs = t0.elapsed().as_secs_f64();
-    let report = frame_cache::report();
-    assert_eq!(report.activity_disk_hits + report.stats_disk_hits, 0);
-    assert!(report.activity_misses > 0 && report.stats_misses > 0);
-    let sealed = frame_cache::flush_store().expect("flush");
+    let counts = cache.counts();
+    assert_eq!(counts.disk_hits(), 0);
+    assert!(counts.activity_computed > 0 && counts.stats_computed > 0);
+    let sealed = cache.flush().expect("flush");
     assert!(sealed > 0, "cold run must persist its computed results");
+    drop(cache);
 
-    // --- Warm-disk run: a fresh process is simulated by dropping the
-    // memory tier and reopening the store from its files.
-    frame_cache::detach_store();
-    frame_cache::set_store_dir(&dir).expect("store reopens");
-    frame_cache::clear();
+    // --- Warm-disk run: a fresh process is simulated by a new cache,
+    // with an empty memory tier, over the store's files.
+    let cache = FrameCache::open(&dir).expect("store reopens");
     let t1 = Instant::now();
-    let warm = run_campaign();
+    let warm = run_campaign(&cache);
     let warm_secs = t1.elapsed().as_secs_f64();
     assert_eq!(cold, warm, "disk-served results diverged from computed");
-    let report = frame_cache::report();
-    let disk = report.activity_disk_hits + report.stats_disk_hits;
-    let computed = report.activity_misses + report.stats_misses;
+    let counts = cache.counts();
+    let disk = counts.disk_hits();
+    let computed = counts.activity_computed + counts.stats_computed;
     assert!(
         disk >= 9 * (disk + computed) / 10,
         "warm run should be >=90% disk hits: {}",
-        report.summary()
+        cache.summary()
     );
     assert!(
         warm_secs * 3.0 < cold_secs,
@@ -88,7 +93,7 @@ fn disk_tier_is_transparent_fast_and_corruption_tolerant() {
     // another, and drop in a garbage file. Reopening must succeed and
     // the campaign must still be bit-identical (corrupt entries just
     // recompute).
-    frame_cache::detach_store();
+    drop(cache);
     let mut segments: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .expect("list store dir")
         .map(|e| e.expect("dir entry").path())
@@ -106,29 +111,26 @@ fn disk_tier_is_transparent_fast_and_corruption_tolerant() {
     std::fs::write(flipped, bytes).expect("bit-flip");
     std::fs::write(dir.join("junk.seg"), b"not a segment at all").expect("junk");
 
-    frame_cache::set_store_dir(&dir).expect("corrupt store still opens");
-    frame_cache::clear();
-    let after_corruption = run_campaign();
+    let cache = FrameCache::open(&dir).expect("corrupt store still opens");
+    let after_corruption = run_campaign(&cache);
     assert_eq!(
         cold, after_corruption,
         "corruption must degrade to recompute, never change results"
     );
-    let report = frame_cache::report();
+    let counts = cache.counts();
     // The untouched shards still serve; the damaged ones recompute.
     assert!(
-        report.activity_misses + report.stats_misses > 0,
+        counts.activity_computed + counts.stats_computed > 0,
         "some recompute expected after corruption: {}",
-        report.summary()
+        cache.summary()
     );
+    drop(cache);
 
     // --- A store over a path that cannot be a directory refuses to
     // open (the caller then runs cold) instead of panicking.
-    frame_cache::detach_store();
     let blocker = dir.join("blocker");
     std::fs::write(&blocker, b"file").expect("write blocker");
-    assert!(frame_cache::set_store_dir(&blocker.join("sub")).is_err());
-    assert!(!frame_cache::has_store());
+    assert!(FrameCache::open(&blocker.join("sub")).is_err());
 
-    frame_cache::clear();
     let _ = std::fs::remove_dir_all(&dir);
 }
