@@ -3,7 +3,7 @@
 //! expensive simulations run once.
 
 use megsim_core::evaluate::{
-    characterize_sequence, evaluate_megsim, simulate, FrameStart, MegsimRun,
+    characterize_simulated, evaluate_megsim, simulate, FrameStart, MegsimRun,
 };
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::random_sampling;
@@ -71,33 +71,27 @@ impl Context {
     }
 }
 
-/// Simulates one benchmark end-to-end (characterization + ground truth).
+/// Simulates one benchmark end-to-end: the cycle-accurate ground truth,
+/// whose per-frame statistics also carry the functional activity that
+/// characterizes each frame.
 pub fn compute_benchmark(ctx: &Context, info: &BenchmarkInfo) -> BenchmarkData {
     let workload = build(info, ctx.args.scale, ctx.args.seed);
     eprintln!(
-        "[{}] {} frames: functional characterization...",
+        "[{}] {} frames: cycle-accurate ground-truth simulation...",
         info.alias,
         workload.frames()
     );
     // Frame synthesis fans out on the worker pool (`generate_frames`),
-    // so the characterize/simulate passes no longer serialize behind a
-    // single-threaded generator.
-    let frames = workload.generate_frames();
-    let matrix = characterize_sequence(
-        frames.iter().cloned(),
-        workload.shaders(),
-        &ctx.gpu,
-        &ctx.megsim,
-        Some(&ctx.cache),
-    );
-    eprintln!("[{}] cycle-accurate ground-truth simulation...", info.alias);
+    // so the simulation does not serialize behind a single-threaded
+    // generator.
     let (per_frame, _) = simulate(
-        frames.into_iter(),
+        workload.generate_frames().into_iter(),
         workload.shaders(),
         &ctx.gpu,
         MultiGpuConfig::single(),
         FrameStart::Cold(Some(&ctx.cache)),
     );
+    let matrix = characterize_simulated(&per_frame, workload.shaders(), &ctx.megsim);
     let totals = sequence_totals(&per_frame);
     BenchmarkData {
         info: *info,

@@ -1,14 +1,15 @@
 //! Subcommand implementations of the `megsim` tool.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
 
 use megsim_bench::report;
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
+use megsim_core::evaluate::{characterize_sequence, characterize_simulated, simulate, FrameStart};
 use megsim_core::pipeline::{select_representatives, MegsimConfig, Selection, StreamClusterConfig};
 use megsim_core::{
-    metric_errors, scaled_totals, sequence_totals, FeatureMatrix, FrameCache, StreamSelection,
+    estimate_totals, metric_errors, scaled_totals, sequence_totals, FeatureMatrix, FrameCache,
 };
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::{ShaderKind, ShaderTable};
@@ -16,7 +17,9 @@ use megsim_gl::{
     encode_with_version, record_sequence, Command, FrameIter, StreamDecoder, TraceError,
     FORMAT_VERSION,
 };
-use megsim_timing::{DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, Topology, MAX_GPUS};
+use megsim_timing::{
+    DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, MultiGpuReport, Topology, MAX_GPUS,
+};
 
 const USAGE: &str = "\
 usage: megsim <command> [options]
@@ -131,7 +134,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "info" => info(&mut opts),
         "characterize" => characterize(&mut opts, cache),
         "select" => select(&mut opts, cache),
-        "estimate" => estimate(&mut opts, cache),
+        "estimate" => estimate(&mut opts, cache).map(|out| print!("{out}")),
         "batch" => batch(&mut opts, cache),
         other => unreachable!("command_flags accepted '{other}'"),
     };
@@ -271,37 +274,12 @@ impl Options {
     }
 }
 
-/// Opens a trace file for frame-granular streaming replay: frames are
-/// decoded incrementally off the file handle, never materialized as a
-/// whole sequence.
-fn open_frames(path: &str) -> Result<FrameIter<BufReader<File>>, String> {
-    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    FrameIter::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
-}
-
 /// Adapts the fallible streaming frame iterator into the infallible
 /// shape the parallel passes consume, parking the first decode/replay
-/// error for the caller to check once the pass finishes.
+/// error for [`stream_pass`] to check once the pass finishes.
 struct StreamedFrames {
     iter: FrameIter<BufReader<File>>,
     error: Option<TraceError>,
-}
-
-impl StreamedFrames {
-    fn open(path: &str) -> Result<Self, String> {
-        Ok(Self {
-            iter: open_frames(path)?,
-            error: None,
-        })
-    }
-
-    /// Surfaces the parked error, if the stream ended on one.
-    fn finish(self, path: &str) -> Result<(), String> {
-        match self.error {
-            Some(e) => Err(format!("{path}: {e}")),
-            None => Ok(()),
-        }
-    }
 }
 
 impl Iterator for StreamedFrames {
@@ -318,20 +296,36 @@ impl Iterator for StreamedFrames {
     }
 }
 
-/// One streaming characterization pass over a trace file: returns the
-/// shader library (decoded from the trace prelude) and the `N × D`
-/// feature matrix, holding only a window of frames in memory.
+/// One streaming pass of `pass` over a trace file: frames are decoded
+/// incrementally off the file handle, never materialized as a whole
+/// sequence. Returns the shader library (decoded from the trace prelude)
+/// and the pass's result, or the error the stream ended on.
+fn stream_pass<T>(
+    path: &str,
+    pass: impl FnOnce(&mut StreamedFrames, &ShaderTable) -> T,
+) -> Result<(ShaderTable, T), String> {
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let iter = FrameIter::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    let shaders = iter.shaders().clone();
+    let mut frames = StreamedFrames { iter, error: None };
+    let result = pass(&mut frames, &shaders);
+    match frames.error {
+        Some(e) => Err(format!("{path}: {e}")),
+        None => Ok((shaders, result)),
+    }
+}
+
+/// One streaming characterization pass: the `N × D` feature matrix.
 fn characterize_trace(
     path: &str,
     gpu: &GpuConfig,
     config: &MegsimConfig,
     cache: Option<&FrameCache>,
-) -> Result<(ShaderTable, FeatureMatrix), String> {
-    let mut frames = StreamedFrames::open(path)?;
-    let shaders = frames.iter.shaders().clone();
-    let matrix = characterize_sequence(&mut frames, &shaders, gpu, config, cache);
-    frames.finish(path)?;
-    Ok((shaders, matrix))
+) -> Result<FeatureMatrix, String> {
+    let (_, matrix) = stream_pass(path, |frames, shaders| {
+        characterize_sequence(frames, shaders, gpu, config, cache)
+    })?;
+    Ok(matrix)
 }
 
 /// Parses the streaming-clustering knobs shared by `select` and
@@ -351,59 +345,52 @@ fn stream_cluster_config(opts: &Options) -> Result<StreamClusterConfig, String> 
 /// One fused decode → characterize → cluster pass over a trace file
 /// (`--stream-cluster`): frames flow through the online clusterer and
 /// are dropped, so memory stays bounded by the reservoir instead of
-/// growing with the trace. Returns the shader library and the
-/// streaming selection.
+/// growing with the trace. Reports the reservoir on stderr.
 fn select_stream(
     path: &str,
     gpu: &GpuConfig,
     config: &MegsimConfig,
     stream: &StreamClusterConfig,
     cache: Option<&FrameCache>,
-) -> Result<(ShaderTable, StreamSelection), String> {
-    let mut frames = StreamedFrames::open(path)?;
-    let shaders = frames.iter.shaders().clone();
-    let selection =
-        megsim_core::characterize_stream(&mut frames, &shaders, gpu, config, stream, cache);
-    frames.finish(path)?;
-    Ok((shaders, selection))
+) -> Result<Selection, String> {
+    let (_, streamed) = stream_pass(path, |frames, shaders| {
+        megsim_core::characterize_stream(frames, shaders, gpu, config, stream, cache)
+    })?;
+    eprintln!(
+        "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
+        streamed.reservoir_len,
+        streamed.selection.labels.len(),
+        streamed.peak_rows_retained,
+        streamed.live_k
+    );
+    Ok(streamed.selection)
 }
 
-/// Second streaming pass of `estimate`: re-decodes the trace, keeps
-/// only the representative frames, simulates each one cold on `rig`
-/// and scales its statistics by its cluster size — MEGsim's estimate
-/// of the trace's totals.
+/// A streaming pass that keeps only the representative frames of the
+/// trace, simulates each one cold on `rig` and scales its statistics by
+/// its cluster size: MEGsim's estimate of the trace's totals.
 fn estimate_representatives(
     path: &str,
     selection: &Selection,
-    shaders: &ShaderTable,
     gpu: &GpuConfig,
     rig: MultiGpuConfig,
     cache: Option<&FrameCache>,
 ) -> Result<FrameStats, String> {
-    let wanted: HashSet<usize> = selection
-        .representatives
+    let reps = &selection.representatives;
+    let wanted: HashSet<usize> = reps.iter().map(|r| r.frame_index).collect();
+    let len = wanted.iter().max().map_or(0, |&last| last + 1);
+    let (shaders, mut kept): (_, HashMap<_, _>) = stream_pass(path, |frames, _| {
+        let indexed = frames.take(len).enumerate();
+        indexed.filter(|(i, _)| wanted.contains(i)).collect()
+    })?;
+    let frames: Vec<Frame> = reps
         .iter()
-        .map(|r| r.frame_index)
-        .collect();
-    let mut reps = HashMap::with_capacity(wanted.len());
-    for (i, frame) in open_frames(path)?.enumerate() {
-        if reps.len() == wanted.len() {
-            break;
-        }
-        let frame = frame.map_err(|e| format!("{path}: {e}"))?;
-        if wanted.contains(&i) {
-            reps.insert(i, frame);
-        }
-    }
-    let frames: Vec<Frame> = selection
-        .representatives
-        .iter()
-        .map(|r| reps.remove(&r.frame_index))
+        .map(|r| kept.remove(&r.frame_index))
         .collect::<Option<_>>()
         .ok_or_else(|| format!("{path}: trace ended before every representative frame"))?;
     let start = FrameStart::Cold(cache);
-    let (rep_stats, _) = simulate(frames.into_iter(), shaders, gpu, rig, start);
-    Ok(scaled_totals(&selection.representatives, &rep_stats))
+    let (rep_stats, _) = simulate(frames.into_iter(), &shaders, gpu, rig, start);
+    Ok(scaled_totals(reps, &rep_stats))
 }
 
 fn record(opts: &mut Options) -> Result<(), String> {
@@ -477,7 +464,7 @@ fn info(opts: &mut Options) -> Result<(), String> {
 fn characterize(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
     let path = opts.trace_path()?;
     let gpu = GpuConfig::mali450_like();
-    let (_, matrix) = characterize_trace(&path, &gpu, &MegsimConfig::default(), cache)?;
+    let matrix = characterize_trace(&path, &gpu, &MegsimConfig::default(), cache)?;
     let csv = report::feature_matrix_csv(&matrix);
     match opts.flags.get("out") {
         Some(out) => {
@@ -500,17 +487,9 @@ fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> 
     let config = MegsimConfig::default().with_seed(seed);
     let selection = if opts.has("stream-cluster") {
         let stream = stream_cluster_config(opts)?;
-        let (_, streamed) = select_stream(&path, &gpu, &config, &stream, cache)?;
-        eprintln!(
-            "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
-            streamed.reservoir_len,
-            streamed.selection.labels.len(),
-            streamed.peak_rows_retained,
-            streamed.live_k
-        );
-        streamed.selection
+        select_stream(&path, &gpu, &config, &stream, cache)?
     } else {
-        let (_, matrix) = characterize_trace(&path, &gpu, &config, cache)?;
+        let matrix = characterize_trace(&path, &gpu, &config, cache)?;
         select_representatives(&matrix, &config)
     };
     println!(
@@ -521,7 +500,6 @@ fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> 
     );
     let mut csv = String::from("cluster,frame,cluster_size\n");
     for (c, r) in selection.representatives.iter().enumerate() {
-        use std::fmt::Write as _;
         let _ = writeln!(csv, "{c},{},{}", r.frame_index, r.cluster_size);
         println!(
             "  cluster {c:>3}: frame {:>6} x {:>6}",
@@ -536,8 +514,12 @@ fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> 
 }
 
 /// Parses the multi-GPU scenario flags (`--gpus`, `--dispatch`,
-/// `--mem`). Without them the rig is the single GPU.
-fn multi_gpu_options(opts: &Options) -> Result<MultiGpuConfig, String> {
+/// `--mem`). Without any of them there is no rig: the single GPU.
+fn multi_gpu_options(opts: &Options) -> Result<Option<MultiGpuConfig>, String> {
+    let rig_flags = ["gpus", "dispatch", "mem"];
+    if !rig_flags.iter().any(|f| opts.flags.contains_key(*f)) {
+        return Ok(None);
+    }
     let gpus: usize = opts.flag("gpus", 1)?;
     if gpus == 0 {
         return Err("--gpus must be at least 1".into());
@@ -555,140 +537,173 @@ fn multi_gpu_options(opts: &Options) -> Result<MultiGpuConfig, String> {
         Some("shared") => Topology::Shared,
         Some(other) => return Err(format!("invalid --mem: {other} (shared or private)")),
     };
-    Ok(MultiGpuConfig::new(gpus, dispatch, topology))
+    Ok(Some(MultiGpuConfig::new(gpus, dispatch, topology)))
 }
 
-fn dispatch_name(dispatch: DispatchMode) -> &'static str {
-    match dispatch {
+/// The `--dispatch` and `--mem` spellings of a rig's shape.
+fn rig_names(rig: &MultiGpuConfig) -> (&'static str, &'static str) {
+    let dispatch = match rig.dispatch {
         DispatchMode::AlternateFrame => "afr",
         DispatchMode::SplitFrame => "sfr",
-    }
-}
-
-fn topology_name(topology: Topology) -> &'static str {
-    match topology {
+    };
+    let mem = match rig.topology {
         Topology::Shared => "shared",
         Topology::Private => "private",
-    }
+    };
+    (dispatch, mem)
 }
 
-fn estimate(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
+/// The full simulation of a trace in one streaming pass: warm through
+/// `rig`, or without one every frame cold on a single GPU (the paper's
+/// ground truth).
+fn simulate_trace(
+    path: &str,
+    gpu: &GpuConfig,
+    rig: Option<MultiGpuConfig>,
+    cache: Option<&FrameCache>,
+) -> Result<(ShaderTable, (Vec<FrameStats>, MultiGpuReport)), String> {
+    let (rig, start) = match rig {
+        Some(rig) => (rig, FrameStart::Warm),
+        None => (MultiGpuConfig::single(), FrameStart::Cold(cache)),
+    };
+    stream_pass(path, |frames, shaders| {
+        simulate(frames, shaders, gpu, rig, start)
+    })
+}
+
+/// The full simulation's totals and the rig's interconnect report.
+type GroundTruth = (FrameStats, MultiGpuReport);
+
+/// MEGsim on one trace: the selection, the representatives' scaled
+/// totals and, if asked for, the ground truth's totals and rig report.
+///
+/// A ground truth without `stream` takes one simulation pass: the
+/// frames' statistics carry the activity that characterizes them, and
+/// on a single GPU the cold full run already holds each
+/// representative's standalone statistics (a rig's representatives run
+/// cold in one more decode pass).
+fn run_estimate(
+    path: &str,
+    seed: u64,
+    stream: Option<&StreamClusterConfig>,
+    rig: Option<MultiGpuConfig>,
+    ground_truth: bool,
+    cache: Option<&FrameCache>,
+) -> Result<(Selection, FrameStats, Option<GroundTruth>), String> {
+    let gpu = &GpuConfig::mali450_like();
+    let config = &MegsimConfig::default().with_seed(seed);
+    if ground_truth && stream.is_none() {
+        let (shaders, (per_frame, report)) = simulate_trace(path, gpu, rig, cache)?;
+        let matrix = characterize_simulated(&per_frame, &shaders, config);
+        let selection = select_representatives(&matrix, config);
+        let estimated = match rig {
+            Some(rig) => estimate_representatives(path, &selection, gpu, rig, cache)?,
+            None => estimate_totals(&selection.representatives, |i| &per_frame[i]),
+        };
+        let truth = (sequence_totals(&per_frame), report);
+        return Ok((selection, estimated, Some(truth)));
+    }
+    let selection = match stream {
+        Some(stream) => select_stream(path, gpu, config, stream, cache)?,
+        None => select_representatives(&characterize_trace(path, gpu, config, cache)?, config),
+    };
+    let reps_rig = rig.unwrap_or_else(MultiGpuConfig::single);
+    let estimated = estimate_representatives(path, &selection, gpu, reps_rig, cache)?;
+    // The fused stream pass keeps no feature matrix, so its ground
+    // truth is a separate full simulation.
+    let truth = ground_truth
+        .then(|| simulate_trace(path, gpu, rig, cache))
+        .transpose()?
+        .map(|(_, (per_frame, report))| (sequence_totals(&per_frame), report));
+    Ok((selection, estimated, truth))
+}
+
+/// `megsim estimate`. Returns what it prints on stdout: everything is
+/// computed before anything is printed, so a failed pass leaves no
+/// partial estimate behind.
+fn estimate(opts: &mut Options, cache: Option<&FrameCache>) -> Result<String, String> {
     let path = opts.trace_path()?;
     let seed: u64 = opts.flag("seed", 42)?;
-    let ground_truth = opts.has("ground-truth");
-    let rig = multi_gpu_options(opts)?;
     // With rig flags the ground truth is the warm rig sequence and the
     // accuracy table is reported per rig; without them it is the
     // paper's cold per-frame ground truth.
-    let rig_scenario = ["gpus", "dispatch", "mem"]
-        .iter()
-        .any(|f| opts.flags.contains_key(*f));
-    let gpu = GpuConfig::mali450_like();
-    let config = MegsimConfig::default().with_seed(seed);
-    // The fused single-pass path never materializes the feature
-    // matrix, so `--ground-truth` errors are then computed from the
-    // scaled representative totals instead of `evaluate_megsim`.
-    let (shaders, matrix, selection) = if opts.has("stream-cluster") {
-        let stream = stream_cluster_config(opts)?;
-        let (shaders, streamed) = select_stream(&path, &gpu, &config, &stream, cache)?;
-        eprintln!(
-            "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
-            streamed.reservoir_len,
-            streamed.selection.labels.len(),
-            streamed.peak_rows_retained,
-            streamed.live_k
-        );
-        (shaders, None, streamed.selection)
-    } else {
-        let (shaders, matrix) = characterize_trace(&path, &gpu, &config, cache)?;
-        let selection = select_representatives(&matrix, &config);
-        (shaders, Some(matrix), selection)
-    };
-    // A second streaming pass picks up just the representative frames
-    // (the rest of the trace flows through without being retained) and
-    // simulates each on a fresh rig.
-    let estimated = estimate_representatives(&path, &selection, &shaders, &gpu, rig, cache)?;
-    if rig_scenario {
-        println!(
-            "multi-GPU rig: {} GPUs, {} dispatch, {} memory",
-            rig.gpus,
-            dispatch_name(rig.dispatch),
-            topology_name(rig.topology)
+    let rig = multi_gpu_options(opts)?;
+    let stream = opts
+        .has("stream-cluster")
+        .then(|| stream_cluster_config(opts))
+        .transpose()?;
+    let ground_truth = opts.has("ground-truth");
+    if ground_truth {
+        eprintln!("running full ground-truth simulation...");
+    }
+    let (selection, estimated, truth) =
+        run_estimate(&path, seed, stream.as_ref(), rig, ground_truth, cache)?;
+    let mut out = String::new();
+    if let Some(rig) = &rig {
+        let (dispatch, mem) = rig_names(rig);
+        let gpus = rig.gpus;
+        let _ = writeln!(
+            out,
+            "multi-GPU rig: {gpus} GPUs, {dispatch} dispatch, {mem} memory"
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "simulated {} of {} frames ({:.1}x fewer)",
         selection.k(),
         selection.labels.len(),
         selection.reduction_factor()
     );
-    println!("estimated totals:");
-    println!("  cycles:              {}", estimated.cycles);
-    println!("  DRAM accesses:       {}", estimated.dram_accesses());
-    println!("  L2 accesses:         {}", estimated.l2_accesses());
-    println!("  tile-cache accesses: {}", estimated.tile_cache_accesses());
-    println!("  IPC:                 {:.2}", estimated.ipc());
-    if ground_truth {
-        eprintln!("running full ground-truth simulation...");
-        // Third streaming pass: the full simulation also replays off
-        // the file handle, overlapping decode with render and timing.
-        let mut frames = StreamedFrames::open(&path)?;
-        let start = if rig_scenario {
-            FrameStart::Warm
-        } else {
-            FrameStart::Cold(cache)
-        };
-        let (per_frame, report) = simulate(&mut frames, &shaders, &gpu, rig, start);
-        frames.finish(&path)?;
-        if rig_scenario {
-            let actual = sequence_totals(&per_frame);
-            let errors = metric_errors(&estimated, &actual);
-            println!(
-                "interconnect: {} line transfers, {} bytes, {} busy cycles",
-                report.transfers(),
-                report.bytes(),
-                report.busy_cycles()
-            );
-            println!("relative errors vs full multi-GPU simulation:");
-            println!("  N  dispatch  mem      cycles     DRAM       L2         tile");
-            println!(
-                "  {:<2} {:<9} {:<8} {:>8.3}% {:>8.3}% {:>8.3}% {:>8.3}%",
-                rig.gpus,
-                dispatch_name(rig.dispatch),
-                topology_name(rig.topology),
-                errors.cycles * 100.0,
-                errors.dram_accesses * 100.0,
-                errors.l2_accesses * 100.0,
-                errors.tile_cache_accesses * 100.0
-            );
-            return Ok(());
-        }
-        let errors = match &matrix {
-            Some(matrix) => {
-                let run = evaluate_megsim(matrix, &per_frame, &config);
-                println!("relative errors vs full simulation (estimates from full-run frames):");
-                run.errors
-            }
-            None => {
-                let actual = sequence_totals(&per_frame);
-                println!(
-                    "relative errors vs full simulation (estimates from representative runs):"
-                );
-                metric_errors(&estimated, &actual)
-            }
-        };
-        println!("  cycles:              {:.3}%", errors.cycles * 100.0);
-        println!(
-            "  DRAM accesses:       {:.3}%",
-            errors.dram_accesses * 100.0
-        );
-        println!("  L2 accesses:         {:.3}%", errors.l2_accesses * 100.0);
-        println!(
-            "  tile-cache accesses: {:.3}%",
+    let _ = writeln!(out, "estimated totals:");
+    let _ = writeln!(out, "  cycles:              {}", estimated.cycles);
+    let _ = writeln!(out, "  DRAM accesses:       {}", estimated.dram_accesses());
+    let _ = writeln!(out, "  L2 accesses:         {}", estimated.l2_accesses());
+    let _ = writeln!(
+        out,
+        "  tile-cache accesses: {}",
+        estimated.tile_cache_accesses()
+    );
+    let _ = writeln!(out, "  IPC:                 {:.2}", estimated.ipc());
+    let Some((actual, report)) = truth else {
+        return Ok(out);
+    };
+    let errors = metric_errors(&estimated, &actual);
+    if let Some(rig) = &rig {
+        let (dispatch, mem) = rig_names(rig);
+        let _ = writeln!(
+            out,
+            "interconnect: {} line transfers, {} bytes, {} busy cycles\n\
+             relative errors vs full multi-GPU simulation:\n  \
+             N  dispatch  mem      cycles     DRAM       L2         tile\n  \
+             {:<2} {dispatch:<9} {mem:<8} {:>8.3}% {:>8.3}% {:>8.3}% {:>8.3}%",
+            report.transfers(),
+            report.bytes(),
+            report.busy_cycles(),
+            rig.gpus,
+            errors.cycles * 100.0,
+            errors.dram_accesses * 100.0,
+            errors.l2_accesses * 100.0,
             errors.tile_cache_accesses * 100.0
         );
+        return Ok(out);
     }
-    Ok(())
+    let source = match stream {
+        Some(_) => "representative runs",
+        None => "full-run frames",
+    };
+    let _ = writeln!(
+        out,
+        "relative errors vs full simulation (estimates from {source}):"
+    );
+    for (metric, error) in [
+        ("cycles:", errors.cycles),
+        ("DRAM accesses:", errors.dram_accesses),
+        ("L2 accesses:", errors.l2_accesses),
+        ("tile-cache accesses:", errors.tile_cache_accesses),
+    ] {
+        let _ = writeln!(out, "  {metric:<21}{:.3}%", error * 100.0);
+    }
+    Ok(out)
 }
 
 /// Runs one batch campaign body. Returns the campaign's one-line
@@ -700,7 +715,7 @@ fn run_campaign(job: &megsim_core::BatchJob, cache: Option<&FrameCache>) -> Resu
     let config = MegsimConfig::default().with_seed(job.seed);
     match job.op {
         BatchOp::Characterize => {
-            let (_, matrix) = characterize_trace(&job.trace, &gpu, &config, cache)?;
+            let matrix = characterize_trace(&job.trace, &gpu, &config, cache)?;
             let mut summary = format!("{} x {} features", matrix.frames(), matrix.dim());
             if let Some(out) = &job.out {
                 let csv = report::feature_matrix_csv(&matrix);
@@ -710,39 +725,21 @@ fn run_campaign(job: &megsim_core::BatchJob, cache: Option<&FrameCache>) -> Resu
             Ok(summary)
         }
         BatchOp::Estimate => {
-            let (shaders, matrix) = characterize_trace(&job.trace, &gpu, &config, cache)?;
-            let selection = select_representatives(&matrix, &config);
-            let estimated = estimate_representatives(
-                &job.trace,
-                &selection,
-                &shaders,
-                &gpu,
-                MultiGpuConfig::single(),
-                cache,
-            )?;
+            let (selection, estimated, truth) =
+                run_estimate(&job.trace, job.seed, None, None, job.ground_truth, cache)?;
+            let frames = selection.labels.len();
             let mut summary = format!(
-                "{}/{} frames, {} cycles",
+                "{}/{frames} frames, {} cycles",
                 selection.k(),
-                matrix.frames(),
                 estimated.cycles
             );
-            if job.ground_truth {
-                let mut frames = StreamedFrames::open(&job.trace)?;
-                let (per_frame, _) = simulate(
-                    &mut frames,
-                    &shaders,
-                    &gpu,
-                    MultiGpuConfig::single(),
-                    FrameStart::Cold(cache),
-                );
-                frames.finish(&job.trace)?;
-                let run = evaluate_megsim(&matrix, &per_frame, &config);
-                summary.push_str(&format!(", cycles err {:.3}%", run.errors.cycles * 100.0));
+            if let Some((actual, _)) = truth {
+                let errors = metric_errors(&estimated, &actual);
+                summary.push_str(&format!(", cycles err {:.3}%", errors.cycles * 100.0));
             }
             if let Some(out) = &job.out {
                 let mut csv = String::from("metric,value\n");
-                use std::fmt::Write as _;
-                let _ = writeln!(csv, "frames,{}", matrix.frames());
+                let _ = writeln!(csv, "frames,{frames}");
                 let _ = writeln!(csv, "representatives,{}", selection.k());
                 let _ = writeln!(csv, "cycles,{}", estimated.cycles);
                 let _ = writeln!(csv, "dram_accesses,{}", estimated.dram_accesses());
@@ -801,6 +798,92 @@ mod tests {
         let dir = std::env::temp_dir().join("megsim_cli_tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
         dir.join(name).to_str().expect("utf-8").to_string()
+    }
+
+    /// Records a small jjo trace named `name` and returns its path.
+    fn record_jjo(name: &str, seed: &str) -> String {
+        let trace = tmp(name);
+        run(&argv(&[
+            "record",
+            "--benchmark",
+            "jjo",
+            "--scale",
+            "0.01",
+            "--seed",
+            seed,
+            "--out",
+            &trace,
+        ]))
+        .expect("record");
+        trace
+    }
+
+    /// What `megsim estimate <args>` prints on stdout, with the frame
+    /// cache `run` would build (none with `--no-frame-cache`).
+    fn estimate_stdout(args: &[&str]) -> Result<String, String> {
+        let mut opts = Options::parse(&argv(&[&["estimate"], args].concat()))?;
+        let cache = (!opts.has("no-frame-cache")).then(FrameCache::new);
+        estimate(&mut opts, cache.as_ref())
+    }
+
+    const RIGS: [&[&str]; 3] = [
+        &[],
+        &["--gpus", "2", "--dispatch", "afr", "--mem", "private"],
+        &["--gpus", "2", "--dispatch", "sfr", "--mem", "shared"],
+    ];
+
+    #[test]
+    fn ground_truth_run_reports_the_same_estimate() {
+        let trace = record_jjo("same_estimate.mglt", "12");
+        for rig in RIGS {
+            for cache in [&[][..], &["--no-frame-cache"]] {
+                let args = [&[trace.as_str()][..], rig, cache].concat();
+                let plain = estimate_stdout(&args).expect("estimate");
+                let full = estimate_stdout(&[&args[..], &["--ground-truth"]].concat())
+                    .expect("estimate --ground-truth");
+                assert!(
+                    full.starts_with(&plain) && full.len() > plain.len(),
+                    "{args:?}: estimate printed\n{plain}\nbut the ground-truth run\n{full}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_ground_truth_error_matches_estimate() {
+        let trace = record_jjo("batch_error.mglt", "13");
+        let jobs = megsim_core::parse_manifest(&format!("gt estimate {trace} seed=5 ground-truth"))
+            .expect("manifest");
+        let report = megsim_core::run_batch(&jobs, Some(&FrameCache::new()), run_campaign);
+        let row = report.campaigns[0].outcome.as_ref().expect("campaign runs");
+        let batch_error = row.split("cycles err ").nth(1).expect("row has an error");
+        let printed =
+            estimate_stdout(&[&trace, "--seed", "5", "--ground-truth"]).expect("estimate");
+        let mut errors = printed
+            .lines()
+            .skip_while(|l| !l.starts_with("relative errors"));
+        let cycles = errors.nth(1).expect("cycle error line");
+        assert_eq!(
+            cycles.strip_prefix("  cycles:").map(str::trim),
+            Some(batch_error)
+        );
+    }
+
+    #[test]
+    fn ground_truth_on_a_truncated_trace_fails_without_an_estimate() {
+        let trace = record_jjo("to_truncate.mglt", "14");
+        let bytes = std::fs::read(&trace).expect("trace written");
+        let cut = tmp("truncated.mglt");
+        std::fs::write(&cut, &bytes[..bytes.len() / 2]).expect("write");
+        for rig in RIGS {
+            let args = [&[cut.as_str(), "--ground-truth"][..], rig].concat();
+            // `estimate` returns its stdout only on success: an error
+            // leaves nothing to print.
+            let err = estimate_stdout(&args).unwrap_err();
+            assert!(err.contains("truncated at byte"), "{args:?}: {err}");
+            let err = run(&argv(&[&["estimate"], &args[..]].concat())).unwrap_err();
+            assert!(err.contains("truncated at byte"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -988,19 +1071,7 @@ mod tests {
 
     #[test]
     fn estimate_runs_a_multi_gpu_scenario_end_to_end() {
-        let trace = tmp("multi_gpu.mglt");
-        run(&argv(&[
-            "record",
-            "--benchmark",
-            "jjo",
-            "--scale",
-            "0.01",
-            "--seed",
-            "6",
-            "--out",
-            &trace,
-        ]))
-        .expect("record");
+        let trace = record_jjo("multi_gpu.mglt", "6");
         for (dispatch, mem) in [("afr", "shared"), ("sfr", "private")] {
             run(&argv(&[
                 "estimate",
@@ -1128,19 +1199,7 @@ mod tests {
 
     #[test]
     fn batch_runs_manifest_campaigns() {
-        let trace = tmp("batch.mglt");
-        run(&argv(&[
-            "record",
-            "--benchmark",
-            "jjo",
-            "--scale",
-            "0.01",
-            "--seed",
-            "3",
-            "--out",
-            &trace,
-        ]))
-        .expect("record");
+        let trace = record_jjo("batch.mglt", "3");
         let feat = tmp("batch_features.csv");
         let est = tmp("batch_estimate.csv");
         let manifest = tmp("batch.manifest");
@@ -1171,19 +1230,7 @@ mod tests {
 
     #[test]
     fn bad_cache_dir_warns_but_does_not_fail() {
-        let trace = tmp("cachedir.mglt");
-        run(&argv(&[
-            "record",
-            "--benchmark",
-            "jjo",
-            "--scale",
-            "0.01",
-            "--seed",
-            "8",
-            "--out",
-            &trace,
-        ]))
-        .expect("record");
+        let trace = record_jjo("cachedir.mglt", "8");
         // A cache dir that cannot be created (parent is a file): the
         // run must degrade to cold, not fail.
         let blocker = tmp("not_a_dir");

@@ -20,13 +20,22 @@
 //! decoder — flows through decode → render → timing with only a
 //! window of frames resident, regardless of trace length.
 //!
+//! Every simulated frame's [`FrameStats`] carries the functional
+//! activity its frame was timed from, so [`characterize_simulated`]
+//! reads the §III-B feature matrix off a finished simulation, cold or
+//! warm, on any rig, bit-identical to [`characterize_sequence`]. A flow
+//! that needs the ground truth anyway therefore renders each frame once:
+//! it clusters the simulation's own features, and on a single GPU the
+//! cold full run already holds every representative's standalone
+//! statistics, so nothing is re-simulated.
+//!
 //! The independence of cold frames makes them memoizable: characterize
 //! and cold simulation take an optional [`FrameCache`], the
 //! content-addressed run state of [`crate::frame_cache`], so a frame
 //! that reappears — across random-sampling trials, repeated sweeps, or
-//! representative re-simulation — is simulated once. `None` computes
-//! every frame. Warm runs take no cache (their results depend on
-//! simulation order, not just frame content), which is why only
+//! separate characterize and estimate passes — is simulated once. `None`
+//! computes every frame. Warm runs take no cache (their results depend
+//! on simulation order, not just frame content), which is why only
 //! [`FrameStart::Cold`] carries one.
 
 use megsim_funcsim::{FrameActivity, RenderConfig, Renderer};
@@ -81,6 +90,23 @@ pub fn characterize_sequence(
         |_, activity| activities.push(activity),
     );
     feature_matrix(activities.iter(), shaders, &config.characterization)
+}
+
+/// The `N × D` feature matrix of an already-simulated sequence, built
+/// from the activity each frame's statistics carry instead of a render
+/// pass of its own.
+///
+/// Bit-identical to [`characterize_sequence`] over the same frames and
+/// [`GpuConfig`], whichever [`FrameStart`] and rig produced `per_frame`:
+/// the timing model copies the functional renderer's counters through
+/// unchanged.
+pub fn characterize_simulated(
+    per_frame: &[FrameStats],
+    shaders: &ShaderTable,
+    config: &MegsimConfig,
+) -> FeatureMatrix {
+    let activities = per_frame.iter().map(|s| &*s.activity);
+    feature_matrix(activities, shaders, &config.characterization)
 }
 
 /// True single-pass MEGsim selection: frames flow decoder → functional

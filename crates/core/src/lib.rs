@@ -72,7 +72,8 @@ pub mod similarity;
 pub use batch::{parse_manifest, run_batch, BatchJob, BatchOp, BatchReport, CampaignReport};
 pub use estimate::{estimate_totals, metric_errors, scaled_totals, sequence_totals, MetricErrors};
 pub use evaluate::{
-    characterize_sequence, characterize_stream, evaluate_megsim, simulate, FrameStart, MegsimRun,
+    characterize_sequence, characterize_simulated, characterize_stream, evaluate_megsim, simulate,
+    FrameStart, MegsimRun,
 };
 pub use features::{
     characterize_frame, characterize_frame_into, feature_matrix, CharacterizationConfig,

@@ -344,6 +344,62 @@ fn multi_gpu_rig_is_bit_identical_at_any_thread_count() {
     }
 }
 
+/// The feature matrix read off a simulation's per-frame statistics is
+/// bit-identical to the functional characterization pass in every
+/// render mode, for cold and warm runs, on one GPU and on a 2-GPU
+/// split-frame shared-memory rig, at every worker-pool size — the
+/// oracle that lets a ground-truth run skip its own characterize pass.
+#[test]
+fn features_from_simulation_are_bit_identical_to_characterization() {
+    use megsim_core::evaluate::characterize_simulated;
+    use megsim_funcsim::RenderMode;
+    use megsim_timing::{DispatchMode, Topology};
+
+    let workload = by_alias("pvz", 0.02, 5).expect("known alias");
+    let frames: Vec<_> = (0..10).map(|i| workload.frame(i)).collect();
+    let shaders = workload.shaders();
+    let config = MegsimConfig::default();
+    let bits = |m: &megsim_core::FeatureMatrix| {
+        let rows = m.rows.as_slice().iter().map(|x| x.to_bits()).collect();
+        (rows, m.vscv_len, m.fscv_len)
+    };
+    let sfr_shared = MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared);
+
+    for mode in [
+        RenderMode::TileBased,
+        RenderMode::TileBasedDeferred,
+        RenderMode::Immediate,
+    ] {
+        let mut gpu = GpuConfig::small(128, 128);
+        gpu.render_mode = mode;
+        megsim_exec::set_threads(1);
+        let oracle: (Vec<u64>, usize, usize) = bits(&characterize_sequence(
+            frames.iter().cloned(),
+            shaders,
+            &gpu,
+            &config,
+            None,
+        ));
+        for threads in [1usize, 8] {
+            megsim_exec::set_threads(threads);
+            for rig in [MultiGpuConfig::single(), sfr_shared] {
+                for start in [FrameStart::Cold(None), FrameStart::Warm] {
+                    let (per_frame, _) =
+                        simulate(frames.iter().cloned(), shaders, &gpu, rig, start);
+                    let matrix = characterize_simulated(&per_frame, shaders, &config);
+                    assert_eq!(
+                        bits(&matrix),
+                        oracle,
+                        "{mode:?} {start:?} on {} GPU(s) at {threads} threads",
+                        rig.gpus
+                    );
+                }
+            }
+        }
+    }
+    megsim_exec::set_threads(0);
+}
+
 #[test]
 fn pipeline_is_bit_identical_at_any_thread_count() {
     let mut runs = Vec::new();
