@@ -102,7 +102,6 @@ fn main() {
 
     // Batch dedup: identical campaigns racing on the pool share
     // in-flight results instead of recomputing.
-    megsim_exec::set_threads(cores.clamp(2, 4));
     let jobs: Vec<BatchJob> = (0..4)
         .map(|i| BatchJob {
             name: format!("race{i}"),
@@ -114,18 +113,19 @@ fn main() {
         })
         .collect();
     let cache = FrameCache::new();
-    let batch = run_batch(&jobs, Some(&cache), |_, scope| {
-        let matrix = characterize_sequence(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu,
-            &config,
-            scope,
-        );
-        std::hint::black_box(matrix);
-        Ok(String::new())
+    let batch = megsim_exec::with_threads(cores.clamp(2, 4), || {
+        run_batch(&jobs, Some(&cache), |_, scope| {
+            let matrix = characterize_sequence(
+                workload.iter_frames(),
+                workload.shaders(),
+                &gpu,
+                &config,
+                scope,
+            );
+            std::hint::black_box(matrix);
+            Ok(String::new())
+        })
     });
-    megsim_exec::set_threads(0);
     println!(
         "cache batch: {} identical campaigns, dedup {:.2}x on {} core(s)",
         jobs.len(),

@@ -91,8 +91,6 @@ fn secs(mut f: impl FnMut()) -> f64 {
 /// scratch reuse, blocked tiles — no thread-count dependence), checks
 /// the results are bit-identical while doing so, and prints the numbers.
 fn print_bench_summary() {
-    megsim_exec::set_threads(1);
-
     // Full §III-F BIC search on the paper-shape workload.
     let data = feature_like_data(800, 32);
     let config = SearchConfig::default().with_max_k(24);
@@ -162,11 +160,9 @@ fn print_bench_summary() {
         optimized,
         reference / optimized
     );
-
-    megsim_exec::set_threads(0);
 }
 
 fn main() {
     benches();
-    print_bench_summary();
+    megsim_exec::with_threads(1, print_bench_summary);
 }

@@ -81,27 +81,29 @@ fn main() {
     let n = frames.len() as f64;
     let cfg = GpuConfig::mali450_like();
     for &threads in &sweep_points(cores) {
-        megsim_exec::set_threads(threads);
-        let materialized = secs(|| {
-            let replay = play(&decode(&bytes).expect("valid trace")).expect("valid stream");
-            std::hint::black_box(simulate(
-                replay.frames.iter().cloned(),
-                &replay.shaders,
-                &cfg,
-                MultiGpuConfig::single(),
-                FrameStart::Warm,
-            ));
-        });
-        let streamed = secs(|| {
-            let iter = FrameIter::new(Cursor::new(&bytes[..])).expect("valid header");
-            let shaders = iter.shaders().clone();
-            std::hint::black_box(simulate(
-                iter.map(|f| f.expect("valid frame")),
-                &shaders,
-                &cfg,
-                MultiGpuConfig::single(),
-                FrameStart::Warm,
-            ));
+        let (materialized, streamed) = megsim_exec::with_threads(threads, || {
+            let materialized = secs(|| {
+                let replay = play(&decode(&bytes).expect("valid trace")).expect("valid stream");
+                std::hint::black_box(simulate(
+                    replay.frames.iter().cloned(),
+                    &replay.shaders,
+                    &cfg,
+                    MultiGpuConfig::single(),
+                    FrameStart::Warm,
+                ));
+            });
+            let streamed = secs(|| {
+                let iter = FrameIter::new(Cursor::new(&bytes[..])).expect("valid header");
+                let shaders = iter.shaders().clone();
+                std::hint::black_box(simulate(
+                    iter.map(|f| f.expect("valid frame")),
+                    &shaders,
+                    &cfg,
+                    MultiGpuConfig::single(),
+                    FrameStart::Warm,
+                ));
+            });
+            (materialized, streamed)
         });
         println!(
             "codec replay: streamed t{threads} {:.1} frames/s vs materialized {:.1} ({:.2}x on {cores} core(s)){}",
@@ -111,5 +113,4 @@ fn main() {
             if threads > 1 { core_note(cores) } else { "" }
         );
     }
-    megsim_exec::set_threads(0);
 }

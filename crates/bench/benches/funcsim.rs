@@ -56,17 +56,17 @@ fn bench_sequence_characterization(c: &mut Criterion) {
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                megsim_exec::set_threads(threads);
-                b.iter(|| {
-                    megsim_exec::par_map_indexed(&frames, |_, f| {
-                        renderer.frame_activity(f, shaders)
+                megsim_exec::with_threads(threads, || {
+                    b.iter(|| {
+                        megsim_exec::par_map_indexed(&frames, |_, f| {
+                            renderer.frame_activity(f, shaders)
+                        })
                     })
                 });
             },
         );
     }
     group.finish();
-    megsim_exec::set_threads(0);
 }
 
 criterion_group! {

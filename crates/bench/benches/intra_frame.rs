@@ -17,7 +17,7 @@ use std::time::Instant;
 use megsim_bench::report::{available_cores, core_note};
 use megsim_core::{simulate, FrameStart};
 use megsim_funcsim::{FrameTrace, RenderConfig, RenderMode, Renderer};
-use megsim_timing::{Gpu, GpuConfig, MultiGpuConfig, ShardMode};
+use megsim_timing::{Gpu, GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 
 const MODES: [(&str, RenderMode); 3] = [
@@ -40,9 +40,9 @@ fn secs(mut f: impl FnMut()) -> f64 {
 
 /// The 1/2/4/max thread sweep. On a 1-core box max is clamped to 2 so
 /// the curve still has an oversubscribed point (documenting the
-/// overhead of sharding without parallelism, which the Auto policy
-/// avoids); the 4-thread point — the CI scaling gate's reading — is
-/// only swept when 4 cores are actually available.
+/// overhead of sharding without parallelism); the 4-thread point — the
+/// CI scaling gate's reading — is only swept when 4 cores are actually
+/// available.
 fn sweep_points(cores: usize) -> Vec<usize> {
     let mut points = vec![1, 2];
     if cores >= 4 {
@@ -60,8 +60,8 @@ fn main() {
     println!("intra-frame bench: {cores} available core(s), thread sweep {sweep:?}");
 
     // Tile-sharded timing: simulate a warm trace sequence per render
-    // mode with the raster phase forced onto the record/replay path at
-    // each thread count, against the sequential loop as baseline.
+    // mode at each thread count above one, where the raster phase runs
+    // the record/replay path, against the one-thread sequential loop.
     let workload = by_alias("bbr1", 0.01, 7).expect("known alias");
     let shaders = workload.shaders();
     let mut best_t4_speedup = 0.0f64;
@@ -77,18 +77,15 @@ fn main() {
             .map(|f| renderer.render_frame(&f, shaders))
             .collect();
         let n = traces.len() as f64;
-        let run = |shard: ShardMode| {
+        let run = || {
             let mut gpu = Gpu::new(cfg.clone());
-            gpu.set_shard_mode(shard);
             for t in &traces {
                 std::hint::black_box(gpu.simulate_frame(t, shaders).cycles);
             }
         };
-        megsim_exec::set_threads(1);
-        let sequential = secs(|| run(ShardMode::Off));
-        for &threads in &sweep {
-            megsim_exec::set_threads(threads);
-            let sharded = secs(|| run(ShardMode::Force));
+        let sequential = megsim_exec::with_threads(1, || secs(run));
+        for &threads in sweep.iter().filter(|&&t| t > 1) {
+            let sharded = megsim_exec::with_threads(threads, || secs(run));
             if threads == 4 {
                 best_t4_speedup = best_t4_speedup.max(sequential / sharded);
             }
@@ -97,10 +94,9 @@ fn main() {
                 n / sharded,
                 n / sequential,
                 sequential / sharded,
-                if threads > 1 { core_note(cores) } else { "" }
+                core_note(cores)
             );
         }
-        megsim_exec::set_threads(0);
     }
 
     // Warm-sequence pipeline (render frame N+1 while timing frame N)
@@ -110,15 +106,16 @@ fn main() {
     let frames = workload.frames() as f64;
     let mut warm_t1 = f64::NAN;
     for &threads in &sweep {
-        megsim_exec::set_threads(threads);
-        let warm = secs(|| {
-            std::hint::black_box(simulate(
-                workload.iter_frames(),
-                workload.shaders(),
-                &cfg,
-                MultiGpuConfig::single(),
-                FrameStart::Warm,
-            ));
+        let warm = megsim_exec::with_threads(threads, || {
+            secs(|| {
+                std::hint::black_box(simulate(
+                    workload.iter_frames(),
+                    workload.shaders(),
+                    &cfg,
+                    MultiGpuConfig::single(),
+                    FrameStart::Warm,
+                ));
+            })
         });
         if threads == 1 {
             warm_t1 = warm;
@@ -130,7 +127,6 @@ fn main() {
             if threads > 1 { core_note(cores) } else { "" }
         );
     }
-    megsim_exec::set_threads(0);
 
     if cores >= 4 {
         println!("intra-frame best sharded speedup at 4 threads: {best_t4_speedup:.2}x");

@@ -69,8 +69,9 @@ fn bench_end_to_end(c: &mut Criterion) {
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                megsim_exec::set_threads(threads);
-                b.iter(|| simulate_cold(workload.iter_frames(), workload.shaders(), &gpu, None));
+                megsim_exec::with_threads(threads, || {
+                    b.iter(|| simulate_cold(workload.iter_frames(), workload.shaders(), &gpu, None))
+                });
             },
         );
     }
@@ -82,23 +83,23 @@ fn bench_end_to_end(c: &mut Criterion) {
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                megsim_exec::set_threads(threads);
-                b.iter(|| {
-                    let matrix = characterize_sequence(
-                        workload.iter_frames(),
-                        workload.shaders(),
-                        &gpu,
-                        &config,
-                        None,
-                    );
-                    let selection = select_representatives(&matrix, &config);
-                    simulate_reps(&workload, &selection, &gpu, None)
+                megsim_exec::with_threads(threads, || {
+                    b.iter(|| {
+                        let matrix = characterize_sequence(
+                            workload.iter_frames(),
+                            workload.shaders(),
+                            &gpu,
+                            &config,
+                            None,
+                        );
+                        let selection = select_representatives(&matrix, &config);
+                        simulate_reps(&workload, &selection, &gpu, None)
+                    })
                 });
             },
         );
     }
     flow.finish();
-    megsim_exec::set_threads(0);
 }
 
 criterion_group! {
@@ -111,7 +112,6 @@ criterion_group! {
 /// cold, then warm — and prints end-to-end frames/sec plus the cache's
 /// tier counts.
 fn print_cache_summary() {
-    megsim_exec::set_threads(1);
     let workload = by_alias("pvz", 0.02, 7).expect("known alias");
     let gpu = GpuConfig::mali450_like();
     let config = MegsimConfig::default();
@@ -144,7 +144,6 @@ fn print_cache_summary() {
         n / cold,
         n / warm
     );
-    megsim_exec::set_threads(0);
 }
 
 fn main() {
@@ -152,5 +151,5 @@ fn main() {
     // flow without a frame cache, so repeated `iter` calls keep
     // measuring simulation rather than cache lookups.
     benches();
-    print_cache_summary();
+    megsim_exec::with_threads(1, print_cache_summary);
 }

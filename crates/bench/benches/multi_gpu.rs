@@ -67,7 +67,11 @@ fn rig_sequence(
 
 fn main() {
     println!("multi-GPU bench: {} available core(s)", available_cores());
-    megsim_exec::set_threads(1);
+    megsim_exec::with_threads(1, run);
+}
+
+/// Every table of the bench, on one worker thread.
+fn run() {
     let workload = by_alias("jjo", 0.01, 7).expect("known alias"); // 50 frames
     let shaders = workload.shaders();
     let cfg = GpuConfig::small(256, 256);
@@ -192,5 +196,4 @@ fn main() {
             );
         }
     }
-    megsim_exec::set_threads(0);
 }

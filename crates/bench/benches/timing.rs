@@ -130,9 +130,7 @@ fn print_bench_summary() {
             FrameStart::Warm,
         ));
     };
-    megsim_exec::set_threads(1);
-    let sequential = secs(warm);
-    megsim_exec::set_threads(0);
+    let sequential = megsim_exec::with_threads(1, || secs(warm));
     let pipelined = secs(warm);
     // The overlap needs at least two hardware threads (one rendering,
     // one timing); on a single-CPU box the producer thread only adds

@@ -69,8 +69,6 @@ fn assert_identical(w: &Workload) {
 /// dependence), then the parallel `generate_frames` fan-out, and prints
 /// the numbers.
 fn print_bench_summary() {
-    megsim_exec::set_threads(1);
-
     let workloads = suite(FRAME_SCALE, SEED);
     let mut ref_total = 0.0;
     let mut opt_total = 0.0;
@@ -109,11 +107,13 @@ fn print_bench_summary() {
             black_box(w.generate_frames().len());
         }
     });
-    megsim_exec::set_threads(0); // auto (all cores)
-    let parallel = secs(|| {
-        for w in &workloads {
-            black_box(w.generate_frames().len());
-        }
+    // 0: the default count (all cores).
+    let parallel = megsim_exec::with_threads(0, || {
+        secs(|| {
+            for w in &workloads {
+                black_box(w.generate_frames().len());
+            }
+        })
     });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -127,5 +127,5 @@ fn print_bench_summary() {
 
 fn main() {
     benches();
-    print_bench_summary();
+    megsim_exec::with_threads(1, print_bench_summary);
 }

@@ -9,11 +9,13 @@ use megsim_bench::{compute_suite, Context, ExperimentArgs};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
-    let data = compute_suite(&ctx);
-    println!("{}", ablation_weights(&data, &ctx.megsim));
-    println!("{}", ablation_threshold(&data, &ctx.megsim));
-    println!("{}", ablation_texture_weights(&data, &ctx.megsim));
-    println!("{}", ablation_init(&data, &ctx.megsim));
-    println!("{}", ablation_patience(&data, &ctx.megsim));
-    println!("{}", ablation_selection_criterion(&data, &ctx.megsim));
+    megsim_exec::with_threads(ctx.args.threads, || {
+        let data = compute_suite(&ctx);
+        println!("{}", ablation_weights(&data, &ctx.megsim));
+        println!("{}", ablation_threshold(&data, &ctx.megsim));
+        println!("{}", ablation_texture_weights(&data, &ctx.megsim));
+        println!("{}", ablation_init(&data, &ctx.megsim));
+        println!("{}", ablation_patience(&data, &ctx.megsim));
+        println!("{}", ablation_selection_criterion(&data, &ctx.megsim));
+    });
 }

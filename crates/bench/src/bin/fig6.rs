@@ -9,13 +9,15 @@ fn main() {
     }
     let alias = args.benchmarks[0].clone();
     let ctx = Context::new(args);
-    let info = BENCHMARKS
-        .iter()
-        .find(|b| b.alias == alias)
-        .unwrap_or_else(|| {
-            eprintln!("unknown benchmark: {alias}");
-            std::process::exit(2);
-        });
-    let d = compute_benchmark(&ctx, info);
-    print!("{}", megsim_bench::experiments::fig6(&d, &ctx.megsim));
+    megsim_exec::with_threads(ctx.args.threads, || {
+        let info = BENCHMARKS
+            .iter()
+            .find(|b| b.alias == alias)
+            .unwrap_or_else(|| {
+                eprintln!("unknown benchmark: {alias}");
+                std::process::exit(2);
+            });
+        let d = compute_benchmark(&ctx, info);
+        print!("{}", megsim_bench::experiments::fig6(&d, &ctx.megsim));
+    });
 }

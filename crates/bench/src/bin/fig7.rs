@@ -4,7 +4,9 @@ use megsim_bench::{compute_suite, Context, ExperimentArgs};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
-    let data = compute_suite(&ctx);
-    let runs = run_all_megsim(&data, &ctx.megsim);
-    print!("{}", fig7(&data, &runs));
+    megsim_exec::with_threads(ctx.args.threads, || {
+        let data = compute_suite(&ctx);
+        let runs = run_all_megsim(&data, &ctx.megsim);
+        print!("{}", fig7(&data, &runs));
+    });
 }

@@ -4,5 +4,7 @@ use megsim_bench::{Context, ExperimentArgs};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
-    print!("{}", megsim_bench::experiments::rendering_modes(&ctx, 40));
+    megsim_exec::with_threads(ctx.args.threads, || {
+        print!("{}", megsim_bench::experiments::rendering_modes(&ctx, 40));
+    });
 }

@@ -3,5 +3,7 @@ use megsim_bench::{Context, ExperimentArgs};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
-    print!("{}", megsim_bench::experiments::table1(&ctx));
+    megsim_exec::with_threads(ctx.args.threads, || {
+        print!("{}", megsim_bench::experiments::table1(&ctx));
+    });
 }

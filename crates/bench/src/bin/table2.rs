@@ -3,6 +3,8 @@ use megsim_bench::{compute_suite, Context, ExperimentArgs};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
-    let data = compute_suite(&ctx);
-    print!("{}", megsim_bench::experiments::table2(&data));
+    megsim_exec::with_threads(ctx.args.threads, || {
+        let data = compute_suite(&ctx);
+        print!("{}", megsim_bench::experiments::table2(&data));
+    });
 }

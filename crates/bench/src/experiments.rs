@@ -56,11 +56,8 @@ pub struct Context {
 }
 
 impl Context {
-    /// Builds a context from parsed arguments and applies the
-    /// `--threads` choice to the worker pool (0 keeps the
-    /// `MEGSIM_THREADS` / hardware default).
+    /// Builds a context from parsed arguments.
     pub fn new(args: ExperimentArgs) -> Self {
-        megsim_exec::set_threads(args.threads);
         let megsim = MegsimConfig::default().with_seed(args.seed);
         Self {
             args,

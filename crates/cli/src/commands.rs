@@ -123,13 +123,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             megsim_exec::MAX_THREADS
         ));
     }
-    megsim_exec::set_threads(threads);
     // One frame cache for the whole invocation, so every pass (and every
     // batch campaign) reuses the others' frames; none with
     // --no-frame-cache.
     let cache = (!opts.has("no-frame-cache")).then(|| open_cache(&opts));
     let cache = cache.as_ref();
-    let result = match command.as_str() {
+    let result = megsim_exec::with_threads(threads, || match command.as_str() {
         "record" => record(&mut opts),
         "info" => info(&mut opts),
         "characterize" => characterize(&mut opts, cache),
@@ -137,7 +136,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "estimate" => estimate(&mut opts, cache).map(|out| print!("{out}")),
         "batch" => batch(&mut opts, cache),
         other => unreachable!("command_flags accepted '{other}'"),
-    };
+    });
     if let Some(cache) = cache {
         if cache.counts().lookups() > 0 {
             eprintln!("{}", cache.summary());
@@ -357,11 +356,10 @@ fn select_stream(
         megsim_core::characterize_stream(frames, shaders, gpu, config, stream, cache)
     })?;
     eprintln!(
-        "stream-cluster: retained {} of {} rows (peak {}), probe k {}",
+        "stream-cluster: retained {} of {} rows (peak {})",
         streamed.reservoir_len,
         streamed.selection.labels.len(),
-        streamed.peak_rows_retained,
-        streamed.live_k
+        streamed.peak_rows_retained
     );
     Ok(streamed.selection)
 }

@@ -389,9 +389,7 @@ mod tests {
                 let config = KMeansConfig::new(k).with_seed(seed).with_init(init);
                 let expected = ReferenceKMeans::kmeans(&data, &config);
                 for threads in [1usize, 2, 8] {
-                    megsim_exec::set_threads(threads);
-                    let got = kmeans(&data, &config);
-                    megsim_exec::set_threads(0);
+                    let got = megsim_exec::with_threads(threads, || kmeans(&data, &config));
                     prop_assert_eq!(&got, &expected);
                 }
             }
@@ -410,9 +408,7 @@ mod tests {
             let config = KMeansConfig::new(k).with_seed(seed);
             let expected = ReferenceKMeans::kmeans_best_of(&data, &config, restarts);
             for threads in [1usize, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let got = kmeans_best_of(&data, &config, restarts);
-                megsim_exec::set_threads(0);
+                let got = megsim_exec::with_threads(threads, || kmeans_best_of(&data, &config, restarts));
                 prop_assert_eq!(&got, &expected);
             }
         }
@@ -430,9 +426,7 @@ mod tests {
             let result = ReferenceKMeans::kmeans(&data, &KMeansConfig::new(k).with_seed(seed));
             let expected = ReferenceKMeans::silhouette_score(&data, &result);
             for threads in [1usize, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let got = silhouette_score(&data, &result);
-                megsim_exec::set_threads(0);
+                let got = megsim_exec::with_threads(threads, || silhouette_score(&data, &result));
                 prop_assert_eq!(got.to_bits(), expected.to_bits());
             }
         }
@@ -452,9 +446,7 @@ mod tests {
                 .with_restarts(restarts);
             let expected = ReferenceKMeans::search_clusters(&data, &config);
             for threads in [1usize, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let got = search_clusters(&data, &config);
-                megsim_exec::set_threads(0);
+                let got = megsim_exec::with_threads(threads, || search_clusters(&data, &config));
                 prop_assert_eq!(got.k, expected.k);
                 prop_assert_eq!(&got.bic_scores, &expected.bic_scores);
                 prop_assert_eq!(&got.clustering, &expected.clustering);

@@ -54,4 +54,4 @@ pub use silhouette::{
     best_by_silhouette, silhouette_score, try_best_by_silhouette, try_best_by_silhouette_with,
     try_sampled_silhouette_score, try_silhouette_score, SilhouetteError, SilhouetteSample,
 };
-pub use stream::{probe_seed, reservoir_seed, StreamClusterer, StreamConfig, StreamOutcome};
+pub use stream::{reservoir_seed, StreamClusterer, StreamConfig, StreamOutcome};

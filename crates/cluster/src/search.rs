@@ -306,10 +306,10 @@ mod tests {
         let config = SearchConfig::default().with_seed(5).with_restarts(8);
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            runs.push(search_clusters(&data, &config));
+            runs.push(megsim_exec::with_threads(threads, || {
+                search_clusters(&data, &config)
+            }));
         }
-        megsim_exec::set_threads(0);
         for pair in runs.windows(2) {
             assert_eq!(pair[0].k, pair[1].k);
             assert_eq!(pair[0].bic_scores, pair[1].bic_scores);

@@ -692,14 +692,12 @@ mod tests {
         let r = kmeans(&data, &KMeansConfig::new(3).with_seed(4));
         let mut scores = Vec::new();
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            scores.push(
+            scores.push(megsim_exec::with_threads(threads, || {
                 try_sampled_silhouette_score(&data, &r, 160, 9)
                     .unwrap()
-                    .to_bits(),
-            );
+                    .to_bits()
+            }));
         }
-        megsim_exec::set_threads(0);
         assert_eq!(scores[0], scores[1]);
         assert_eq!(scores[1], scores[2]);
     }
@@ -718,10 +716,10 @@ mod tests {
         let r = kmeans(&data, &KMeansConfig::new(3).with_seed(4));
         let mut scores = Vec::new();
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            scores.push(silhouette_score(&data, &r).to_bits());
+            scores.push(megsim_exec::with_threads(threads, || {
+                silhouette_score(&data, &r).to_bits()
+            }));
         }
-        megsim_exec::set_threads(0);
         assert_eq!(scores[0], scores[1]);
         assert_eq!(scores[1], scores[2]);
     }

@@ -20,23 +20,18 @@
 //! `O(n² · d)` similarity/silhouette walls (the finishing pass is
 //! `O(m · k² · d)` over the reservoir only).
 //!
-//! An **online k search** probes BIC at `{live_k − 1, live_k,
-//! live_k + 1}` over the current reservoir every `probe_interval`
-//! mini-batches, promoting or demoting the candidate cluster count as
-//! frames arrive; [`StreamClusterer::live_representatives`] promotes
-//! one representative frame per live cluster on demand, so a consumer
-//! can act mid-stream without waiting for the end.
+//! The number of clusters is chosen once, by the finishing search over
+//! the reservoir.
 //!
 //! # Determinism
 //!
 //! Every data-dependent decision folds in **arrival order on the caller
 //! thread**: reservoir offers consume the seeded RNG in frame order,
 //! micro-centroid updates apply one row at a time in frame order, and
-//! probe/finish seeds derive only from `(seed, round, k)`
-//! ([`probe_seed`], pinned). The parallel machinery lives *inside* the
-//! finishing [`search_clusters_with`] call, which is already
-//! bit-identical at any thread count — so the whole streaming path is
-//! too.
+//! the finishing search's seeds derive only from `(seed, k)`. The
+//! parallel machinery lives *inside* the finishing
+//! [`search_clusters_with`] call, which is already bit-identical at any
+//! thread count — so the whole streaming path is too.
 //!
 //! # The exact mode (oracle)
 //!
@@ -47,15 +42,11 @@
 //! batch search's output. The proptest oracle and the CI determinism
 //! matrix pin streaming-exact ≡ batch at 1/2/8 threads.
 
-use crate::kmeans::{kmeans_with_scratch, KMeansConfig, KMeansResult, KMeansScratch};
+use crate::kmeans::KMeansResult;
 use crate::matrix::PointMatrix;
-use crate::search::{candidate_seed, search_clusters_with, SearchConfig, SearchScratch};
+use crate::search::{search_clusters_with, SearchConfig, SearchScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Lloyd iterations of a mid-stream probe fit: enough to settle the BIC
-/// ordering of adjacent `k` candidates, far cheaper than a full fit.
-const PROBE_ITERATIONS: usize = 10;
 
 /// Configuration of the streaming clusterer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,11 +59,8 @@ pub struct StreamConfig {
     pub batch_size: usize,
     /// Number of micro-centroids sketching evicted frames.
     pub micro_clusters: usize,
-    /// Mini-batches between online BIC probes of the candidate `k`.
-    /// `0` disables probing (the finishing search still picks `k`).
-    pub probe_interval: usize,
     /// The §III-F search run over the reservoir at finish time (its
-    /// `seed` also drives the reservoir RNG and the probe fits).
+    /// `seed` also drives the reservoir RNG).
     pub search: SearchConfig,
 }
 
@@ -82,7 +70,6 @@ impl Default for StreamConfig {
             reservoir_capacity: 1024,
             batch_size: 256,
             micro_clusters: 16,
-            probe_interval: 4,
             search: SearchConfig::default(),
         }
     }
@@ -118,20 +105,14 @@ impl StreamConfig {
         self
     }
 
-    /// Sets the probe interval (builder style; `0` disables probes).
-    pub fn with_probe_interval(mut self, interval: usize) -> Self {
-        self.probe_interval = interval;
-        self
-    }
-
     /// Sets the finishing search configuration (builder style).
     pub fn with_search(mut self, search: SearchConfig) -> Self {
         self.search = search;
         self
     }
 
-    /// Sets the base seed (builder style) — forwarded to the search,
-    /// the reservoir RNG and the probe fits.
+    /// Sets the base seed (builder style) — forwarded to the search
+    /// and the reservoir RNG.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.search.seed = seed;
         self
@@ -144,15 +125,6 @@ impl StreamConfig {
 #[inline]
 pub fn reservoir_seed(seed: u64) -> u64 {
     seed ^ 0xA076_1D64_78BD_642F
-}
-
-/// Derives the k-means seed of online probe `round` at candidate `k` —
-/// [`candidate_seed`]`(seed ⊕ round · 0x2545_F491_4F6C_DD1D, k)`
-/// (pinned): every probe round gets an independent stream per
-/// candidate, decoupled from the finishing search's streams.
-#[inline]
-pub fn probe_seed(seed: u64, round: u64, k: usize) -> u64 {
-    candidate_seed(seed ^ round.wrapping_mul(0x2545_F491_4F6C_DD1D), k)
 }
 
 /// Outcome of a finished stream: the same shape as the batch search's
@@ -178,9 +150,6 @@ pub struct StreamOutcome {
     /// High-water mark of raw rows retained at any instant
     /// (reservoir + mini-batch window) — the bounded-memory fence.
     pub peak_rows_retained: usize,
-    /// The online probe's final candidate `k` (diagnostic; the
-    /// finishing search decides the real `k`).
-    pub live_k: usize,
 }
 
 /// Incremental single-pass clusterer. Feed rows with
@@ -209,11 +178,7 @@ pub struct StreamClusterer {
     rng: SmallRng,
     batch: PointMatrix,
     n_seen: usize,
-    batches_done: usize,
-    probes_done: u64,
-    live_k: usize,
     peak_rows: usize,
-    probe_scratch: KMeansScratch,
 }
 
 impl StreamClusterer {
@@ -246,11 +211,7 @@ impl StreamClusterer {
             rng: SmallRng::seed_from_u64(reservoir_seed(config.search.seed)),
             batch: PointMatrix::with_capacity(config.batch_size, dim),
             n_seen: 0,
-            batches_done: 0,
-            probes_done: 0,
-            live_k: 1,
             peak_rows: 0,
-            probe_scratch: KMeansScratch::default(),
             config,
         }
     }
@@ -307,38 +268,9 @@ impl StreamClusterer {
         self.reservoir.len()
     }
 
-    /// The online probe's current candidate cluster count.
-    pub fn live_k(&self) -> usize {
-        self.live_k
-    }
-
     /// High-water mark of raw rows retained at any instant.
     pub fn peak_rows_retained(&self) -> usize {
         self.peak_rows
-    }
-
-    /// Promotes one representative frame per live cluster from the
-    /// current reservoir (a quick seeded fit at [`StreamClusterer::live_k`];
-    /// deterministic for a given stream prefix). Empty before the first
-    /// row arrives.
-    pub fn live_representatives(&mut self) -> Vec<usize> {
-        if self.reservoir.is_empty() {
-            return Vec::new();
-        }
-        let scaled = self.scaled_reservoir();
-        let k = self.live_k.min(scaled.len()).max(1);
-        let cfg = KMeansConfig {
-            max_iterations: PROBE_ITERATIONS,
-            ..KMeansConfig::new(k)
-                .with_seed(probe_seed(self.config.search.seed, self.probes_done, k))
-                .with_init(self.config.search.init)
-        };
-        self.probe_scratch.reset_for_new_data();
-        let fit = kmeans_with_scratch(&scaled, &cfg, &mut self.probe_scratch);
-        fit.representatives(&scaled)
-            .into_iter()
-            .map(|slot| self.res_frames[slot])
-            .collect()
     }
 
     /// Flushes any partial mini-batch, stabilizes over the retained
@@ -386,13 +318,12 @@ impl StreamClusterer {
             frames_seen: self.n_seen,
             reservoir_len: self.reservoir.len(),
             peak_rows_retained: self.peak_rows,
-            live_k: self.live_k,
         }
     }
 
     /// Assigns every buffered row to its nearest micro-centroid (or
     /// founds a new one while slots remain) with a sequential
-    /// mini-batch update, then probes the candidate `k` on schedule.
+    /// mini-batch update.
     fn flush_batch(&mut self) {
         let dim = self.dim;
         for bi in 0..self.batch.len() {
@@ -432,41 +363,6 @@ impl StreamClusterer {
             self.micro_labels.push(best as u32);
         }
         self.batch.clear();
-        self.batches_done += 1;
-        let interval = self.config.probe_interval;
-        if interval > 0 && self.batches_done.is_multiple_of(interval) && self.reservoir.len() >= 2 {
-            self.probe_k();
-        }
-    }
-
-    /// One online BIC probe: fit `{live_k − 1, live_k, live_k + 1}`
-    /// over the scaled reservoir with cheap seeded runs and move
-    /// `live_k` to the best-scoring candidate (promote/demote).
-    fn probe_k(&mut self) {
-        let scaled = self.scaled_reservoir();
-        self.probes_done += 1;
-        let lo = self.live_k.saturating_sub(1).max(1);
-        let hi = (self.live_k + 1).min(scaled.len());
-        let mut best_k = self.live_k.min(scaled.len()).max(1);
-        let mut best_score = f64::NEG_INFINITY;
-        self.probe_scratch.reset_for_new_data();
-        for k in lo..=hi {
-            let cfg = KMeansConfig {
-                max_iterations: PROBE_ITERATIONS,
-                ..KMeansConfig::new(k)
-                    .with_seed(probe_seed(self.config.search.seed, self.probes_done, k))
-                    .with_init(self.config.search.init)
-            };
-            let fit = kmeans_with_scratch(&scaled, &cfg, &mut self.probe_scratch);
-            let score = crate::bic::bic_score(&scaled, &fit);
-            // Strict `>`: the lowest candidate wins ties, biasing the
-            // live estimate toward fewer clusters between probes.
-            if score > best_score {
-                best_score = score;
-                best_k = k;
-            }
-        }
-        self.live_k = best_k;
     }
 
     /// The reservoir with the current scales applied, in slot order.
@@ -557,10 +453,10 @@ mod tests {
         let config = StreamConfig::exact().with_seed(3);
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            runs.push(stream_all(&rows, config));
+            runs.push(megsim_exec::with_threads(threads, || {
+                stream_all(&rows, config)
+            }));
         }
-        megsim_exec::set_threads(0);
         for pair in runs.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }
@@ -614,28 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn online_probe_promotes_k() {
-        let rows = blob_rows(600);
-        let mut s = StreamClusterer::new(
-            2,
-            StreamConfig::default()
-                .with_reservoir_capacity(128)
-                .with_batch_size(32)
-                .with_probe_interval(2)
-                .with_seed(11),
-        );
-        assert_eq!(s.live_k(), 1);
-        for row in &rows {
-            s.push(row);
-        }
-        assert!(s.live_k() >= 2, "live_k = {}", s.live_k());
-        let live = s.live_representatives();
-        assert_eq!(live.len(), s.live_k());
-        // Promoted representatives span both blobs.
-        assert!(live.iter().any(|f| f % 2 == 0) && live.iter().any(|f| f % 2 == 1));
-    }
-
-    #[test]
     fn streaming_is_deterministic_for_a_given_seed() {
         let rows = blob_rows(1500);
         let config = StreamConfig::default()
@@ -667,18 +541,12 @@ mod tests {
 
     #[test]
     fn seed_derivations_are_pinned() {
-        // The reservoir stream and every probe stream must stay
-        // decoupled from the search streams forever: pin the exact
-        // derivations (changing either reshuffles which frames survive
-        // eviction / which probe fit wins, silently changing output).
+        // The reservoir stream must stay decoupled from the search
+        // streams forever: pin the exact derivation (changing it
+        // reshuffles which frames survive eviction, silently changing
+        // output).
         assert_eq!(reservoir_seed(0), 0xA076_1D64_78BD_642F);
         assert_eq!(reservoir_seed(0xA076_1D64_78BD_642F), 0);
-        // 0x2545_F491_4F6C_DD1D ⊕ candidate_seed's golden-ratio term.
-        assert_eq!(probe_seed(0, 1, 1), 0xBB72_8D28_3026_A108);
-        assert_eq!(
-            probe_seed(7, 3, 2),
-            candidate_seed(7 ^ 3u64.wrapping_mul(0x2545_F491_4F6C_DD1D), 2)
-        );
     }
 
     #[test]

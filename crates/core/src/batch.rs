@@ -81,7 +81,10 @@ pub struct BatchJob {
 /// ```
 ///
 /// Blank lines and `#` comments are skipped. Campaign names must be
-/// unique — they key the report and any output files.
+/// unique — they key the report and any output files. Each option may
+/// appear once per line; `seed=` and `ground-truth` apply only to
+/// `estimate`; and no two campaigns may share an `out=` path, because
+/// they run concurrently and one would overwrite the other.
 pub fn parse_manifest(text: &str) -> Result<Vec<BatchJob>, String> {
     let mut jobs: Vec<BatchJob> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -112,21 +115,42 @@ pub fn parse_manifest(text: &str) -> Result<Vec<BatchJob>, String> {
             out: None,
             ground_truth: false,
         };
+        let mut seen: Vec<&str> = Vec::new();
         for token in tokens {
-            if let Some(seed) = token.strip_prefix("seed=") {
+            let option = if let Some(seed) = token.strip_prefix("seed=") {
                 job.seed = seed
                     .parse()
                     .map_err(|_| at(format!("invalid seed '{seed}'")))?;
+                "seed"
             } else if let Some(path) = token.strip_prefix("out=") {
                 job.out = Some(path.to_string());
+                "out"
             } else if token == "ground-truth" {
                 job.ground_truth = true;
+                "ground-truth"
             } else {
                 return Err(at(format!("unknown token '{token}'")));
+            };
+            if seen.contains(&option) {
+                return Err(at(format!("repeated option '{token}'")));
             }
+            if job.op == BatchOp::Characterize && option != "out" {
+                return Err(at(format!(
+                    "'{token}' does not apply to a characterize campaign"
+                )));
+            }
+            seen.push(option);
         }
         if jobs.iter().any(|j| j.name == job.name) {
             return Err(at(format!("duplicate campaign name '{}'", job.name)));
+        }
+        if let Some(out) = &job.out {
+            if let Some(other) = jobs.iter().find(|j| j.out.as_ref() == Some(out)) {
+                return Err(at(format!(
+                    "'out={out}' is already the output of campaign '{}'",
+                    other.name
+                )));
+            }
         }
         jobs.push(job);
     }
@@ -328,6 +352,63 @@ mod tests {
         let err = parse_manifest("solo estimate t.mglt seed=xyz").expect_err("bad seed");
         assert!(err.contains("manifest line 1"), "{err}");
         assert!(err.contains("'xyz'"), "{err}");
+    }
+
+    #[test]
+    fn manifest_rejects_repeated_options() {
+        for (bad, token) in [
+            ("x estimate a.mglt seed=1 seed=2", "'seed=2'"),
+            (
+                "x estimate a.mglt out=a.csv ground-truth out=b.csv",
+                "'out=b.csv'",
+            ),
+            (
+                "x estimate a.mglt ground-truth ground-truth",
+                "'ground-truth'",
+            ),
+        ] {
+            let err = parse_manifest(bad).expect_err(bad);
+            assert!(err.contains("manifest line 1"), "{bad}: {err}");
+            assert!(err.contains("repeated option"), "{bad}: {err}");
+            assert!(err.contains(token), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn manifest_rejects_estimate_options_on_characterize() {
+        for (bad, token) in [
+            (
+                "ok estimate a.mglt
+x characterize a.mglt seed=3",
+                "'seed=3'",
+            ),
+            (
+                "ok estimate a.mglt
+x characterize a.mglt out=f.csv ground-truth",
+                "'ground-truth'",
+            ),
+        ] {
+            let err = parse_manifest(bad).expect_err(bad);
+            assert!(err.contains("manifest line 2"), "{bad}: {err}");
+            assert!(err.contains(token), "{bad}: {err}");
+            assert!(err.contains("characterize"), "{bad}: {err}");
+        }
+        let jobs = parse_manifest("x characterize a.mglt out=f.csv").expect("out= applies");
+        assert_eq!(jobs[0].out.as_deref(), Some("f.csv"));
+    }
+
+    #[test]
+    fn manifest_rejects_a_shared_output_path() {
+        let err = parse_manifest(
+            "a characterize t.mglt out=same.csv
+             b estimate t.mglt out=other.csv
+             c estimate u.mglt seed=3 out=same.csv
+",
+        )
+        .expect_err("two campaigns writing one file");
+        assert!(err.contains("manifest line 3"), "{err}");
+        assert!(err.contains("'out=same.csv'"), "{err}");
+        assert!(err.contains("'a'"), "{err}");
     }
 
     #[test]

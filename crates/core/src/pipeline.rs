@@ -80,8 +80,6 @@ pub struct StreamClusterConfig {
     pub batch_size: usize,
     /// Micro-centroids sketching evicted frames.
     pub micro_clusters: usize,
-    /// Mini-batches between online BIC probes (`0` disables probing).
-    pub probe_interval: usize,
 }
 
 impl Default for StreamClusterConfig {
@@ -91,7 +89,6 @@ impl Default for StreamClusterConfig {
             reservoir_capacity: d.reservoir_capacity,
             batch_size: d.batch_size,
             micro_clusters: d.micro_clusters,
-            probe_interval: d.probe_interval,
         }
     }
 }
@@ -125,7 +122,6 @@ impl StreamClusterConfig {
             .with_reservoir_capacity(self.reservoir_capacity)
             .with_batch_size(self.batch_size)
             .with_micro_clusters(self.micro_clusters)
-            .with_probe_interval(self.probe_interval)
             .with_search(*search)
     }
 }
@@ -141,8 +137,6 @@ pub struct StreamSelection {
     /// High-water mark of raw feature rows retained at any instant —
     /// the bounded-memory fence (reservoir + one mini-batch window).
     pub peak_rows_retained: usize,
-    /// The online probe's final candidate `k` (diagnostic).
-    pub live_k: usize,
 }
 
 /// Streaming counterpart of [`select_representatives`]: one pass over
@@ -197,7 +191,6 @@ pub(crate) fn finish_stream(clusterer: StreamClusterer) -> StreamSelection {
         },
         reservoir_len: outcome.reservoir_len,
         peak_rows_retained: outcome.peak_rows_retained,
-        live_k: outcome.live_k,
     }
 }
 
@@ -355,12 +348,11 @@ mod tests {
         let config = MegsimConfig::default().with_seed(42);
         let batch = select_representatives(&m, &config);
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            let streamed =
-                select_representatives_stream(&m, &config, &StreamClusterConfig::exact());
+            let streamed = megsim_exec::with_threads(threads, || {
+                select_representatives_stream(&m, &config, &StreamClusterConfig::exact())
+            });
             assert_eq!(streamed.selection, batch, "threads = {threads}");
         }
-        megsim_exec::set_threads(0);
     }
 
     #[test]
@@ -398,13 +390,10 @@ mod tests {
         let m = two_phase_matrix();
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            runs.push(select_representatives(
-                &m,
-                &MegsimConfig::default().with_seed(42),
-            ));
+            runs.push(megsim_exec::with_threads(threads, || {
+                select_representatives(&m, &MegsimConfig::default().with_seed(42))
+            }));
         }
-        megsim_exec::set_threads(0);
         for pair in runs.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }

@@ -281,10 +281,10 @@ mod tests {
         );
         let mut matrices = Vec::new();
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            matrices.push(SimilarityMatrix::from_points(&frames));
+            matrices.push(megsim_exec::with_threads(threads, || {
+                SimilarityMatrix::from_points(&frames)
+            }));
         }
-        megsim_exec::set_threads(0);
         for pair in matrices.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }

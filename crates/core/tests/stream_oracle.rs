@@ -45,9 +45,9 @@ proptest! {
         let stream = StreamClusterConfig::exact();
         let batch = select_representatives(&matrix, &config);
         for threads in [1usize, 2, 8] {
-            megsim_exec::set_threads(threads);
-            let streamed = select_representatives_stream(&matrix, &config, &stream);
-            megsim_exec::set_threads(0);
+            let streamed = megsim_exec::with_threads(threads, || {
+                select_representatives_stream(&matrix, &config, &stream)
+            });
             prop_assert_eq!(
                 &streamed.selection.labels, &batch.labels,
                 "labels differ at {} threads", threads

@@ -45,15 +45,15 @@ fn pipelined_warm_sequence_is_bit_identical_across_thread_counts() {
         simulate_sequence_warm_sequential(workload.iter_frames(), workload.shaders(), &cfg);
     assert!(baseline.len() > 4, "workload produced a trivial sequence");
     for threads in [1, 2, 8] {
-        megsim_exec::set_threads(threads);
-        let (piped, _) = simulate(
-            workload.iter_frames(),
-            workload.shaders(),
-            &cfg,
-            MultiGpuConfig::single(),
-            FrameStart::Warm,
-        );
-        megsim_exec::set_threads(0);
+        let (piped, _) = megsim_exec::with_threads(threads, || {
+            simulate(
+                workload.iter_frames(),
+                workload.shaders(),
+                &cfg,
+                MultiGpuConfig::single(),
+                FrameStart::Warm,
+            )
+        });
         assert_eq!(piped, baseline, "threads = {threads}");
     }
 }

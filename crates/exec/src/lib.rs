@@ -24,11 +24,14 @@
 //!
 //! ## Thread-count control
 //!
-//! Worker count resolves, in order: [`set_threads`] (e.g. from a
-//! `--threads N` flag), the `MEGSIM_THREADS` environment variable,
-//! then [`std::thread::available_parallelism`]. A value of `1` runs
-//! inline on the caller with zero pool overhead. No source may ask for
-//! more than [`MAX_THREADS`].
+//! Worker count resolves, in order: the innermost [`with_threads`]
+//! scope on the calling thread (e.g. from a `--threads N` flag), the
+//! `MEGSIM_THREADS` environment variable, then
+//! [`std::thread::available_parallelism`]. The count is per-thread
+//! state, so concurrent callers (two tests, two batch drivers) each run
+//! at the count they asked for. A value of `1` runs inline on the
+//! caller with zero pool overhead. No source may ask for more than
+//! [`MAX_THREADS`].
 //!
 //! Nested calls do not oversubscribe: a `par_map_range` issued from
 //! inside a pool worker runs sequentially on that worker, so an outer
@@ -56,12 +59,9 @@ use parking_lot::Mutex;
 /// The most worker threads any parallel call spawns. Streaming sources
 /// (a trace decoder) report no length, so a pass over one spawns the
 /// full thread count; an unbounded count would try to spawn that many
-/// OS threads. [`set_threads`] clamps to this value and a larger
+/// OS threads. [`with_threads`] clamps to this value and a larger
 /// `MEGSIM_THREADS` is ignored as invalid.
 pub const MAX_THREADS: usize = 1024;
-
-/// Explicit override set by [`set_threads`]; 0 = unset.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Cached environment/hardware default, resolved once.
 static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
@@ -70,18 +70,36 @@ thread_local! {
     /// Set while executing inside a pool worker; nested parallel calls
     /// check it and degrade to sequential execution.
     pub(crate) static IN_POOL: Cell<bool> = const { Cell::new(false) };
+
+    /// This thread's count from the innermost [`with_threads`] scope;
+    /// 0 = the `MEGSIM_THREADS` / hardware default.
+    static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Overrides the worker-thread count for all subsequent parallel
-/// calls, clamped to [`MAX_THREADS`]. `0` clears the override,
-/// returning to `MEGSIM_THREADS` / available parallelism.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n.min(MAX_THREADS), Ordering::Relaxed);
+/// Restores the outer scope's count on drop, so a panic inside a
+/// [`with_threads`] body cannot leak the inner count.
+struct RestoreThreads(usize);
+
+impl Drop for RestoreThreads {
+    fn drop(&mut self) {
+        SCOPED_THREADS.with(|c| c.set(self.0));
+    }
 }
 
-/// The worker-thread count parallel calls will currently use.
+/// Runs `f` with the calling thread's worker count set to `n`, clamped
+/// to [`MAX_THREADS`]; `0` selects the `MEGSIM_THREADS` / available
+/// parallelism default. The previous count is restored when `f`
+/// returns or unwinds. Pool workers never read the count, because
+/// nested parallel calls run inline; a thread that `f` spawns itself
+/// starts at the default.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    let _restore = RestoreThreads(SCOPED_THREADS.with(|c| c.replace(n.min(MAX_THREADS))));
+    f()
+}
+
+/// The worker-thread count parallel calls on this thread will use.
 pub fn thread_count() -> usize {
-    let explicit = THREAD_OVERRIDE.load(Ordering::Relaxed);
+    let explicit = SCOPED_THREADS.with(Cell::get);
     if explicit > 0 {
         return explicit;
     }
@@ -256,15 +274,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    /// Serializes tests that touch the global override.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn results_are_in_index_order() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(8);
-        let out = par_map_range(1000, |i| i * i);
-        set_threads(0);
+        let out = with_threads(8, || par_map_range(1000, |i| i * i));
         assert_eq!(out.len(), 1000);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
@@ -273,7 +285,6 @@ mod tests {
 
     #[test]
     fn identical_across_thread_counts() {
-        let _guard = OVERRIDE_LOCK.lock();
         let work = |i: usize| {
             // Index-derived pseudo-random work, as the determinism
             // contract requires.
@@ -284,12 +295,10 @@ mod tests {
             }
             x
         };
-        let mut outputs = Vec::new();
-        for threads in [1, 2, 3, 8] {
-            set_threads(threads);
-            outputs.push(par_map_range(257, work));
-        }
-        set_threads(0);
+        let outputs: Vec<Vec<u64>> = [1, 2, 3, 8]
+            .into_iter()
+            .map(|threads| with_threads(threads, || par_map_range(257, work)))
+            .collect();
         for pair in outputs.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }
@@ -297,28 +306,26 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
         let calls = AtomicU64::new(0);
-        let out = par_map_range(333, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
+        let out = with_threads(4, || {
+            par_map_range(333, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i
+            })
         });
-        set_threads(0);
         assert_eq!(calls.load(Ordering::Relaxed), 333);
         assert_eq!(out, (0..333).collect::<Vec<_>>());
     }
 
     #[test]
     fn nested_calls_do_not_explode() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let out = par_map_range(6, |i| {
-            assert!(in_pool());
-            // Inner call runs sequentially on this worker.
-            par_map_range(5, move |j| i * 10 + j)
+        let out = with_threads(4, || {
+            par_map_range(6, |i| {
+                assert!(in_pool());
+                // Inner call runs sequentially on this worker.
+                par_map_range(5, move |j| i * 10 + j)
+            })
         });
-        set_threads(0);
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(*inner, (0..5).map(|j| i * 10 + j).collect::<Vec<_>>());
         }
@@ -326,11 +333,8 @@ mod tests {
 
     #[test]
     fn par_map_indexed_passes_items() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(3);
         let items: Vec<String> = (0..50).map(|i| format!("item{i}")).collect();
-        let out = par_map_indexed(&items, |i, s| format!("{i}:{s}"));
-        set_threads(0);
+        let out = with_threads(3, || par_map_indexed(&items, |i, s| format!("{i}:{s}")));
         assert_eq!(out[49], "49:item49");
     }
 
@@ -343,10 +347,7 @@ mod tests {
 
     #[test]
     fn par_map_chunks_covers_every_index_once() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let chunks = par_map_chunks(103, 10, |r| r.collect::<Vec<usize>>());
-        set_threads(0);
+        let chunks = with_threads(4, || par_map_chunks(103, 10, |r| r.collect::<Vec<usize>>()));
         assert_eq!(chunks.len(), 11);
         let flat: Vec<usize> = chunks.into_iter().flatten().collect();
         assert_eq!(flat, (0..103).collect::<Vec<_>>());
@@ -354,16 +355,16 @@ mod tests {
 
     #[test]
     fn par_map_chunks_is_thread_count_independent() {
-        let _guard = OVERRIDE_LOCK.lock();
-        let mut outputs = Vec::new();
-        for threads in [1, 2, 8] {
-            set_threads(threads);
-            // Per-chunk float accumulation: chunk boundaries (not the
-            // scheduler) define the reduction tree.
-            let sums = par_map_chunks(1000, 64, |r| r.map(|i| (i as f64).sqrt()).sum::<f64>());
-            outputs.push(sums);
-        }
-        set_threads(0);
+        // Per-chunk float accumulation: chunk boundaries (not the
+        // scheduler) define the reduction tree.
+        let outputs: Vec<Vec<f64>> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                with_threads(threads, || {
+                    par_map_chunks(1000, 64, |r| r.map(|i| (i as f64).sqrt()).sum::<f64>())
+                })
+            })
+            .collect();
         for pair in outputs.windows(2) {
             assert_eq!(pair[0], pair[1]);
         }
@@ -371,15 +372,14 @@ mod tests {
 
     #[test]
     fn par_flat_map_chunks_flattens_in_index_order() {
-        let _guard = OVERRIDE_LOCK.lock();
-        let mut outputs = Vec::new();
-        for threads in [1usize, 4, 8] {
-            set_threads(threads);
-            outputs.push(par_flat_map_chunks(103, 10, |r| {
-                r.map(|i| i * 7).collect::<Vec<usize>>()
-            }));
-        }
-        set_threads(0);
+        let outputs: Vec<Vec<usize>> = [1, 4, 8]
+            .into_iter()
+            .map(|threads| {
+                with_threads(threads, || {
+                    par_flat_map_chunks(103, 10, |r| r.map(|i| i * 7).collect::<Vec<usize>>())
+                })
+            })
+            .collect();
         assert_eq!(outputs[0], (0..103).map(|i| i * 7).collect::<Vec<_>>());
         for pair in outputs.windows(2) {
             assert_eq!(pair[0], pair[1]);
@@ -388,22 +388,19 @@ mod tests {
 
     #[test]
     fn par_for_each_task_runs_every_item_with_owned_state() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
         let mut buffer = vec![0usize; 257];
-        {
-            let tasks: Vec<(usize, &mut [usize])> = buffer
-                .chunks_mut(16)
-                .enumerate()
-                .map(|(c, chunk)| (c * 16, chunk))
-                .collect();
+        let tasks: Vec<(usize, &mut [usize])> = buffer
+            .chunks_mut(16)
+            .enumerate()
+            .map(|(c, chunk)| (c * 16, chunk))
+            .collect();
+        with_threads(4, || {
             par_for_each_task(tasks, |(start, chunk)| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     *slot = (start + off) * 3;
                 }
             });
-        }
-        set_threads(0);
+        });
         for (i, v) in buffer.iter().enumerate() {
             assert_eq!(*v, i * 3);
         }
@@ -416,11 +413,48 @@ mod tests {
     }
 
     #[test]
-    fn env_override_is_ignored_when_explicit_set() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(2);
-        assert_eq!(thread_count(), 2);
-        set_threads(0);
-        assert!(thread_count() >= 1);
+    fn concurrent_scopes_each_see_their_own_count() {
+        // Both threads enter their scope before either checks, so a
+        // shared count would be overwritten by the other thread.
+        let entered = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for threads in [3, 5] {
+                let entered = &entered;
+                s.spawn(move || {
+                    with_threads(threads, || {
+                        entered.wait();
+                        assert_eq!(thread_count(), threads);
+                        let out = par_map_range(64, |i| i + 1);
+                        assert_eq!(out, (1..=64).collect::<Vec<_>>());
+                        entered.wait();
+                        assert_eq!(thread_count(), threads);
+                    });
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn scopes_nest_and_restore_on_return_and_on_panic() {
+        with_threads(3, || {
+            with_threads(7, || assert_eq!(thread_count(), 7));
+            assert_eq!(thread_count(), 3);
+            let unwound =
+                std::panic::catch_unwind(|| with_threads(5, || panic!("inside the scope")));
+            assert!(unwound.is_err());
+            assert_eq!(thread_count(), 3, "a panic must restore the outer count");
+        });
+    }
+
+    #[test]
+    fn counts_clamp_and_zero_selects_the_default() {
+        let default = thread_count();
+        assert!((1..=MAX_THREADS).contains(&default));
+        with_threads(MAX_THREADS + 1, || assert_eq!(thread_count(), MAX_THREADS));
+        with_threads(2, || {
+            with_threads(0, || assert_eq!(thread_count(), default));
+            assert_eq!(thread_count(), 2);
+        });
+        assert_eq!(thread_count(), default);
     }
 }

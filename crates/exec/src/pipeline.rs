@@ -258,17 +258,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_threads;
+    use crate::with_threads;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Serializes tests that touch the global thread override (shared
-    /// with the lib.rs tests via an independent lock — the override is
-    /// process-global, so tests here also take their own guard).
-    static OVERRIDE_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     #[test]
     fn iter_fold_matches_sequential_at_any_thread_count() {
-        let _guard = OVERRIDE_LOCK.lock();
         // An order-sensitive accumulator over a sequential source: the
         // streaming-clusterer shape (push rows in arrival order).
         let run = || {
@@ -283,37 +277,33 @@ mod tests {
                 },
             )
         };
-        set_threads(1);
-        let baseline = run();
+        let baseline = with_threads(1, run);
         assert_eq!(baseline.1.len(), 311);
         for threads in [2, 3, 8] {
-            set_threads(threads);
-            assert_eq!(run(), baseline, "threads = {threads}");
+            assert_eq!(with_threads(threads, run), baseline, "threads = {threads}");
         }
-        set_threads(0);
     }
 
     #[test]
     fn shard_merge_covers_ranges_in_order_at_any_thread_count() {
-        let _guard = OVERRIDE_LOCK.lock();
         let run = |threads: usize| {
-            set_threads(threads);
-            // Order-sensitive merge over per-shard partial sums: the
-            // stateful-replay shape of sharded timing.
-            let mut folded = 0u64;
-            let mut seen: Vec<std::ops::Range<usize>> = Vec::new();
-            shard_merge(
-                103,
-                8,
-                4,
-                |r| r.map(|i| (i as u64).wrapping_mul(31)).sum::<u64>(),
-                |r, sum: u64| {
-                    folded = folded.rotate_left(7) ^ sum;
-                    seen.push(r);
-                },
-            );
-            set_threads(0);
-            (folded, seen)
+            with_threads(threads, || {
+                // Order-sensitive merge over per-shard partial sums: the
+                // stateful-replay shape of sharded timing.
+                let mut folded = 0u64;
+                let mut seen: Vec<std::ops::Range<usize>> = Vec::new();
+                shard_merge(
+                    103,
+                    8,
+                    4,
+                    |r| r.map(|i| (i as u64).wrapping_mul(31)).sum::<u64>(),
+                    |r, sum: u64| {
+                        folded = folded.rotate_left(7) ^ sum;
+                        seen.push(r);
+                    },
+                );
+                (folded, seen)
+            })
         };
         let (baseline, ranges) = run(1);
         assert_eq!(ranges.len(), 13);
@@ -326,46 +316,44 @@ mod tests {
 
     #[test]
     fn shard_merge_handles_empty_and_single() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let mut calls = 0;
-        shard_merge(0, 4, 2, |r| r.len(), |_, _| calls += 1);
-        assert_eq!(calls, 0);
-        shard_merge(
-            3,
-            8,
-            2,
-            |r| r.len(),
-            |r, len| {
-                calls += 1;
-                assert_eq!(r, 0..3);
-                assert_eq!(len, 3);
-            },
-        );
-        assert_eq!(calls, 1);
-        set_threads(0);
+        with_threads(4, || {
+            let mut calls = 0;
+            shard_merge(0, 4, 2, |r| r.len(), |_, _| calls += 1);
+            assert_eq!(calls, 0);
+            shard_merge(
+                3,
+                8,
+                2,
+                |r| r.len(),
+                |r, len| {
+                    calls += 1;
+                    assert_eq!(r, 0..3);
+                    assert_eq!(len, 3);
+                },
+            );
+            assert_eq!(calls, 1);
+        });
     }
 
     #[test]
     fn iter_pipeline_consumes_in_order_at_any_thread_count() {
-        let _guard = OVERRIDE_LOCK.lock();
         let run = |threads: usize| {
-            set_threads(threads);
-            // Order-sensitive fold over a mapped stream: the streamed
-            // decode -> render -> timing shape.
-            let mut folded = 0u64;
-            let mut order = Vec::new();
-            iter_pipeline(
-                (0..257u64).map(|i| i * 3),
-                4,
-                |i, v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64,
-                |i, v| {
-                    folded = folded.rotate_left((i % 11) as u32) ^ v;
-                    order.push(i);
-                },
-            );
-            set_threads(0);
-            (folded, order)
+            with_threads(threads, || {
+                // Order-sensitive fold over a mapped stream: the
+                // streamed decode -> render -> timing shape.
+                let mut folded = 0u64;
+                let mut order = Vec::new();
+                iter_pipeline(
+                    (0..257u64).map(|i| i * 3),
+                    4,
+                    |i, v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64,
+                    |i, v| {
+                        folded = folded.rotate_left((i % 11) as u32) ^ v;
+                        order.push(i);
+                    },
+                );
+                (folded, order)
+            })
         };
         let (baseline, order) = run(1);
         assert_eq!(order, (0..257).collect::<Vec<_>>());
@@ -376,70 +364,67 @@ mod tests {
 
     #[test]
     fn iter_pipeline_bounds_buffered_items() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(8);
         let pulled = AtomicU64::new(0);
         let mut consumed = 0u64;
         let capacity = 3u64;
         let workers = 7u64; // thread_count() - 1 map workers
-        iter_pipeline(
-            (0..200u64).inspect(|_| {
-                pulled.fetch_add(1, Ordering::SeqCst);
-            }),
-            capacity as usize,
-            |_, v| v,
-            |_, _| {
-                consumed += 1;
-                let in_flight = pulled.load(Ordering::SeqCst) - consumed;
-                // Source queue + ordered ring are each capped at
-                // `capacity`; up to one more item per worker may be
-                // mid-map, and the source holds one pulled item while
-                // it waits for queue space.
-                assert!(
-                    in_flight <= 2 * capacity + workers + 1,
-                    "{in_flight} items outstanding"
-                );
-            },
-        );
-        set_threads(0);
+        with_threads(8, || {
+            iter_pipeline(
+                (0..200u64).inspect(|_| {
+                    pulled.fetch_add(1, Ordering::SeqCst);
+                }),
+                capacity as usize,
+                |_, v| v,
+                |_, _| {
+                    consumed += 1;
+                    let in_flight = pulled.load(Ordering::SeqCst) - consumed;
+                    // Source queue + ordered ring are each capped at
+                    // `capacity`; up to one more item per worker may be
+                    // mid-map, and the source holds one pulled item while
+                    // it waits for queue space.
+                    assert!(
+                        in_flight <= 2 * capacity + workers + 1,
+                        "{in_flight} items outstanding"
+                    );
+                },
+            );
+        });
         assert_eq!(consumed, 200);
     }
 
     #[test]
     fn iter_pipeline_handles_empty_and_tiny_streams() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let mut calls = 0;
-        iter_pipeline(std::iter::empty::<u32>(), 4, |_, v| v, |_, _| calls += 1);
-        assert_eq!(calls, 0);
-        let mut seen = Vec::new();
-        iter_pipeline(std::iter::once(41u32), 4, |_, v| v + 1, |_, v| seen.push(v));
-        assert_eq!(seen, vec![42]);
-        // Capacity 1: full lock-step, still complete and ordered.
-        let mut n = 0usize;
-        iter_pipeline(
-            0..64usize,
-            1,
-            |_, v| v,
-            |i, v| {
-                assert_eq!(i, v);
-                n += 1;
-            },
-        );
-        assert_eq!(n, 64);
-        set_threads(0);
+        with_threads(4, || {
+            let mut calls = 0;
+            iter_pipeline(std::iter::empty::<u32>(), 4, |_, v| v, |_, _| calls += 1);
+            assert_eq!(calls, 0);
+            let mut seen = Vec::new();
+            iter_pipeline(std::iter::once(41u32), 4, |_, v| v + 1, |_, v| seen.push(v));
+            assert_eq!(seen, vec![42]);
+            // Capacity 1: full lock-step, still complete and ordered.
+            let mut n = 0usize;
+            iter_pipeline(
+                0..64usize,
+                1,
+                |_, v| v,
+                |i, v| {
+                    assert_eq!(i, v);
+                    n += 1;
+                },
+            );
+            assert_eq!(n, 64);
+        });
     }
 
     #[test]
     fn iter_pipeline_nested_inside_pool_runs_inline() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let out = crate::par_map_range(4, |i| {
-            let mut inner = Vec::new();
-            iter_pipeline(0..5usize, 2, |_, j| i * 10 + j, |_, v| inner.push(v));
-            inner
+        let out = with_threads(4, || {
+            crate::par_map_range(4, |i| {
+                let mut inner = Vec::new();
+                iter_pipeline(0..5usize, 2, |_, j| i * 10 + j, |_, v| inner.push(v));
+                inner
+            })
         });
-        set_threads(0);
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(*inner, (0..5).map(|j| i * 10 + j).collect::<Vec<_>>());
         }
@@ -447,14 +432,13 @@ mod tests {
 
     #[test]
     fn shard_merge_nested_inside_pool_runs_inline() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
-        let out = crate::par_map_range(4, |i| {
-            let mut inner = Vec::new();
-            shard_merge(5, 2, 2, |r| i * 10 + r.start, |_, v| inner.push(v));
-            inner
+        let out = with_threads(4, || {
+            crate::par_map_range(4, |i| {
+                let mut inner = Vec::new();
+                shard_merge(5, 2, 2, |r| i * 10 + r.start, |_, v| inner.push(v));
+                inner
+            })
         });
-        set_threads(0);
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(*inner, vec![i * 10, i * 10 + 2, i * 10 + 4]);
         }
@@ -462,40 +446,40 @@ mod tests {
 
     #[test]
     fn iter_pipeline_propagates_a_source_panic() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
         let source = (0..64u32).inspect(|&i| assert!(i != 20, "source failed"));
-        let result = std::panic::catch_unwind(|| iter_pipeline(source, 4, |_, v| v, |_, _| {}));
-        set_threads(0);
+        let result = std::panic::catch_unwind(|| {
+            with_threads(4, || iter_pipeline(source, 4, |_, v| v, |_, _| {}))
+        });
         assert!(result.is_err(), "a source panic must reach the caller");
     }
 
     #[test]
     fn shard_merge_propagates_panics_from_either_stage() {
-        let _guard = OVERRIDE_LOCK.lock();
-        set_threads(4);
         let map_panic = std::panic::catch_unwind(|| {
-            shard_merge(
-                64,
-                4,
-                2,
-                |r| {
-                    assert!(r.start != 32, "map failed");
-                    r.len()
-                },
-                |_, _| {},
-            );
+            with_threads(4, || {
+                shard_merge(
+                    64,
+                    4,
+                    2,
+                    |r| {
+                        assert!(r.start != 32, "map failed");
+                        r.len()
+                    },
+                    |_, _| {},
+                )
+            })
         });
         let merge_panic = std::panic::catch_unwind(|| {
-            shard_merge(
-                64,
-                4,
-                2,
-                |r| r.start,
-                |_, start| assert!(start != 32, "merge failed"),
-            );
+            with_threads(4, || {
+                shard_merge(
+                    64,
+                    4,
+                    2,
+                    |r| r.start,
+                    |_, start| assert!(start != 32, "merge failed"),
+                )
+            })
         });
-        set_threads(0);
         assert!(map_panic.is_err(), "a map panic must reach the caller");
         assert!(merge_panic.is_err(), "a merge panic must reach the caller");
     }

@@ -47,29 +47,6 @@ use crate::config::GpuConfig;
 use crate::shard;
 use crate::stats::{FrameStats, UnitBusy};
 
-/// Raster-phase execution policy: whether [`Gpu::simulate_frame`]
-/// shards its tile loop across the [`megsim_exec`] worker pool.
-///
-/// Sharding is the record/replay split of `crate::shard`: parallel
-/// workers record per-tile memory-traffic logs, the caller thread
-/// replays them tile-index-ascending against the shared caches and
-/// DRAM. The result is bit-identical to the sequential loop in every
-/// mode, so the policy only trades overhead against parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// Shard when it can help: more than one worker thread, not nested
-    /// inside a pool worker (frame-level parallelism already owns the
-    /// pool there), and at least two tiles to overlap.
-    #[default]
-    Auto,
-    /// Always run the sequential raster loop.
-    Off,
-    /// Always run the record/replay path, even single-threaded — used
-    /// by tests and benches to pin its bit-identity and cost at every
-    /// thread count.
-    Force,
-}
-
 /// Reusable buffers of the raster phase. Owned by the [`Gpu`] so that
 /// steady-state frame simulation performs no heap allocation: per-FP
 /// clocks are zeroed per tile, sample addresses and per-primitive
@@ -102,7 +79,6 @@ pub struct Gpu {
     pub(crate) now: u64,
     pub(crate) frame_index: u64,
     pub(crate) scratch: TimingScratch,
-    pub(crate) shard_mode: ShardMode,
 }
 
 impl Gpu {
@@ -118,20 +94,8 @@ impl Gpu {
             now: 0,
             frame_index: 0,
             scratch: TimingScratch::default(),
-            shard_mode: ShardMode::default(),
             config,
         }
-    }
-
-    /// Sets the raster-phase sharding policy (default [`ShardMode::Auto`]).
-    /// Output is bit-identical under every mode; see [`ShardMode`].
-    pub fn set_shard_mode(&mut self, mode: ShardMode) {
-        self.shard_mode = mode;
-    }
-
-    /// The active raster-phase sharding policy.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.shard_mode
     }
 
     /// The machine configuration.
@@ -320,15 +284,13 @@ impl Gpu {
     }
 
     /// Whether this frame's raster phase runs the tile-sharded
-    /// record/replay path instead of the sequential loop.
+    /// record/replay path instead of the sequential loop: only when it
+    /// can help — more than one worker thread, not nested inside a pool
+    /// worker (frame-level parallelism already owns the pool there),
+    /// and at least two tiles to overlap. Both paths are bit-identical,
+    /// so this only trades overhead against parallelism.
     fn use_shards(&self, trace: &FrameTrace) -> bool {
-        match self.shard_mode {
-            ShardMode::Off => false,
-            ShardMode::Force => true,
-            ShardMode::Auto => {
-                trace.tiles.len() >= 2 && megsim_exec::thread_count() > 1 && !megsim_exec::in_pool()
-            }
-        }
+        trace.tiles.len() >= 2 && megsim_exec::thread_count() > 1 && !megsim_exec::in_pool()
     }
 
     /// Tile-sharded raster phase: parallel [`shard::record_tiles`]

@@ -9,6 +9,13 @@
 //! and reports the statistics the paper's accuracy study evaluates:
 //! total cycles, DRAM accesses, L2 accesses and Tile-cache accesses.
 //!
+//! A frame's raster phase shards its tiles across the [`megsim_exec`]
+//! worker pool whenever the calling thread's worker count is above one
+//! (set it with [`megsim_exec::with_threads`]) and the call is not
+//! already inside a pool worker; otherwise it runs the sequential tile
+//! loop. Both paths are bit-identical, so the count only trades
+//! overhead against parallelism.
+//!
 //! ```
 //! use megsim_timing::{Gpu, GpuConfig};
 //! use megsim_funcsim::{Renderer, RenderConfig};
@@ -39,7 +46,7 @@ pub mod stats;
 pub mod timing_reference;
 
 pub use config::{GpuConfig, QueueConfig};
-pub use gpu::{Gpu, ShardMode};
+pub use gpu::Gpu;
 pub use multi_gpu::{
     DispatchMode, MultiGpu, MultiGpuConfig, MultiGpuReport, WorkDistributor, MAX_GPUS,
 };

@@ -39,10 +39,11 @@
 //!
 //! A single-GPU rig is the existing pipeline: AFR degenerates to
 //! [`Gpu::simulate_frame`] on GPU 0 with zero transfers, and SFR's
-//! band split produces the exact shard sequence of
-//! [`ShardMode::Force`], which PR 6 pinned bit-identical to the
-//! sequential raster loop. The `tests/multi_gpu.rs` oracle pins both
-//! against the single-GPU warm path (and, under `--features
+//! band split produces the exact shard sequence of the sharded raster
+//! path, replayed even at one worker thread — which makes the N = 1
+//! SFR rig the single-threaded pin of the record/replay machinery
+//! against the sequential raster loop. The `tests/multi_gpu.rs` oracle
+//! pins both against the single-GPU warm path (and, under `--features
 //! reference`, against `crate::ReferenceGpu`).
 
 use megsim_funcsim::FrameTrace;
@@ -52,7 +53,7 @@ use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 use crate::config::GpuConfig;
-use crate::gpu::{Gpu, ShardMode};
+use crate::gpu::Gpu;
 use crate::shard;
 use crate::stats::{FrameStats, UnitBusy};
 
@@ -229,13 +230,7 @@ impl MultiGpu {
             multi.gpus
         );
         let pool = MemoryPool::new(multi.topology, multi.gpus, config.l2.clone(), config.dram);
-        let mut gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
-        for gpu in &mut gpus {
-            // The rig drives the shard machinery itself (SFR) or lets
-            // the per-frame policy decide (AFR); Auto keeps AFR frames
-            // on the same path as the single-GPU pipeline.
-            gpu.set_shard_mode(ShardMode::Auto);
-        }
+        let gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
         let n_fp = config.fragment_processors;
         Self {
             distributor: WorkDistributor::new(multi.gpus, multi.dispatch),
@@ -679,14 +674,14 @@ mod tests {
         let viewport = Viewport::new(96, 96, 16);
         for topology in [Topology::Shared, Topology::Private] {
             let multi = MultiGpuConfig::new(3, DispatchMode::SplitFrame, topology);
-            megsim_exec::set_threads(1);
-            let base = run_rig(RenderMode::TileBased, viewport, multi);
+            let base =
+                megsim_exec::with_threads(1, || run_rig(RenderMode::TileBased, viewport, multi));
             for threads in [2, 8] {
-                megsim_exec::set_threads(threads);
-                let got = run_rig(RenderMode::TileBased, viewport, multi);
+                let got = megsim_exec::with_threads(threads, || {
+                    run_rig(RenderMode::TileBased, viewport, multi)
+                });
                 assert_eq!(got, base, "{topology:?} at {threads} threads");
             }
-            megsim_exec::set_threads(0);
         }
     }
 

@@ -469,7 +469,8 @@ pub(crate) fn replay_shard(
 #[cfg(test)]
 mod tests {
     use crate::config::GpuConfig;
-    use crate::gpu::{Gpu, ShardMode};
+    use crate::gpu::Gpu;
+    use crate::multi_gpu::{DispatchMode, MultiGpu, MultiGpuConfig};
     use crate::stats::FrameStats;
     use crate::timing_reference::ReferenceGpu;
     use megsim_funcsim::{RenderConfig, RenderMode, Renderer};
@@ -478,6 +479,7 @@ mod tests {
     use megsim_gfx::math::{Mat4, Vec2, Vec3};
     use megsim_gfx::shader::{ShaderId, ShaderProgram, ShaderTable, TextureFilter};
     use megsim_gfx::texture::TextureDesc;
+    use megsim_mem::Topology;
     use std::sync::Arc;
 
     const MODES: [RenderMode; 3] = [
@@ -561,19 +563,34 @@ mod tests {
         vec![f.clone(), f.clone(), f]
     }
 
-    fn run_sequence(
-        mode: RenderMode,
-        viewport: Viewport,
-        shard: ShardMode,
-        frames: &[Frame],
-    ) -> (Vec<FrameStats>, u64) {
-        let t = shaders();
+    /// Two empty frames around a single-prim sliver: zero or one
+    /// shard, no ops to replay, flush rect on a partial tile.
+    fn trivial_frames() -> Vec<Frame> {
+        let mut tiny = Frame::new();
+        tiny.draws.push(draw_of(
+            &[[(-0.05, -0.05, 0.0), (0.05, -0.05, 0.0), (0.0, 0.05, 0.0)]],
+            1,
+            BlendMode::Opaque,
+            true,
+        ));
+        vec![Frame::new(), tiny, Frame::new()]
+    }
+
+    fn config(mode: RenderMode, viewport: Viewport) -> GpuConfig {
         let mut cfg = GpuConfig::small(viewport.width, viewport.height);
         cfg.viewport = viewport;
         cfg.render_mode = mode;
+        cfg
+    }
+
+    fn run_sequence(
+        mode: RenderMode,
+        viewport: Viewport,
+        frames: &[Frame],
+    ) -> (Vec<FrameStats>, u64) {
+        let t = shaders();
         let renderer = Renderer::new(RenderConfig { viewport, mode });
-        let mut gpu = Gpu::new(cfg);
-        gpu.set_shard_mode(shard);
+        let mut gpu = Gpu::new(config(mode, viewport));
         let stats = frames
             .iter()
             .map(|f| gpu.simulate_frame(&renderer.render_frame(f, &t), &t))
@@ -582,82 +599,56 @@ mod tests {
     }
 
     #[test]
-    fn forced_sharding_bit_identical_to_sequential_all_modes() {
+    fn sharding_bit_identical_to_sequential_all_modes() {
+        // One worker thread runs the sequential raster loop; two and
+        // eight shard it (every viewport here has at least two tiles),
+        // and the stats must not move.
         let frames = scene();
-        let viewport = Viewport::new(128, 128, 32);
-        for mode in MODES {
-            let base = run_sequence(mode, viewport, ShardMode::Off, &frames);
-            for threads in [1, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let got = run_sequence(mode, viewport, ShardMode::Force, &frames);
-                megsim_exec::set_threads(0);
-                assert_eq!(got, base, "{mode:?} at {threads} threads");
+        for viewport in [Viewport::new(128, 128, 32), Viewport::new(96, 40, 24)] {
+            for mode in MODES {
+                let base = megsim_exec::with_threads(1, || run_sequence(mode, viewport, &frames));
+                for threads in [2, 8] {
+                    let got = megsim_exec::with_threads(threads, || {
+                        run_sequence(mode, viewport, &frames)
+                    });
+                    assert_eq!(got, base, "{mode:?} {viewport:?} at {threads} threads");
+                }
             }
         }
     }
 
     #[test]
-    fn forced_sharding_matches_reference_on_partial_tiles() {
+    fn sharding_matches_reference_on_partial_tiles_and_trivial_frames() {
         // 33×33 target with 16-px tiles: a 3×3 grid whose right column
         // and bottom row are 1-px slivers — the shard-boundary and
-        // flush-rect-clamp regression case.
-        let frames = scene();
+        // flush-rect-clamp regression case. At one thread the GPU runs
+        // the sequential loop while the N = 1 split-frame rig replays
+        // recorded shards; at eight threads both record and replay.
         let viewport = Viewport::new(33, 33, 16);
         let t = shaders();
-        for mode in MODES {
-            let mut cfg = GpuConfig::small(viewport.width, viewport.height);
-            cfg.viewport = viewport;
-            cfg.render_mode = mode;
-            let renderer = Renderer::new(RenderConfig { viewport, mode });
-            let mut sharded = Gpu::new(cfg.clone());
-            sharded.set_shard_mode(ShardMode::Force);
-            let mut reference = ReferenceGpu::new(cfg);
-            for (i, frame) in frames.iter().enumerate() {
-                let trace = renderer.render_frame(frame, &t);
-                let a = sharded.simulate_frame(&trace, &t);
-                let b = reference.simulate_frame(&trace, &t);
-                assert_eq!(a, b, "{mode:?} frame {i}");
-                assert_eq!(sharded.now(), reference.now(), "{mode:?} frame {i} clock");
+        for (name, frames) in [("scene", scene()), ("trivial", trivial_frames())] {
+            for threads in [1, 8] {
+                megsim_exec::with_threads(threads, || {
+                    for mode in MODES {
+                        let cfg = config(mode, viewport);
+                        let renderer = Renderer::new(RenderConfig { viewport, mode });
+                        let mut gpu = Gpu::new(cfg.clone());
+                        let rig_config =
+                            MultiGpuConfig::new(1, DispatchMode::SplitFrame, Topology::Shared);
+                        let mut rig = MultiGpu::new(cfg.clone(), rig_config);
+                        let mut reference = ReferenceGpu::new(cfg);
+                        for (i, frame) in frames.iter().enumerate() {
+                            let at = format!("{name} {mode:?} frame {i} at {threads} threads");
+                            let trace = renderer.render_frame(frame, &t);
+                            let want = reference.simulate_frame(&trace, &t);
+                            assert_eq!(gpu.simulate_frame(&trace, &t), want, "{at}");
+                            assert_eq!(rig.simulate_frame(&trace, &t), want, "{at} rig");
+                            assert_eq!(gpu.now(), reference.now(), "{at} clock");
+                            assert_eq!(rig.now(), reference.now(), "{at} rig clock");
+                        }
+                    }
+                });
             }
-        }
-    }
-
-    #[test]
-    fn forced_sharding_handles_trivial_frames() {
-        // Empty frames and single-prim slivers: zero or one shard, no
-        // ops to replay, flush rect on a partial tile.
-        let tiny = {
-            let mut f = Frame::new();
-            f.draws.push(draw_of(
-                &[[(-0.05, -0.05, 0.0), (0.05, -0.05, 0.0), (0.0, 0.05, 0.0)]],
-                1,
-                BlendMode::Opaque,
-                true,
-            ));
-            f
-        };
-        let frames = vec![Frame::new(), tiny, Frame::new()];
-        let viewport = Viewport::new(33, 33, 16);
-        for mode in MODES {
-            let base = run_sequence(mode, viewport, ShardMode::Off, &frames);
-            let got = run_sequence(mode, viewport, ShardMode::Force, &frames);
-            assert_eq!(got, base, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn auto_sharding_stays_bit_identical_when_pool_active() {
-        // Auto flips the sharded path on once >1 worker thread exists;
-        // the stats must not move relative to the single-thread run.
-        let frames = scene();
-        let viewport = Viewport::new(96, 40, 24);
-        for mode in MODES {
-            megsim_exec::set_threads(1);
-            let base = run_sequence(mode, viewport, ShardMode::Auto, &frames);
-            megsim_exec::set_threads(8);
-            let got = run_sequence(mode, viewport, ShardMode::Auto, &frames);
-            megsim_exec::set_threads(0);
-            assert_eq!(got, base, "{mode:?}");
         }
     }
 }

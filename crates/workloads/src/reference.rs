@@ -180,8 +180,7 @@ mod tests {
         let w = crate::by_alias("hcr", 0.01, 7).expect("known alias");
         let serial: Vec<_> = w.iter_frames().collect();
         for threads in [1, 2, 8] {
-            megsim_exec::set_threads(threads);
-            let batch = w.generate_frames();
+            let batch = megsim_exec::with_threads(threads, || w.generate_frames());
             assert_eq!(batch.len(), serial.len());
             for (i, (a, b)) in batch.iter().zip(&serial).enumerate() {
                 assert_eq!(a.draws.len(), b.draws.len(), "frame {i} @ {threads}t");
@@ -190,6 +189,5 @@ mod tests {
                 }
             }
         }
-        megsim_exec::set_threads(1);
     }
 }

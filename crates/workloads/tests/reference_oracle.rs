@@ -64,17 +64,15 @@ fn full_suite_is_bit_identical_at_1_2_8_threads() {
     let workloads = suite(0.01, 42);
     assert_eq!(workloads.len(), BENCHMARKS.len());
     for threads in [1usize, 2, 8] {
-        megsim_exec::set_threads(threads);
         for w in &workloads {
             let reference: Vec<Frame> = ReferenceWorkload(w).iter_frames().collect();
-            let batch = w.generate_frames();
+            let batch = megsim_exec::with_threads(threads, || w.generate_frames());
             assert_eq!(batch.len(), reference.len(), "{}", w.alias);
             for (i, (fast, seed)) in batch.iter().zip(&reference).enumerate() {
                 assert_draws_identical(&w.alias, i, fast, seed);
             }
         }
     }
-    megsim_exec::set_threads(0);
 }
 
 proptest! {

@@ -24,6 +24,21 @@ fn simulate_single(
     simulate(frames, shaders, gpu, MultiGpuConfig::single(), start).0
 }
 
+/// Runs `f` with `threads` pool workers and checks after the work that
+/// the count still holds, so each pin compares runs at the counts it
+/// names.
+fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    megsim_exec::with_threads(threads, || {
+        let out = f();
+        assert_eq!(
+            megsim_exec::thread_count(),
+            threads,
+            "ran at another thread count"
+        );
+        out
+    })
+}
+
 /// Everything the pipeline produces, flattened for exact comparison.
 struct PipelineArtifacts {
     features: Vec<f64>,
@@ -103,43 +118,42 @@ fn frame_generation_is_bit_identical_at_any_thread_count() {
         .collect();
 
     for threads in [1usize, 2, 8] {
-        megsim_exec::set_threads(threads);
-        let batch: Vec<u128> = workload
-            .generate_frames()
-            .iter()
-            .map(frame_fingerprint)
-            .collect();
+        let batch: Vec<u128> = at_threads(threads, || {
+            workload
+                .generate_frames()
+                .iter()
+                .map(frame_fingerprint)
+                .collect()
+        });
         assert_eq!(
             sequential, batch,
             "batch frame synthesis differs at {threads} threads"
         );
     }
-    megsim_exec::set_threads(0);
 }
 
 /// Intra-frame tile sharding is bit-identical to the sequential raster
 /// loop at every thread count, in every render mode, on both an even
 /// tile grid and a 33×33 viewport whose right column and bottom row are
-/// 1-px partial tiles (the shard-boundary regression case). Sweeps the
-/// forced record/replay path and the Auto policy against a 1-thread
-/// sequential baseline over warm multi-frame state.
+/// 1-px partial tiles (the shard-boundary regression case). One worker
+/// thread runs the sequential loop; two and eight run the sharded
+/// record/replay path, over warm multi-frame state.
 #[test]
 fn tile_sharded_timing_is_bit_identical_at_any_thread_count() {
     use megsim_funcsim::{RenderConfig, RenderMode, Renderer};
     use megsim_gfx::draw::Viewport;
-    use megsim_timing::{Gpu, ShardMode};
+    use megsim_timing::Gpu;
 
     let workload = by_alias("pvz", 0.02, 7).expect("known alias");
     let frames: Vec<_> = (0..4).map(|i| workload.frame(i)).collect();
     let shaders = workload.shaders();
 
-    let run = |mode: RenderMode, viewport: Viewport, shard: ShardMode| {
+    let run = |mode: RenderMode, viewport: Viewport| {
         let mut cfg = GpuConfig::small(viewport.width, viewport.height);
         cfg.viewport = viewport;
         cfg.render_mode = mode;
         let renderer = Renderer::new(RenderConfig { viewport, mode });
         let mut gpu = Gpu::new(cfg);
-        gpu.set_shard_mode(shard);
         let stats: Vec<FrameStats> = frames
             .iter()
             .map(|f| gpu.simulate_frame(&renderer.render_frame(f, shaders), shaders))
@@ -153,25 +167,15 @@ fn tile_sharded_timing_is_bit_identical_at_any_thread_count() {
             RenderMode::TileBasedDeferred,
             RenderMode::Immediate,
         ] {
-            megsim_exec::set_threads(1);
-            let baseline = run(mode, viewport, ShardMode::Off);
-            for threads in [1usize, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let forced = run(mode, viewport, ShardMode::Force);
+            let baseline = at_threads(1, || run(mode, viewport));
+            for threads in [2usize, 8] {
+                let sharded = at_threads(threads, || run(mode, viewport));
                 assert_eq!(
-                    forced, baseline,
+                    sharded, baseline,
                     "sharded timing differs: {mode:?} {}x{} at {threads} threads",
                     viewport.width, viewport.height
                 );
             }
-            megsim_exec::set_threads(8);
-            let auto = run(mode, viewport, ShardMode::Auto);
-            assert_eq!(
-                auto, baseline,
-                "auto-sharded timing differs: {mode:?} {}x{}",
-                viewport.width, viewport.height
-            );
-            megsim_exec::set_threads(0);
         }
     }
 }
@@ -200,29 +204,31 @@ fn streamed_replay_is_bit_identical_to_materialized() {
         ] {
             let mut cfg = GpuConfig::small(128, 128);
             cfg.render_mode = mode;
-            megsim_exec::set_threads(1);
-            let baseline = simulate_single(
-                replay.frames.iter().cloned(),
-                &replay.shaders,
-                &cfg,
-                FrameStart::Warm,
-            );
-            for threads in [1usize, 2, 8] {
-                megsim_exec::set_threads(threads);
-                let iter = FrameIter::new(std::io::Cursor::new(&bytes[..])).expect("valid header");
-                let shaders = iter.shaders().clone();
-                let streamed = simulate_single(
-                    iter.map(|f| f.expect("valid frame")),
-                    &shaders,
+            let baseline = at_threads(1, || {
+                simulate_single(
+                    replay.frames.iter().cloned(),
+                    &replay.shaders,
                     &cfg,
                     FrameStart::Warm,
-                );
+                )
+            });
+            for threads in [1usize, 2, 8] {
+                let streamed = at_threads(threads, || {
+                    let iter =
+                        FrameIter::new(std::io::Cursor::new(&bytes[..])).expect("valid header");
+                    let shaders = iter.shaders().clone();
+                    simulate_single(
+                        iter.map(|f| f.expect("valid frame")),
+                        &shaders,
+                        &cfg,
+                        FrameStart::Warm,
+                    )
+                });
                 assert_eq!(
                     streamed, baseline,
                     "streamed replay differs: v{version} {mode:?} at {threads} threads"
                 );
             }
-            megsim_exec::set_threads(0);
         }
     }
 }
@@ -242,26 +248,28 @@ fn exact_streaming_selection_is_bit_identical_to_batch() {
     let config = MegsimConfig::default();
     let stream = StreamClusterConfig::exact();
 
-    megsim_exec::set_threads(1);
-    let matrix = characterize_sequence(
-        workload.iter_frames(),
-        workload.shaders(),
-        &gpu,
-        &config,
-        None,
-    );
-    let batch = select_representatives(&matrix, &config);
-
-    for threads in [1usize, 2, 8] {
-        megsim_exec::set_threads(threads);
-        let streamed = characterize_stream(
+    let matrix = at_threads(1, || {
+        characterize_sequence(
             workload.iter_frames(),
             workload.shaders(),
             &gpu,
             &config,
-            &stream,
             None,
-        );
+        )
+    });
+    let batch = at_threads(1, || select_representatives(&matrix, &config));
+
+    for threads in [1usize, 2, 8] {
+        let streamed = at_threads(threads, || {
+            characterize_stream(
+                workload.iter_frames(),
+                workload.shaders(),
+                &gpu,
+                &config,
+                &stream,
+                None,
+            )
+        });
         assert_eq!(
             streamed.selection, batch,
             "exact streaming selection differs at {threads} threads"
@@ -272,7 +280,6 @@ fn exact_streaming_selection_is_bit_identical_to_batch() {
             "exact mode must retain every frame"
         );
     }
-    megsim_exec::set_threads(0);
 }
 
 /// The N-GPU rig is bit-identical at every worker-pool size for every
@@ -293,30 +300,34 @@ fn multi_gpu_rig_is_bit_identical_at_any_thread_count() {
 
     // The oracle: one plain `Gpu` warmed across the frames, with the
     // idle L2 drain counted on the last frame.
-    megsim_exec::set_threads(1);
-    let renderer = Renderer::new(RenderConfig {
-        viewport: gpu.viewport,
-        mode: gpu.render_mode,
+    let warm: Vec<FrameStats> = at_threads(1, || {
+        let renderer = Renderer::new(RenderConfig {
+            viewport: gpu.viewport,
+            mode: gpu.render_mode,
+        });
+        let mut single = Gpu::new(gpu.clone());
+        let mut warm: Vec<FrameStats> = frames
+            .iter()
+            .map(|f| single.simulate_frame(&renderer.render_frame(f, shaders), shaders))
+            .collect();
+        warm.last_mut().expect("frames").memory.l2.writebacks += single.drain_l2();
+        warm
     });
-    let mut single = Gpu::new(gpu.clone());
-    let mut warm: Vec<FrameStats> = frames
-        .iter()
-        .map(|f| single.simulate_frame(&renderer.render_frame(f, shaders), shaders))
-        .collect();
-    warm.last_mut().expect("frames").memory.l2.writebacks += single.drain_l2();
 
     for n in [1usize, 2, 4] {
         for dispatch in [DispatchMode::AlternateFrame, DispatchMode::SplitFrame] {
             for topology in [Topology::Shared, Topology::Private] {
                 let multi = MultiGpuConfig::new(n, dispatch, topology);
-                megsim_exec::set_threads(1);
-                let baseline = simulate(
-                    frames.iter().cloned(),
-                    shaders,
-                    &gpu,
-                    multi,
-                    FrameStart::Warm,
-                );
+                let run = || {
+                    simulate(
+                        frames.iter().cloned(),
+                        shaders,
+                        &gpu,
+                        multi,
+                        FrameStart::Warm,
+                    )
+                };
+                let baseline = at_threads(1, run);
                 if n == 1 {
                     assert_eq!(
                         baseline.0, warm,
@@ -325,20 +336,12 @@ fn multi_gpu_rig_is_bit_identical_at_any_thread_count() {
                     assert_eq!(baseline.1.transfers(), 0, "N=1 must not touch a link");
                 }
                 for threads in [2usize, 8] {
-                    megsim_exec::set_threads(threads);
-                    let got = simulate(
-                        frames.iter().cloned(),
-                        shaders,
-                        &gpu,
-                        multi,
-                        FrameStart::Warm,
-                    );
                     assert_eq!(
-                        got, baseline,
+                        at_threads(threads, run),
+                        baseline,
                         "N={n} {dispatch:?} {topology:?} differs at {threads} threads"
                     );
                 }
-                megsim_exec::set_threads(0);
             }
         }
     }
@@ -372,21 +375,23 @@ fn features_from_simulation_are_bit_identical_to_characterization() {
     ] {
         let mut gpu = GpuConfig::small(128, 128);
         gpu.render_mode = mode;
-        megsim_exec::set_threads(1);
-        let oracle: (Vec<u64>, usize, usize) = bits(&characterize_sequence(
-            frames.iter().cloned(),
-            shaders,
-            &gpu,
-            &config,
-            None,
-        ));
+        let oracle: (Vec<u64>, usize, usize) = at_threads(1, || {
+            bits(&characterize_sequence(
+                frames.iter().cloned(),
+                shaders,
+                &gpu,
+                &config,
+                None,
+            ))
+        });
         for threads in [1usize, 8] {
-            megsim_exec::set_threads(threads);
             for rig in [MultiGpuConfig::single(), sfr_shared] {
                 for start in [FrameStart::Cold(None), FrameStart::Warm] {
-                    let (per_frame, _) =
-                        simulate(frames.iter().cloned(), shaders, &gpu, rig, start);
-                    let matrix = characterize_simulated(&per_frame, shaders, &config);
+                    let matrix = at_threads(threads, || {
+                        let (per_frame, _) =
+                            simulate(frames.iter().cloned(), shaders, &gpu, rig, start);
+                        characterize_simulated(&per_frame, shaders, &config)
+                    });
                     assert_eq!(
                         bits(&matrix),
                         oracle,
@@ -397,17 +402,14 @@ fn features_from_simulation_are_bit_identical_to_characterization() {
             }
         }
     }
-    megsim_exec::set_threads(0);
 }
 
 #[test]
 fn pipeline_is_bit_identical_at_any_thread_count() {
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 8] {
-        megsim_exec::set_threads(threads);
-        runs.push((threads, run_pipeline()));
-    }
-    megsim_exec::set_threads(0);
+    let runs: Vec<(usize, PipelineArtifacts)> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| (threads, at_threads(threads, run_pipeline)))
+        .collect();
 
     let (_, baseline) = &runs[0];
     for (threads, r) in &runs[1..] {

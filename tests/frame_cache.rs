@@ -77,8 +77,8 @@ fn cache_state_and_thread_count_never_change_results() {
     for enabled in [false, true] {
         for threads in [1usize, 8] {
             let cache = enabled.then(FrameCache::new);
-            megsim_exec::set_threads(threads);
-            runs.push(((enabled, threads), run_flow(cache.as_ref())));
+            let run = megsim_exec::with_threads(threads, || run_flow(cache.as_ref()));
+            runs.push(((enabled, threads), run));
         }
     }
 
@@ -123,6 +123,4 @@ fn cache_state_and_thread_count_never_change_results() {
         cache.summary()
     );
     assert!(counts.hit_rate() > 0.0);
-
-    megsim_exec::set_threads(0);
 }
