@@ -1,10 +1,10 @@
 //! Runs every table and figure of the paper's evaluation in one pass,
 //! reusing the per-benchmark simulations.
 use megsim_bench::experiments::{
-    fig3, fig4, fig5, fig6, fig7, resimulate_representatives, run_all_megsim, similarity_of,
-    table1, table2, table3, table4,
+    fig3, fig4, fig5, fig6, fig7, frame_source, similarity_of, table1, table2, table3, table4,
 };
 use megsim_bench::{compute_suite, Context, ExperimentArgs};
+use megsim_core::flow::{self, Flow};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
@@ -25,11 +25,10 @@ fn main() {
             if std::fs::write(&path, similarity_of(bbr, &ctx.megsim).to_pgm()).is_ok() {
                 eprintln!("similarity matrix PGM written to {path}");
             }
-            println!("{}", fig6(bbr, &ctx.megsim));
+            println!("{}", fig6(bbr));
         }
-        let runs = run_all_megsim(&data, &ctx.megsim);
         // Machine-readable artifacts for external plotting.
-        for (d, run) in data.iter().zip(&runs) {
+        for d in &data {
             let dir = &ctx.args.out_dir;
             let ok = megsim_bench::report::write_artifact(
                 dir,
@@ -47,7 +46,7 @@ fn main() {
                 megsim_bench::report::write_artifact(
                     dir,
                     &format!("megsim_{}.csv", d.info.alias),
-                    &megsim_bench::report::megsim_run_csv(run),
+                    &megsim_bench::report::megsim_run_csv(&d.run),
                 )
             });
             if let Err(e) = ok {
@@ -57,8 +56,8 @@ fn main() {
                 );
             }
         }
-        println!("{}", table3(&data, &runs));
-        println!("{}", fig7(&data, &runs));
+        println!("{}", table3(&data));
+        println!("{}", fig7(&data));
         println!(
             "{}",
             table4(&data, &ctx.megsim, ctx.args.seeds, ctx.args.trials)
@@ -68,7 +67,21 @@ fn main() {
         // the ground-truth pass; the pass's own scope counts just this pass,
         // so the hit rate reflects the pass itself.
         let pass = ctx.cache.scope();
-        let reps = resimulate_representatives(&data, &runs, &ctx.gpu, &pass);
+        let reps_flow = Flow {
+            cache: Some(&pass),
+            ..ctx.flow()
+        };
+        for d in &data {
+            let source = frame_source(&d.workload);
+            let estimated = flow::simulate_representatives(&source, &d.run.selection, &reps_flow);
+            assert_eq!(
+                estimated,
+                Ok(d.run.estimated.clone()),
+                "[{}] standalone representative re-simulation diverged",
+                d.info.alias
+            );
+        }
+        let reps: usize = data.iter().map(|d| d.run.frames_simulated()).sum();
         eprintln!(
             "re-simulated {reps} representative frames; {}",
             pass.summary()

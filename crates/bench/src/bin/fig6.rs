@@ -18,6 +18,6 @@ fn main() {
                 std::process::exit(2);
             });
         let d = compute_benchmark(&ctx, info);
-        print!("{}", megsim_bench::experiments::fig6(&d, &ctx.megsim));
+        print!("{}", megsim_bench::experiments::fig6(&d));
     });
 }

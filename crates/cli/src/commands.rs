@@ -1,16 +1,15 @@
 //! Subcommand implementations of the `megsim` tool.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
 
 use megsim_bench::report;
-use megsim_core::evaluate::{characterize_sequence, characterize_simulated, simulate, FrameStart};
-use megsim_core::pipeline::{select_representatives, MegsimConfig, Selection, StreamClusterConfig};
-use megsim_core::{
-    estimate_totals, metric_errors, scaled_totals, sequence_totals, FeatureMatrix, FrameCache,
-};
+use megsim_core::evaluate::characterize_sequence;
+use megsim_core::flow::{self, Flow, FlowError, FrameSource, Frames};
+use megsim_core::pipeline::{MegsimConfig, Selection, StreamClusterConfig, StreamSelection};
+use megsim_core::{FeatureMatrix, FrameCache, MetricErrors};
 use megsim_gfx::draw::Frame;
 use megsim_gfx::shader::{ShaderKind, ShaderTable};
 use megsim_gl::{
@@ -275,7 +274,7 @@ impl Options {
 
 /// Adapts the fallible streaming frame iterator into the infallible
 /// shape the parallel passes consume, parking the first decode/replay
-/// error for [`stream_pass`] to check once the pass finishes.
+/// error for [`TraceFile::pass`] to check once the pass finishes.
 struct StreamedFrames {
     iter: FrameIter<BufReader<File>>,
     error: Option<TraceError>,
@@ -295,100 +294,99 @@ impl Iterator for StreamedFrames {
     }
 }
 
-/// One streaming pass of `pass` over a trace file: frames are decoded
-/// incrementally off the file handle, never materialized as a whole
-/// sequence. Returns the shader library (decoded from the trace prelude)
-/// and the pass's result, or the error the stream ended on.
-fn stream_pass<T>(
-    path: &str,
-    pass: impl FnOnce(&mut StreamedFrames, &ShaderTable) -> T,
-) -> Result<(ShaderTable, T), String> {
-    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let iter = FrameIter::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-    let shaders = iter.shaders().clone();
-    let mut frames = StreamedFrames { iter, error: None };
-    let result = pass(&mut frames, &shaders);
-    match frames.error {
-        Some(e) => Err(format!("{path}: {e}")),
-        None => Ok((shaders, result)),
+/// A trace file as a flow's frame source: every pass decodes it afresh,
+/// frame by frame off the file handle, never materializing the
+/// sequence. The shader library comes from the trace prelude.
+struct TraceFile<'a>(&'a str);
+
+impl FrameSource for TraceFile<'_> {
+    type Error = String;
+
+    fn pass<T>(&self, pass: impl FnOnce(&mut Frames<'_>, &ShaderTable) -> T) -> Result<T, String> {
+        let path = self.0;
+        let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let iter = FrameIter::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+        let shaders = iter.shaders().clone();
+        let mut frames = StreamedFrames { iter, error: None };
+        let result = pass(&mut frames, &shaders);
+        match frames.error {
+            Some(e) => Err(format!("{path}: {e}")),
+            None => Ok(result),
+        }
+    }
+}
+
+/// A flow error on the trace at `path`, as the CLI reports it.
+fn trace_error(path: &str, error: FlowError<String>) -> String {
+    match error {
+        FlowError::Source(e) => e,
+        FlowError::NoFrames => format!("{path}: trace has no frames"),
+        FlowError::MissingFrame => {
+            format!("{path}: trace ended before every representative frame")
+        }
     }
 }
 
 /// One streaming characterization pass: the `N × D` feature matrix.
-fn characterize_trace(
-    path: &str,
-    gpu: &GpuConfig,
-    config: &MegsimConfig,
-    cache: Option<&FrameCache>,
-) -> Result<FeatureMatrix, String> {
-    let (_, matrix) = stream_pass(path, |frames, shaders| {
-        characterize_sequence(frames, shaders, gpu, config, cache)
-    })?;
-    Ok(matrix)
+fn characterize_trace(path: &str, cache: Option<&FrameCache>) -> Result<FeatureMatrix, String> {
+    let gpu = GpuConfig::mali450_like();
+    let config = MegsimConfig::default();
+    TraceFile(path)
+        .pass(|frames, shaders| characterize_sequence(frames, shaders, &gpu, &config, cache))
 }
 
 /// Parses the streaming-clustering knobs shared by `select` and
-/// `estimate` (`--reservoir`, `--stream-batch`).
-fn stream_cluster_config(opts: &Options) -> Result<StreamClusterConfig, String> {
+/// `estimate` (`--stream-cluster`, `--reservoir`, `--stream-batch`).
+fn stream_cluster_config(opts: &Options) -> Result<Option<StreamClusterConfig>, String> {
+    if !opts.has("stream-cluster") {
+        return Ok(None);
+    }
     let defaults = StreamClusterConfig::default();
     let capacity: usize = opts.flag("reservoir", defaults.reservoir_capacity)?;
     let batch: usize = opts.flag("stream-batch", defaults.batch_size)?;
     if batch == 0 {
         return Err("--stream-batch must be at least 1".into());
     }
-    Ok(defaults
-        .with_reservoir_capacity(capacity)
-        .with_batch_size(batch))
+    Ok(Some(
+        defaults
+            .with_reservoir_capacity(capacity)
+            .with_batch_size(batch),
+    ))
 }
 
-/// One fused decode → characterize → cluster pass over a trace file
-/// (`--stream-cluster`): frames flow through the online clusterer and
-/// are dropped, so memory stays bounded by the reservoir instead of
-/// growing with the trace. Reports the reservoir on stderr.
-fn select_stream(
-    path: &str,
-    gpu: &GpuConfig,
-    config: &MegsimConfig,
-    stream: &StreamClusterConfig,
-    cache: Option<&FrameCache>,
-) -> Result<Selection, String> {
-    let (_, streamed) = stream_pass(path, |frames, shaders| {
-        megsim_core::characterize_stream(frames, shaders, gpu, config, stream, cache)
-    })?;
-    eprintln!(
-        "stream-cluster: retained {} of {} rows (peak {})",
-        streamed.reservoir_len,
-        streamed.selection.labels.len(),
-        streamed.peak_rows_retained
-    );
-    Ok(streamed.selection)
+/// Reports a `--stream-cluster` selection's reservoir on stderr.
+fn report_footprint(flow: &Flow<'_>, s: &StreamSelection) {
+    if flow.stream.is_some() {
+        eprintln!(
+            "stream-cluster: retained {} of {} rows (peak {})",
+            s.reservoir_len,
+            s.selection.labels.len(),
+            s.peak_rows_retained
+        );
+    }
 }
 
-/// A streaming pass that keeps only the representative frames of the
-/// trace, simulates each one cold on `rig` and scales its statistics by
-/// its cluster size: MEGsim's estimate of the trace's totals.
-fn estimate_representatives(
-    path: &str,
-    selection: &Selection,
-    gpu: &GpuConfig,
-    rig: MultiGpuConfig,
-    cache: Option<&FrameCache>,
-) -> Result<FrameStats, String> {
-    let reps = &selection.representatives;
-    let wanted: HashSet<usize> = reps.iter().map(|r| r.frame_index).collect();
-    let len = wanted.iter().max().map_or(0, |&last| last + 1);
-    let (shaders, mut kept): (_, HashMap<_, _>) = stream_pass(path, |frames, _| {
-        let indexed = frames.take(len).enumerate();
-        indexed.filter(|(i, _)| wanted.contains(i)).collect()
-    })?;
-    let frames: Vec<Frame> = reps
-        .iter()
-        .map(|r| kept.remove(&r.frame_index))
-        .collect::<Option<_>>()
-        .ok_or_else(|| format!("{path}: trace ended before every representative frame"))?;
-    let start = FrameStart::Cold(cache);
-    let (rep_stats, _) = simulate(frames.into_iter(), &shaders, gpu, rig, start);
-    Ok(scaled_totals(reps, &rep_stats))
+/// A flow's selection and estimate and, with a ground truth, the full
+/// run's Fig. 7 errors and rig report.
+type FlowOutcome = (
+    Selection,
+    FrameStats,
+    Option<(MetricErrors, MultiGpuReport)>,
+);
+
+/// MEGsim on the trace at `path` through the library flow.
+fn run_flow(path: &str, flow: &Flow<'_>, ground_truth: bool) -> Result<FlowOutcome, String> {
+    let source = TraceFile(path);
+    let error = |e| trace_error(path, e);
+    let (estimate, truth) = if ground_truth {
+        let t = flow::ground_truth(&source, flow).map_err(error)?;
+        let errors = t.run().errors;
+        (t.estimate, Some((errors, t.report)))
+    } else {
+        (flow::estimate(&source, flow).map_err(error)?, None)
+    };
+    report_footprint(flow, &estimate.selection);
+    Ok((estimate.selection.selection, estimate.estimated, truth))
 }
 
 fn record(opts: &mut Options) -> Result<(), String> {
@@ -461,8 +459,7 @@ fn info(opts: &mut Options) -> Result<(), String> {
 
 fn characterize(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
     let path = opts.trace_path()?;
-    let gpu = GpuConfig::mali450_like();
-    let matrix = characterize_trace(&path, &gpu, &MegsimConfig::default(), cache)?;
+    let matrix = characterize_trace(&path, cache)?;
     let csv = report::feature_matrix_csv(&matrix);
     match opts.flags.get("out") {
         Some(out) => {
@@ -482,14 +479,14 @@ fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> 
     let path = opts.trace_path()?;
     let seed: u64 = opts.flag("seed", 42)?;
     let gpu = GpuConfig::mali450_like();
-    let config = MegsimConfig::default().with_seed(seed);
-    let selection = if opts.has("stream-cluster") {
-        let stream = stream_cluster_config(opts)?;
-        select_stream(&path, &gpu, &config, &stream, cache)?
-    } else {
-        let matrix = characterize_trace(&path, &gpu, &config, cache)?;
-        select_representatives(&matrix, &config)
+    let flow = Flow {
+        stream: stream_cluster_config(opts)?,
+        cache,
+        ..Flow::new(&gpu, MegsimConfig::default().with_seed(seed))
     };
+    let selected = flow::select(&TraceFile(&path), &flow).map_err(|e| trace_error(&path, e))?;
+    report_footprint(&flow, &selected);
+    let selection = selected.selection;
     println!(
         "{} frames -> {} representatives ({:.1}x reduction)",
         selection.labels.len(),
@@ -551,71 +548,6 @@ fn rig_names(rig: &MultiGpuConfig) -> (&'static str, &'static str) {
     (dispatch, mem)
 }
 
-/// The full simulation of a trace in one streaming pass: warm through
-/// `rig`, or without one every frame cold on a single GPU (the paper's
-/// ground truth).
-fn simulate_trace(
-    path: &str,
-    gpu: &GpuConfig,
-    rig: Option<MultiGpuConfig>,
-    cache: Option<&FrameCache>,
-) -> Result<(ShaderTable, (Vec<FrameStats>, MultiGpuReport)), String> {
-    let (rig, start) = match rig {
-        Some(rig) => (rig, FrameStart::Warm),
-        None => (MultiGpuConfig::single(), FrameStart::Cold(cache)),
-    };
-    stream_pass(path, |frames, shaders| {
-        simulate(frames, shaders, gpu, rig, start)
-    })
-}
-
-/// The full simulation's totals and the rig's interconnect report.
-type GroundTruth = (FrameStats, MultiGpuReport);
-
-/// MEGsim on one trace: the selection, the representatives' scaled
-/// totals and, if asked for, the ground truth's totals and rig report.
-///
-/// A ground truth without `stream` takes one simulation pass: the
-/// frames' statistics carry the activity that characterizes them, and
-/// on a single GPU the cold full run already holds each
-/// representative's standalone statistics (a rig's representatives run
-/// cold in one more decode pass).
-fn run_estimate(
-    path: &str,
-    seed: u64,
-    stream: Option<&StreamClusterConfig>,
-    rig: Option<MultiGpuConfig>,
-    ground_truth: bool,
-    cache: Option<&FrameCache>,
-) -> Result<(Selection, FrameStats, Option<GroundTruth>), String> {
-    let gpu = &GpuConfig::mali450_like();
-    let config = &MegsimConfig::default().with_seed(seed);
-    if ground_truth && stream.is_none() {
-        let (shaders, (per_frame, report)) = simulate_trace(path, gpu, rig, cache)?;
-        let matrix = characterize_simulated(&per_frame, &shaders, config);
-        let selection = select_representatives(&matrix, config);
-        let estimated = match rig {
-            Some(rig) => estimate_representatives(path, &selection, gpu, rig, cache)?,
-            None => estimate_totals(&selection.representatives, |i| &per_frame[i]),
-        };
-        let truth = (sequence_totals(&per_frame), report);
-        return Ok((selection, estimated, Some(truth)));
-    }
-    let selection = match stream {
-        Some(stream) => select_stream(path, gpu, config, stream, cache)?,
-        None => select_representatives(&characterize_trace(path, gpu, config, cache)?, config),
-    };
-    let reps_rig = rig.unwrap_or_else(MultiGpuConfig::single);
-    let estimated = estimate_representatives(path, &selection, gpu, reps_rig, cache)?;
-    // The fused stream pass keeps no feature matrix, so its ground
-    // truth is a separate full simulation.
-    let truth = ground_truth
-        .then(|| simulate_trace(path, gpu, rig, cache))
-        .transpose()?
-        .map(|(_, (per_frame, report))| (sequence_totals(&per_frame), report));
-    Ok((selection, estimated, truth))
-}
-
 /// `megsim estimate`. Returns what it prints on stdout: everything is
 /// computed before anything is printed, so a failed pass leaves no
 /// partial estimate behind.
@@ -626,16 +558,19 @@ fn estimate(opts: &mut Options, cache: Option<&FrameCache>) -> Result<String, St
     // accuracy table is reported per rig; without them it is the
     // paper's cold per-frame ground truth.
     let rig = multi_gpu_options(opts)?;
-    let stream = opts
-        .has("stream-cluster")
-        .then(|| stream_cluster_config(opts))
-        .transpose()?;
+    let stream = stream_cluster_config(opts)?;
     let ground_truth = opts.has("ground-truth");
     if ground_truth {
         eprintln!("running full ground-truth simulation...");
     }
-    let (selection, estimated, truth) =
-        run_estimate(&path, seed, stream.as_ref(), rig, ground_truth, cache)?;
+    let gpu = GpuConfig::mali450_like();
+    let flow = Flow {
+        rig,
+        stream,
+        cache,
+        ..Flow::new(&gpu, MegsimConfig::default().with_seed(seed))
+    };
+    let (selection, estimated, truth) = run_flow(&path, &flow, ground_truth)?;
     let mut out = String::new();
     if let Some(rig) = &rig {
         let (dispatch, mem) = rig_names(rig);
@@ -662,10 +597,9 @@ fn estimate(opts: &mut Options, cache: Option<&FrameCache>) -> Result<String, St
         estimated.tile_cache_accesses()
     );
     let _ = writeln!(out, "  IPC:                 {:.2}", estimated.ipc());
-    let Some((actual, report)) = truth else {
+    let Some((errors, report)) = truth else {
         return Ok(out);
     };
-    let errors = metric_errors(&estimated, &actual);
     if let Some(rig) = &rig {
         let (dispatch, mem) = rig_names(rig);
         let _ = writeln!(
@@ -709,11 +643,9 @@ fn estimate(opts: &mut Options, cache: Option<&FrameCache>) -> Result<String, St
 /// never interleave on stdout.
 fn run_campaign(job: &megsim_core::BatchJob, cache: Option<&FrameCache>) -> Result<String, String> {
     use megsim_core::BatchOp;
-    let gpu = GpuConfig::mali450_like();
-    let config = MegsimConfig::default().with_seed(job.seed);
     match job.op {
         BatchOp::Characterize => {
-            let matrix = characterize_trace(&job.trace, &gpu, &config, cache)?;
+            let matrix = characterize_trace(&job.trace, cache)?;
             let mut summary = format!("{} x {} features", matrix.frames(), matrix.dim());
             if let Some(out) = &job.out {
                 let csv = report::feature_matrix_csv(&matrix);
@@ -723,16 +655,19 @@ fn run_campaign(job: &megsim_core::BatchJob, cache: Option<&FrameCache>) -> Resu
             Ok(summary)
         }
         BatchOp::Estimate => {
-            let (selection, estimated, truth) =
-                run_estimate(&job.trace, job.seed, None, None, job.ground_truth, cache)?;
+            let gpu = GpuConfig::mali450_like();
+            let flow = Flow {
+                cache,
+                ..Flow::new(&gpu, MegsimConfig::default().with_seed(job.seed))
+            };
+            let (selection, estimated, truth) = run_flow(&job.trace, &flow, job.ground_truth)?;
             let frames = selection.labels.len();
             let mut summary = format!(
                 "{}/{frames} frames, {} cycles",
                 selection.k(),
                 estimated.cycles
             );
-            if let Some((actual, _)) = truth {
-                let errors = metric_errors(&estimated, &actual);
+            if let Some((errors, _)) = truth {
                 summary.push_str(&format!(", cycles err {:.3}%", errors.cycles * 100.0));
             }
             if let Some(out) = &job.out {
@@ -882,6 +817,40 @@ mod tests {
             let err = run(&argv(&[&["estimate"], &args[..]].concat())).unwrap_err();
             assert!(err.contains("truncated at byte"), "{args:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_trace_without_frames_is_an_error_not_a_panic() {
+        let workload = megsim_workloads::by_alias("jjo", 0.01, 1).expect("known alias");
+        let stream = record_sequence(workload.shaders(), &[]);
+        let empty = tmp("empty.mglt");
+        std::fs::write(&empty, encode_with_version(&stream, 1).expect("v1")).expect("write");
+        let t = empty.as_str();
+        let no_frames = format!("{t}: trace has no frames");
+        for args in [
+            &["select", t][..],
+            &["select", t, "--stream-cluster"],
+            &["estimate", t],
+            &["estimate", t, "--stream-cluster"],
+            &["estimate", t, "--ground-truth"],
+            &["estimate", t, "--ground-truth", "--stream-cluster"],
+            &["estimate", t, "--gpus", "2"],
+            &["estimate", t, "--ground-truth", "--gpus", "2"],
+        ] {
+            assert_eq!(run(&argv(args)).unwrap_err(), no_frames, "{args:?}");
+        }
+        run(&argv(&["characterize", t])).expect("an empty feature matrix");
+        // One bad campaign fails its own row, not the batch.
+        let good = record_jjo("batch_good.mglt", "4");
+        let manifest = format!("none estimate {t} ground-truth\ngood estimate {good}\n");
+        let jobs = megsim_core::parse_manifest(&manifest).expect("manifest");
+        let report = megsim_core::run_batch(&jobs, Some(&FrameCache::new()), run_campaign);
+        assert_eq!(report.campaigns[0].outcome, Err(no_frames));
+        assert!(report.campaigns[1].outcome.is_ok());
+        let path = tmp("empty_batch.manifest");
+        std::fs::write(&path, manifest).expect("write manifest");
+        let err = run(&argv(&["batch", &path])).unwrap_err();
+        assert_eq!(err, "1 of 2 campaigns failed");
     }
 
     #[test]

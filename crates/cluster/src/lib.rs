@@ -51,7 +51,7 @@ pub use kmeans_reference::ReferenceKMeans;
 pub use matrix::{PointMatrix, SoaPoints};
 pub use search::{candidate_seed, search_clusters, SearchConfig, SearchResult, SearchScratch};
 pub use silhouette::{
-    best_by_silhouette, silhouette_score, try_best_by_silhouette, try_best_by_silhouette_with,
-    try_sampled_silhouette_score, try_silhouette_score, SilhouetteError, SilhouetteSample,
+    best_by_silhouette, silhouette_score, try_best_by_silhouette, try_silhouette_score,
+    SilhouetteError,
 };
 pub use stream::{reservoir_seed, StreamClusterer, StreamConfig, StreamOutcome};

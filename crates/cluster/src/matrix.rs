@@ -251,78 +251,6 @@ impl SoaPoints {
         self.block_kernel::<true>(is, js, out);
     }
 
-    /// Gather-row variant of [`SoaPoints::d2_block`]: the `i` side is an
-    /// arbitrary index list instead of a contiguous range (the sampled
-    /// silhouette's reservoir rows), the `j` side streams contiguously.
-    /// Per pair the fold is bitwise [`crate::squared_distance`], exactly
-    /// like the range kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index or the range exceeds the point count, or
-    /// `out` is smaller than the `is.len() × js.len()` tile.
-    pub fn d2_block_rows(&self, is: &[usize], js: std::ops::Range<usize>, out: &mut [f64]) {
-        self.block_kernel_rows::<false>(is, js, out);
-    }
-
-    /// [`SoaPoints::d2_block_rows`] with the square root fused into the
-    /// store (bitwise [`crate::euclidean_distance`] per pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index or the range exceeds the point count, or
-    /// `out` is smaller than the tile.
-    pub fn dist_block_rows(&self, is: &[usize], js: std::ops::Range<usize>, out: &mut [f64]) {
-        self.block_kernel_rows::<true>(is, js, out);
-    }
-
-    fn block_kernel_rows<const SQRT: bool>(
-        &self,
-        is: &[usize],
-        js: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        assert!(
-            is.iter().all(|&i| i < self.n) && js.end <= self.n,
-            "tile range out of bounds"
-        );
-        let (h, w) = (is.len(), js.len());
-        let tile = &mut out[..h * w];
-        let n = self.n;
-        for (bi, &i) in is.iter().enumerate() {
-            let row = &mut tile[bi * w..(bi + 1) * w];
-            let mut jb = 0;
-            while jb + D2_LANES <= w {
-                let mut acc = [0.0f64; D2_LANES];
-                for d in 0..self.dim {
-                    let col = &self.cols[d * n..(d + 1) * n];
-                    let xi = col[i];
-                    let cj = &col[js.start + jb..js.start + jb + D2_LANES];
-                    for (a, &xj) in acc.iter_mut().zip(cj) {
-                        let diff = xi - xj;
-                        *a += diff * diff;
-                    }
-                }
-                if SQRT {
-                    for a in &mut acc {
-                        *a = a.sqrt();
-                    }
-                }
-                row[jb..jb + D2_LANES].copy_from_slice(&acc);
-                jb += D2_LANES;
-            }
-            for (off, j) in (js.start + jb..js.end).enumerate() {
-                let mut acc = 0.0f64;
-                for d in 0..self.dim {
-                    let col = &self.cols[d * n..(d + 1) * n];
-                    let diff = col[i] - col[j];
-                    acc += diff * diff;
-                }
-                row[jb + off] = if SQRT { acc.sqrt() } else { acc };
-            }
-        }
-    }
-
     fn block_kernel<const SQRT: bool>(
         &self,
         is: std::ops::Range<usize>,
@@ -477,41 +405,6 @@ mod tests {
     fn set_row_out_of_range_panics() {
         let mut m = PointMatrix::from_rows(vec![vec![1.0]]);
         m.set_row(1, &[2.0]);
-    }
-
-    #[test]
-    fn gather_row_block_matches_the_range_kernel() {
-        let m = PointMatrix::from_rows(
-            (0..23)
-                .map(|i| {
-                    (0..4)
-                        .map(|d| ((i * 11 + d * 5) as f64).cos() * 10f64.powi((d % 3) - 1))
-                        .collect()
-                })
-                .collect(),
-        );
-        let soa = SoaPoints::from_matrix(&m);
-        // Scattered, unsorted, repeated indices — everything the range
-        // kernel cannot express.
-        let is = [20usize, 3, 3, 17, 0, 9];
-        let js = 2..23;
-        let w = js.len();
-        let mut tile = vec![f64::NAN; is.len() * w];
-        soa.dist_block_rows(&is, js.clone(), &mut tile);
-        let mut d2 = vec![f64::NAN; is.len() * w];
-        soa.d2_block_rows(&is, js.clone(), &mut d2);
-        for (bi, &i) in is.iter().enumerate() {
-            for (bj, j) in js.clone().enumerate() {
-                let expected = crate::kmeans::euclidean_distance(m.row(i), m.row(j));
-                assert_eq!(
-                    tile[bi * w + bj].to_bits(),
-                    expected.to_bits(),
-                    "pair ({i}, {j})"
-                );
-                let expected2 = crate::kmeans::squared_distance(m.row(i), m.row(j));
-                assert_eq!(d2[bi * w + bj].to_bits(), expected2.to_bits());
-            }
-        }
     }
 
     #[test]

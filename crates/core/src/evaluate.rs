@@ -23,11 +23,11 @@
 //! Every simulated frame's [`FrameStats`] carries the functional
 //! activity its frame was timed from, so [`characterize_simulated`]
 //! reads the §III-B feature matrix off a finished simulation, cold or
-//! warm, on any rig, bit-identical to [`characterize_sequence`]. A flow
-//! that needs the ground truth anyway therefore renders each frame once:
-//! it clusters the simulation's own features, and on a single GPU the
-//! cold full run already holds every representative's standalone
-//! statistics, so nothing is re-simulated.
+//! warm, on any rig, bit-identical to [`characterize_sequence`]. So
+//! [`crate::flow::ground_truth`] renders each frame once: it clusters
+//! the simulation's own features, and on a single GPU the cold full run
+//! already holds every representative's standalone statistics, so
+//! nothing is re-simulated.
 //!
 //! The independence of cold frames makes them memoizable: characterize
 //! and cold simulation take an optional [`FrameCache`], the
@@ -308,6 +308,17 @@ pub struct MegsimRun {
 }
 
 impl MegsimRun {
+    /// A run from its selection, estimate and ground-truth totals.
+    pub(crate) fn new(selection: Selection, estimated: FrameStats, actual: FrameStats) -> Self {
+        let errors = metric_errors(&estimated, &actual);
+        Self {
+            selection,
+            estimated,
+            actual,
+            errors,
+        }
+    }
+
     /// Frames MEGsim simulates.
     pub fn frames_simulated(&self) -> usize {
         self.selection.k()
@@ -322,6 +333,10 @@ impl MegsimRun {
 /// Evaluates MEGsim against an already-simulated ground truth: selects
 /// representatives from `matrix`, estimates totals from the per-frame
 /// statistics and computes the Fig. 7 errors.
+///
+/// This is the single-GPU step of [`crate::flow::ground_truth`]. Over
+/// one stored ground truth it re-runs the selection alone, e.g. to
+/// sweep seeds or configurations.
 ///
 /// # Panics
 ///
@@ -338,127 +353,13 @@ pub fn evaluate_megsim(
     );
     let selection = select_representatives(matrix, config);
     let estimated = estimate_totals(&selection.representatives, |i| &per_frame[i]);
-    let actual = sequence_totals(per_frame);
-    let errors = metric_errors(&estimated, &actual);
-    MegsimRun {
-        selection,
-        estimated,
-        actual,
-        errors,
-    }
+    MegsimRun::new(selection, estimated, sequence_totals(per_frame))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::scaled_totals;
     use megsim_workloads::{build, BENCHMARKS};
-
-    /// End-to-end smoke test on a miniature benchmark.
-    #[test]
-    fn megsim_beats_one_percent_error_on_a_small_sequence() {
-        let info = &BENCHMARKS[5]; // jjo (cheap 2-D game)
-        let workload = build(info, 0.04, 11); // 200 frames
-        let gpu_config = GpuConfig::small(256, 256);
-        let megsim = MegsimConfig::default().with_seed(3);
-        let matrix = characterize_sequence(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            &megsim,
-            None,
-        );
-        let (per_frame, _) = simulate(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            MultiGpuConfig::single(),
-            FrameStart::Cold(None),
-        );
-        let run = evaluate_megsim(&matrix, &per_frame, &megsim);
-        assert!(run.frames_simulated() < workload.frames() / 2);
-        assert!(run.reduction_factor() > 2.0);
-        assert!(
-            run.errors.cycles < 0.05,
-            "cycles error = {}",
-            run.errors.cycles
-        );
-        // At this miniature scale (200 frames, 256x256 target) the DRAM
-        // counts are small and cache-state dependent, so the memory
-        // metrics carry more noise than the full-scale Fig. 7 runs.
-        assert!(run.errors.max() < 0.30, "max error = {:?}", run.errors);
-    }
-
-    #[test]
-    fn multi_gpu_representative_estimate_tracks_the_rig_ground_truth() {
-        use megsim_timing::{DispatchMode, Topology};
-        let info = &BENCHMARKS[5]; // jjo
-        let workload = build(info, 0.02, 8); // 100 frames
-        let gpu_config = GpuConfig::small(192, 192);
-        let megsim = MegsimConfig::default().with_seed(3);
-        let matrix = characterize_sequence(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            &megsim,
-            None,
-        );
-        let selection = select_representatives(&matrix, &megsim);
-        let multi = MultiGpuConfig::new(2, DispatchMode::SplitFrame, Topology::Shared);
-        let (per_frame, report) = simulate(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            multi,
-            FrameStart::Warm,
-        );
-        assert!(report.transfers() > 0, "worker band pixels must cross");
-        let (rep_stats, _) = simulate(
-            selection
-                .representatives
-                .iter()
-                .map(|r| workload.frame(r.frame_index)),
-            workload.shaders(),
-            &gpu_config,
-            multi,
-            FrameStart::Cold(None),
-        );
-        let estimated = scaled_totals(&selection.representatives, &rep_stats);
-        let actual = sequence_totals(&per_frame);
-        let errors = metric_errors(&estimated, &actual);
-        // Cold representative rigs vs a warm, shared-topology striped
-        // sequence: the reps miss both cache warm-up and cross-GPU
-        // contention, so the error is far looser than the single-GPU
-        // bound — the PR 10 accuracy table quantifies this gap per
-        // topology. The assertion only fences the regime.
-        assert!(errors.cycles < 0.6, "cycles error = {}", errors.cycles);
-        assert!(estimated.cycles > 0 && actual.cycles > 0);
-    }
-
-    #[test]
-    fn single_pass_exact_stream_matches_the_two_pass_pipeline() {
-        let info = &BENCHMARKS[5]; // jjo
-        let workload = build(info, 0.02, 8); // 100 frames
-        let gpu_config = GpuConfig::small(192, 192);
-        let megsim = MegsimConfig::default().with_seed(13);
-        let matrix = characterize_sequence(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            &megsim,
-            None,
-        );
-        let batch = select_representatives(&matrix, &megsim);
-        let streamed = characterize_stream(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            &megsim,
-            &StreamClusterConfig::exact(),
-            None,
-        );
-        assert_eq!(streamed.selection, batch);
-    }
 
     #[test]
     fn single_pass_bounded_stream_is_fenced_and_sane() {
@@ -489,46 +390,5 @@ mod tests {
             .map(|r| r.cluster_size)
             .sum();
         assert_eq!(total, workload.frames());
-    }
-
-    #[test]
-    fn representative_resimulation_is_close_to_full_run_values() {
-        let info = &BENCHMARKS[6]; // pvz
-        let workload = build(info, 0.01, 4); // 50 frames
-        let gpu_config = GpuConfig::small(192, 192);
-        let megsim = MegsimConfig::default();
-        let matrix = characterize_sequence(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            &megsim,
-            None,
-        );
-        let single = MultiGpuConfig::single();
-        let (per_frame, _) = simulate(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu_config,
-            single,
-            FrameStart::Cold(None),
-        );
-        let run = evaluate_megsim(&matrix, &per_frame, &megsim);
-        let (rep_stats, _) = simulate(
-            run.selection
-                .representatives
-                .iter()
-                .map(|r| workload.frame(r.frame_index)),
-            workload.shaders(),
-            &gpu_config,
-            single,
-            FrameStart::Cold(None),
-        );
-        // Each frame now gets a fresh GPU in both the full run and the
-        // standalone representative run, so the two estimates agree
-        // exactly, not just approximately.
-        let est = scaled_totals(&run.selection.representatives, &rep_stats);
-        assert_eq!(est, run.estimated);
-        let errors = metric_errors(&est, &run.actual);
-        assert!(errors.cycles < 0.10, "cycles error = {}", errors.cycles);
     }
 }

@@ -15,38 +15,34 @@
 //! * [`pipeline`] — clustering and representative selection (§III-E/F)
 //! * [`estimate`] — statistic scaling and accuracy metrics (§V-B)
 //! * [`random_sampling`] — the §V-C baseline
-//! * [`evaluate`] — end-to-end drivers over `megsim-funcsim` +
-//!   `megsim-timing`
+//! * [`evaluate`] — the passes over `megsim-funcsim` + `megsim-timing`:
+//!   characterization and cycle-level simulation
+//! * [`flow`] — the paper's flow end to end over a [`flow::FrameSource`]:
+//!   select, simulate the representatives, scale and, if asked, the
+//!   ground truth
+//! * [`batch`] — many campaigns on one worker pool and one frame cache
 //! * [`frame_cache`] — the run's content-addressed [`FrameCache`],
 //!   passed to every pass that may reuse a frame result
 //!
 //! ```no_run
-//! use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
+//! use megsim_core::flow::{self, Flow};
 //! use megsim_core::pipeline::MegsimConfig;
 //! use megsim_core::FrameCache;
-//! use megsim_timing::{GpuConfig, MultiGpuConfig};
+//! use megsim_timing::GpuConfig;
 //! use megsim_workloads::by_alias;
 //!
 //! let workload = by_alias("jjo", 0.1, 42).expect("known benchmark");
 //! let gpu = GpuConfig::mali450_like();
-//! let config = MegsimConfig::default();
 //! // One cache for the run: later passes reuse earlier frame results.
 //! let cache = FrameCache::new();
-//! let matrix = characterize_sequence(
-//!     workload.iter_frames(),
-//!     workload.shaders(),
-//!     &gpu,
-//!     &config,
-//!     Some(&cache),
-//! );
-//! let (per_frame, _) = simulate(
-//!     workload.iter_frames(),
-//!     workload.shaders(),
-//!     &gpu,
-//!     MultiGpuConfig::single(),
-//!     FrameStart::Cold(Some(&cache)),
-//! );
-//! let run = evaluate_megsim(&matrix, &per_frame, &config);
+//! let flow = Flow {
+//!     cache: Some(&cache),
+//!     ..Flow::new(&gpu, MegsimConfig::default())
+//! };
+//! // Any (shaders, frame iterator factory) pair is a frame source.
+//! let source = (workload.shaders(), || workload.iter_frames());
+//! // One full simulation: the estimate and the error it would make.
+//! let run = flow::ground_truth(&source, &flow).expect("frames").run();
 //! println!(
 //!     "simulate {} of {} frames ({}x), cycles error {:.2}%",
 //!     run.frames_simulated(),
@@ -63,6 +59,7 @@ pub mod batch;
 pub mod estimate;
 pub mod evaluate;
 pub mod features;
+pub mod flow;
 pub mod frame_cache;
 pub mod normalize;
 pub mod pipeline;

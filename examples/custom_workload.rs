@@ -10,13 +10,13 @@
 //! phases (build, wave, boss); the example shows that MEGsim recovers
 //! exactly that phase structure.
 
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
+use megsim_core::flow::{self, Flow};
 use megsim_core::pipeline::MegsimConfig;
 use megsim_gfx::draw::BlendMode;
 use megsim_gfx::shader::{ShaderId, ShaderProgram, ShaderTable, TextureFilter};
 use megsim_gfx::texture::TextureDesc;
 use megsim_mem::AddressSpace;
-use megsim_timing::{GpuConfig, MultiGpuConfig};
+use megsim_timing::GpuConfig;
 use megsim_workloads::{meshes, GameType, ObjectClass, SegmentTemplate, Workload, WorkloadSpec};
 
 fn main() {
@@ -111,21 +111,10 @@ fn main() {
         workload.name,
         workload.frames()
     );
-    let matrix = characterize_sequence(
-        workload.iter_frames(),
-        workload.shaders(),
-        &gpu,
-        &config,
-        None,
-    );
-    let (per_frame, _) = simulate(
-        workload.iter_frames(),
-        workload.shaders(),
-        &gpu,
-        MultiGpuConfig::single(),
-        FrameStart::Cold(None),
-    );
-    let run = evaluate_megsim(&matrix, &per_frame, &config);
+    let source = (workload.shaders(), || workload.iter_frames());
+    let run = flow::ground_truth(&source, &Flow::new(&gpu, config))
+        .expect("the workload has frames")
+        .run();
 
     println!(
         "MEGsim found {} clusters (phases + intensity variants), {:.1}x reduction",

@@ -13,11 +13,10 @@
 //! characterization (the paper stresses that MEGsim's inputs do not
 //! depend on the simulated microarchitecture, §III-B).
 
-use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
-use megsim_core::pipeline::{select_representatives, MegsimConfig};
-use megsim_core::scaled_totals;
+use megsim_core::flow::{self, Flow};
+use megsim_core::pipeline::MegsimConfig;
 use megsim_mem::CacheConfig;
-use megsim_timing::{GpuConfig, MultiGpuConfig};
+use megsim_timing::GpuConfig;
 use megsim_workloads::by_alias;
 
 fn main() {
@@ -27,14 +26,15 @@ fn main() {
 
     // Characterize once — valid for every design point.
     println!("characterizing {} frames once...", workload.frames());
-    let matrix = characterize_sequence(
-        workload.iter_frames(),
+    // A representative pass builds only the representatives.
+    let source = (
         workload.shaders(),
-        &baseline,
-        &config,
-        None,
+        || workload.iter_frames(),
+        |i| workload.frame(i),
     );
-    let selection = select_representatives(&matrix, &config);
+    let selection = flow::select(&source, &Flow::new(&baseline, config))
+        .expect("the workload has frames")
+        .selection;
     println!(
         "selected {} representatives ({:.1}x fewer frames per design point)\n",
         selection.k(),
@@ -50,17 +50,11 @@ fn main() {
             let mut gpu = baseline.clone();
             gpu.l2 = CacheConfig::new("L2", l2_kib * 1024, 64, 2, 8, 18);
             gpu.fragment_processors = fps;
-            // Simulate only the representatives, each on a fresh GPU.
-            let reps = &selection.representatives;
-            let (rep_stats, _) = simulate(
-                reps.iter().map(|r| workload.frame(r.frame_index)),
-                workload.shaders(),
-                &gpu,
-                MultiGpuConfig::single(),
-                FrameStart::Cold(None),
-            );
-            // Scale representative statistics to full-sequence totals.
-            let total = scaled_totals(reps, &rep_stats);
+            // Simulate only the representatives, each on a fresh GPU,
+            // and scale their statistics to full-sequence totals.
+            let total =
+                flow::simulate_representatives(&source, &selection, &Flow::new(&gpu, config))
+                    .expect("the workload holds every representative");
             println!(
                 "{:>8} {:>4} {:>16} {:>12} {:>10.2}",
                 l2_kib,

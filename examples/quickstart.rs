@@ -7,11 +7,11 @@
 //! Flow (paper §III): fast functional characterization of every frame →
 //! k-means/BIC clustering → simulate only the representative frames on
 //! the cycle-level model → scale by cluster sizes → compare against the
-//! full simulation.
+//! full simulation. `megsim_core::flow` runs all of it in one call.
 
-use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
+use megsim_core::flow::{self, Flow};
 use megsim_core::pipeline::MegsimConfig;
-use megsim_timing::{GpuConfig, MultiGpuConfig};
+use megsim_timing::GpuConfig;
 use megsim_workloads::by_alias;
 
 fn main() {
@@ -29,28 +29,15 @@ fn main() {
         workload.shaders().fragment_count()
     );
 
-    // 1. Fast functional characterization (the paper's §III-B pass).
-    println!("characterizing frames functionally...");
-    let matrix = characterize_sequence(
-        workload.iter_frames(),
-        workload.shaders(),
-        &gpu,
-        &config,
-        None,
-    );
-
-    // 2. Ground truth: full cycle-level simulation (what MEGsim avoids).
+    // The flow with its ground truth: one full cycle-level simulation
+    // (what MEGsim avoids), whose per-frame statistics also carry the
+    // functional activity that characterizes each frame; then cluster,
+    // pick representatives, estimate and compare.
     println!("running the full cycle-level simulation (ground truth)...");
-    let (per_frame, _) = simulate(
-        workload.iter_frames(),
-        workload.shaders(),
-        &gpu,
-        MultiGpuConfig::single(),
-        FrameStart::Cold(None),
-    );
-
-    // 3. MEGsim: cluster, pick representatives, estimate, compare.
-    let run = evaluate_megsim(&matrix, &per_frame, &config);
+    let source = (workload.shaders(), || workload.iter_frames());
+    let run = flow::ground_truth(&source, &Flow::new(&gpu, config))
+        .expect("the workload has frames")
+        .run();
 
     println!();
     println!(

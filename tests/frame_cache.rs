@@ -6,9 +6,10 @@
 //! match their cache-off results, so a key shared between rigs would
 //! surface as a bit difference.
 //!
-//! Everything lives in ONE `#[test]` because the worker-pool size is
-//! process-global: parallel test functions setting it would race each
-//! other. The cache itself is a value each run is handed (or not).
+//! The states are compared with each other, so they run in one
+//! `#[test]`: the cache-off, one-thread run is the baseline every other
+//! state must match. Each run scopes its worker count with
+//! `megsim_exec::with_threads` and is handed its cache (or none).
 
 use megsim_core::evaluate::{characterize_sequence, evaluate_megsim, simulate, FrameStart};
 use megsim_core::pipeline::MegsimConfig;

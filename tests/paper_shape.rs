@@ -3,7 +3,7 @@
 //! simulator, not TEAPOT + commercial games), but the qualitative
 //! results must hold even at reduced frame counts.
 
-use megsim_bench::experiments::{correlation_row, power_study, run_all_megsim};
+use megsim_bench::experiments::{correlation_row, power_study};
 use megsim_bench::{compute_suite, Context, ExperimentArgs};
 use megsim_core::random_sampling;
 use megsim_workloads::GameType;
@@ -22,8 +22,8 @@ fn megsim_reduces_frames_by_an_order_of_magnitude_with_small_error() {
     // Fig. 7 / Table III shape on three benchmarks at 1/10 scale.
     let ctx = context(0.1, "hcr,jjo,bbr1");
     let data = compute_suite(&ctx);
-    let runs = run_all_megsim(&data, &ctx.megsim);
-    for (d, r) in data.iter().zip(&runs) {
+    for d in &data {
+        let r = &d.run;
         assert!(
             r.reduction_factor() > 3.0,
             "{}: reduction {:.1}",
@@ -100,7 +100,7 @@ fn three_d_games_cost_more_cycles_per_frame_than_two_d() {
         let sel: Vec<f64> = data
             .iter()
             .filter(|d| d.info.game_type == ty)
-            .map(|d| d.totals.cycles as f64 / d.workload.frames() as f64)
+            .map(|d| d.run.actual.cycles as f64 / d.workload.frames() as f64)
             .collect();
         sel.iter().sum::<f64>() / sel.len() as f64
     };
@@ -113,7 +113,7 @@ fn random_subsampling_needs_more_frames_than_megsim() {
     // random baseline needs more frames.
     let ctx = context(0.1, "pvz");
     let data = compute_suite(&ctx);
-    let run = &run_all_megsim(&data, &ctx.megsim)[0];
+    let run = &data[0].run;
     let cycles = data[0].cycles_series();
     let target = run.errors.cycles.max(1e-4);
     let random_frames = random_sampling::frames_needed_for_target(&cycles, target, 300, 0.95, 7);
