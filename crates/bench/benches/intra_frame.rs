@@ -1,10 +1,10 @@
-//! Intra-frame parallel timing benchmark: the tile-sharded
-//! record/replay raster phase (PR 6) against the sequential tile loop,
-//! swept over 1/2/max worker threads, plus the same sweep for the
-//! warm-sequence render/timing pipeline. Both parallel paths are
-//! bit-identical to their sequential baselines at every point of the
-//! sweep (pinned by `tests/determinism.rs`), so the curve measures
-//! pure overlap.
+//! Intra-frame parallel timing benchmark: the raster phase recorded as
+//! tile-shard logs in parallel and replayed in order, against the same
+//! recorder feeding its replay directly at one thread, swept over
+//! 1/2/max worker threads, plus the same sweep for the warm-sequence
+//! render/timing pipeline. Both parallel paths are bit-identical to
+//! their one-thread baselines at every point of the sweep (pinned by
+//! `tests/determinism.rs`), so the curve measures pure overlap.
 //!
 //! Every speedup is printed next to the available core count: on a
 //! 1-core runner overlap is impossible and ~1.0× (or slightly below,
@@ -60,8 +60,9 @@ fn main() {
     println!("intra-frame bench: {cores} available core(s), thread sweep {sweep:?}");
 
     // Tile-sharded timing: simulate a warm trace sequence per render
-    // mode at each thread count above one, where the raster phase runs
-    // the record/replay path, against the one-thread sequential loop.
+    // mode at each thread count above one, where the raster phase
+    // records shard logs in parallel, against one thread, where the
+    // recorder feeds the replay directly.
     let workload = by_alias("bbr1", 0.01, 7).expect("known alias");
     let shaders = workload.shaders();
     let mut best_t4_speedup = 0.0f64;
@@ -83,17 +84,17 @@ fn main() {
                 std::hint::black_box(gpu.simulate_frame(t, shaders).cycles);
             }
         };
-        let sequential = megsim_exec::with_threads(1, || secs(run));
+        let direct = megsim_exec::with_threads(1, || secs(run));
         for &threads in sweep.iter().filter(|&&t| t > 1) {
             let sharded = megsim_exec::with_threads(threads, || secs(run));
             if threads == 4 {
-                best_t4_speedup = best_t4_speedup.max(sequential / sharded);
+                best_t4_speedup = best_t4_speedup.max(direct / sharded);
             }
             println!(
-                "intra-frame {name}: sharded t{threads} {:.1} frames/s vs sequential {:.1} ({:.2}x on {cores} core(s)){}",
+                "intra-frame {name}: sharded t{threads} {:.1} frames/s vs direct (t1) {:.1} ({:.2}x on {cores} core(s)){}",
                 n / sharded,
-                n / sequential,
-                sequential / sharded,
+                n / direct,
+                direct / sharded,
                 core_note(cores)
             );
         }

@@ -62,9 +62,7 @@ impl ExperimentArgs {
                     out.scale = value("--scale")?
                         .parse()
                         .map_err(|e| format!("bad --scale: {e}"))?;
-                    if out.scale <= 0.0 {
-                        return Err("--scale must be positive".into());
-                    }
+                    megsim_workloads::check_scale(out.scale)?;
                 }
                 "--seed" => {
                     out.seed = value("--seed")?
@@ -181,6 +179,10 @@ mod tests {
     fn rejects_bad_input() {
         assert!(parse(&["--scale", "zero"]).is_err());
         assert!(parse(&["--scale", "-1"]).is_err());
+        for scale in ["nan", "inf", "1e30"] {
+            let err = parse(&["--scale", scale]).unwrap_err();
+            assert!(err.contains("--scale"), "--scale {scale}: {err}");
+        }
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--threads", "many"]).is_err());

@@ -392,9 +392,7 @@ fn run_flow(path: &str, flow: &Flow<'_>, ground_truth: bool) -> Result<FlowOutco
 fn record(opts: &mut Options) -> Result<(), String> {
     let alias = opts.required_flag("benchmark")?.to_string();
     let scale: f64 = opts.flag("scale", 0.1)?;
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(format!("--scale must be a positive number, got {scale}"));
-    }
+    megsim_workloads::check_scale(scale)?;
     let seed: u64 = opts.flag("seed", 42)?;
     let out = opts.required_flag("out")?.to_string();
     let version: u16 = opts.flag("codec-version", FORMAT_VERSION)?;
@@ -1094,7 +1092,7 @@ mod tests {
     fn record_rejects_a_non_positive_or_non_finite_scale() {
         let out = tmp("bad_scale.mglt");
         let _ = std::fs::remove_file(&out);
-        for scale in ["0", "-1", "nan", "inf"] {
+        for scale in ["0", "-1", "nan", "inf", "1e12", "1e30"] {
             let err = run(&argv(&[
                 "record",
                 "--benchmark",

@@ -142,11 +142,6 @@ impl PointMatrix {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
-
-    /// Consumes the matrix, returning the flat buffer.
-    pub fn into_flat(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 /// Register-block width of [`SoaPoints::d2_block`]: how many `j` points

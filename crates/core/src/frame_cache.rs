@@ -63,7 +63,7 @@ use megsim_funcsim::{FrameActivity, RenderConfig};
 use megsim_gfx::draw::{BlendMode, DrawCall, Frame};
 use megsim_gfx::geometry::Mesh;
 use megsim_gfx::shader::ShaderTable;
-use megsim_store::{codec, Store, StoreStats};
+use megsim_store::{codec, Store};
 use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
 
 use parking_lot::Mutex;
@@ -291,11 +291,6 @@ impl FrameCache {
             Some(store) => store.flush(),
             None => Ok(0),
         }
-    }
-
-    /// Statistics of the disk tier, if one is attached.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.tiers.store.as_ref().map(Store::stats)
     }
 
     /// One-line summary of [`counts`](Self::counts) and

@@ -62,6 +62,5 @@ pub mod renderer;
 pub mod trace;
 
 pub use activity::FrameActivity;
-pub use raster::RasterScratch;
 pub use renderer::{RenderConfig, RenderMode, Renderer};
 pub use trace::{DrawGeometry, FrameTrace, QuadTrace, TilePrim, TileTrace};

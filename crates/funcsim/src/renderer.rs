@@ -99,27 +99,6 @@ impl Renderer {
         unwrap_activity(self.render(frame, shaders, false).activity)
     }
 
-    /// [`Self::render_frame`] with caller-owned scratch, for callers
-    /// that manage worker state themselves.
-    pub fn render_frame_with(
-        &self,
-        frame: &Frame,
-        shaders: &ShaderTable,
-        scratch: &mut RasterScratch,
-    ) -> FrameTrace {
-        self.render_with(frame, shaders, true, scratch)
-    }
-
-    /// [`Self::frame_activity`] with caller-owned scratch.
-    pub fn frame_activity_with(
-        &self,
-        frame: &Frame,
-        shaders: &ShaderTable,
-        scratch: &mut RasterScratch,
-    ) -> FrameActivity {
-        unwrap_activity(self.render_with(frame, shaders, false, scratch).activity)
-    }
-
     fn render(&self, frame: &Frame, shaders: &ShaderTable, collect_trace: bool) -> FrameTrace {
         SCRATCH.with(|s| self.render_with(frame, shaders, collect_trace, &mut s.borrow_mut()))
     }

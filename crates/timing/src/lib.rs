@@ -9,12 +9,15 @@
 //! and reports the statistics the paper's accuracy study evaluates:
 //! total cycles, DRAM accesses, L2 accesses and Tile-cache accesses.
 //!
-//! A frame's raster phase shards its tiles across the [`megsim_exec`]
-//! worker pool whenever the calling thread's worker count is above one
-//! (set it with [`megsim_exec::with_threads`]) and the call is not
-//! already inside a pool worker; otherwise it runs the sequential tile
-//! loop. Both paths are bit-identical, so the count only trades
-//! overhead against parallelism.
+//! A frame's raster phase has one implementation: a pure tile recorder
+//! whose events a replay applies to the GPU's caches and clocks. When
+//! the calling thread's worker count is above one (set it with
+//! [`megsim_exec::with_threads`]), the call is not already inside a
+//! pool worker and the frame has at least two tiles, the recorder runs
+//! over tile shards on the [`megsim_exec`] worker pool and the replay
+//! consumes their logs in tile order; otherwise it feeds the replay
+//! directly. The replay sees the same events either way, so the count
+//! only trades overhead against parallelism.
 //!
 //! ```
 //! use megsim_timing::{Gpu, GpuConfig};

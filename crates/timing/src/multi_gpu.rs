@@ -16,8 +16,8 @@
 //!   totals remain the paper's summed-cycles metric.
 //! * **Split-frame rendering** ([`DispatchMode::SplitFrame`]) — every
 //!   frame's tile array is split into N contiguous bands (halves,
-//!   quadrants, …) and each GPU rasterizes its band using the PR 6
-//!   record/replay machinery (`crate::shard`) as the per-GPU unit.
+//!   quadrants, …) and each GPU rasterizes its band with the raster
+//!   phase's tile recorder and replay (`crate::shard`).
 //!   The geometry + tiling phase is duplicated on every GPU (no
 //!   geometry redistribution — the classic SFR cost), a barrier
 //!   separates geometry from raster, and each worker GPU ships its
@@ -39,11 +39,12 @@
 //!
 //! A single-GPU rig is the existing pipeline: AFR degenerates to
 //! [`Gpu::simulate_frame`] on GPU 0 with zero transfers, and SFR's
-//! band split produces the exact shard sequence of the sharded raster
-//! path, replayed even at one worker thread — which makes the N = 1
-//! SFR rig the single-threaded pin of the record/replay machinery
-//! against the sequential raster loop. The `tests/multi_gpu.rs` oracle
-//! pins both against the single-GPU warm path (and, under `--features
+//! band split produces the exact shard sequence of the single GPU's
+//! log route, replayed through the same `Replay` sink even at one
+//! worker thread — where the single GPU feeds that sink directly, so
+//! the N = 1 SFR rig pins the log route against the direct one at
+//! every thread count. The `tests/multi_gpu.rs` oracle pins both
+//! against the single-GPU warm path (and, under `--features
 //! reference`, against `crate::ReferenceGpu`).
 
 use megsim_funcsim::FrameTrace;
@@ -54,7 +55,7 @@ use std::ops::Range;
 
 use crate::config::GpuConfig;
 use crate::gpu::Gpu;
-use crate::shard;
+use crate::shard::{self, Replay, ReplayState, ShardLog};
 use crate::stats::{FrameStats, UnitBusy};
 
 /// The largest rig [`MultiGpu::new`] builds. Every instance owns its
@@ -203,7 +204,6 @@ fn with_backend<R>(
 /// [`WorkDistributor`], over one [`MemoryPool`] and N−1 display links.
 #[derive(Debug)]
 pub struct MultiGpu {
-    config: MultiGpuConfig,
     distributor: WorkDistributor,
     gpus: Vec<Gpu>,
     pool: MemoryPool,
@@ -212,8 +212,6 @@ pub struct MultiGpu {
     /// Global sequence position (drives double-buffer parity on every
     /// GPU, like the single-GPU frame counter).
     frame_index: u64,
-    /// Per-GPU replay scratch (texture-pipe clocks), reused per frame.
-    tex_clock: Vec<Vec<u64>>,
 }
 
 impl MultiGpu {
@@ -231,22 +229,14 @@ impl MultiGpu {
         );
         let pool = MemoryPool::new(multi.topology, multi.gpus, config.l2.clone(), config.dram);
         let gpus: Vec<Gpu> = (0..multi.gpus).map(|_| Gpu::new(config.clone())).collect();
-        let n_fp = config.fragment_processors;
         Self {
             distributor: WorkDistributor::new(multi.gpus, multi.dispatch),
             links: (0..multi.gpus).map(|_| Link::new(multi.link)).collect(),
             frames_per_gpu: vec![0; multi.gpus],
             frame_index: 0,
-            tex_clock: vec![vec![0; n_fp]; multi.gpus],
             gpus,
             pool,
-            config: multi,
         }
-    }
-
-    /// The rig configuration.
-    pub fn multi_config(&self) -> &MultiGpuConfig {
-        &self.config
     }
 
     /// Number of GPU instances.
@@ -348,42 +338,32 @@ impl MultiGpu {
         let geometry_cycles = geom.iter().copied().max().unwrap_or(0);
 
         // Record (parallel, pure): each band chunked into the same
-        // SHARD_TILES shards the single-GPU sharded path uses.
+        // SHARD_TILES shards the single-GPU sharded route uses.
         let ranges = self.distributor.tile_ranges(trace.tiles.len());
-        let mut jobs: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut jobs: Vec<Range<usize>> = Vec::new();
         let mut shards_of: Vec<Range<usize>> = Vec::with_capacity(n);
-        for (g, band) in ranges.iter().enumerate() {
+        for band in &ranges {
             let first = jobs.len();
             let mut start = band.start;
             while start < band.end {
                 let end = (start + shard::SHARD_TILES).min(band.end);
-                jobs.push((g, start..end));
+                jobs.push(start..end);
                 start = end;
             }
             shards_of.push(first..jobs.len());
         }
         let gpu_config = &self.gpus[0].config;
         let frame_index = self.frame_index;
-        let logs: Vec<shard::ShardLog> =
-            if megsim_exec::thread_count() > 1 && !megsim_exec::in_pool() {
-                megsim_exec::par_map_indexed(&jobs, |_, (_, range)| {
-                    shard::record_tiles(trace, shaders, gpu_config, frame_index, range.clone())
-                })
-            } else {
-                jobs.iter()
-                    .map(|(_, range)| {
-                        shard::record_tiles(trace, shaders, gpu_config, frame_index, range.clone())
-                    })
-                    .collect()
-            };
+        let logs: Vec<ShardLog> = megsim_exec::par_map_indexed(&jobs, |_, range| {
+            ShardLog::record(trace, shaders, gpu_config, frame_index, range.clone())
+        });
 
         // Replay (serial, deterministic): round-robin across GPUs at
         // shard granularity — the fixed interleave that makes shared-
         // topology contention well-defined. All GPUs raster from the
         // post-geometry barrier.
         let raster_base = frame_start + geometry_cycles;
-        let mut states: Vec<shard::ReplayState> =
-            (0..n).map(|_| shard::ReplayState::default()).collect();
+        let mut states = vec![ReplayState::default(); n];
         let mut cursors: Vec<usize> = shards_of.iter().map(|r| r.start).collect();
         loop {
             let mut replayed = false;
@@ -394,29 +374,14 @@ impl MultiGpu {
                 let log = &logs[cursors[g]];
                 cursors[g] += 1;
                 replayed = true;
-                std::mem::swap(&mut self.gpus[g].memory, self.pool.for_gpu(g));
-                let gpu = &mut self.gpus[g];
-                shard::replay_shard(
-                    log,
-                    trace,
-                    &gpu.config,
-                    &mut gpu.tile_cache,
-                    &mut gpu.texture_caches,
-                    &mut gpu.memory,
-                    frame_index,
-                    raster_base,
-                    &mut busys[g],
-                    &mut states[g],
-                    &mut self.tex_clock[g],
-                );
-                std::mem::swap(&mut self.gpus[g].memory, self.pool.for_gpu(g));
+                let (busy, state) = (&mut busys[g], &mut states[g]);
+                with_backend(&mut self.gpus, &mut self.pool, g, |gpu| {
+                    log.replay(&mut Replay::new(gpu, trace, raster_base, busy, state));
+                });
             }
             if !replayed {
                 break;
             }
-        }
-        for g in 0..n {
-            busys[g].flush += states[g].flush_clock;
         }
         let raster_cycles = states.iter().map(|s| s.raster_cycles()).max().unwrap_or(0);
 

@@ -1,47 +1,48 @@
-//! Intra-frame parallel timing: tile-sharded raster simulation with a
-//! deterministic memory-traffic merge.
+//! The raster phase: one tile recorder feeding one of two sinks.
 //!
-//! All pre-PR-6 parallelism was frame-level, so one large frame
-//! serialized on a single core. Tiles, however, are independent through
-//! the FP-array raster pipeline — only the shared memory system (tile
-//! cache, per-FP texture caches, L2, DRAM) couples them. This module
-//! splits `Gpu::simulate_frame`'s tile loop into two stages:
+//! [`record_tiles`] is the only code that walks a frame's tiles through
+//! the raster pipeline. It does everything that touches no shared
+//! state — texture-sampler memoization and per-fragment address
+//! generation, same-line run coalescing ([`megsim_mem::RunCoalescer`]),
+//! polygon-list run layout, per-FP ALU clock sums, Early-Z/blend
+//! occupancy, round-robin quad distribution — and sends each tile's
+//! events to a [`TileSink`] in the order the memory system sees them:
+//! the tile's polygon-list runs, its ordered [`TileOp`]s, then its end
+//! with the pure [`TileMeta`] totals and per-FP ALU clocks. Two sinks
+//! consume them:
 //!
-//! 1. **Record** (parallel, pure): shard workers walk disjoint tile
-//!    ranges and do everything that does not touch shared state —
-//!    texture-sampler memoization and per-fragment address generation,
-//!    same-line run coalescing ([`megsim_mem::RunCoalescer`]),
-//!    polygon-list run layout, per-FP ALU clock sums, Early-Z/blend
-//!    occupancy, round-robin quad distribution — emitting a compact
-//!    per-shard [`ShardLog`] of `(addr, count, kind)` runs plus pure
-//!    clock totals. No cache or DRAM is touched, so shards race on
-//!    nothing.
-//! 2. **Replay** (serial, tile-index-ascending): the caller thread
-//!    merges completed shards in order, replaying each tile's log
-//!    through the existing [`megsim_mem::Cache::access_run`] /
-//!    [`megsim_mem::MemoryHierarchy::access_run`] fast paths and
-//!    re-deriving every latency-coupled clock (polygon-list read-back,
-//!    texture-pipe stalls, IMR depth/color posted writes, the tile
-//!    flush) exactly as the sequential loop would.
+//! * [`Replay`] applies each event to one GPU's tile and texture
+//!   caches, memory hierarchy and unit clocks as it arrives,
+//!   re-deriving every latency-coupled clock (polygon-list read-back,
+//!   texture-pipe stalls, IMR depth/color posted writes, the tile
+//!   flush).
+//! * [`ShardLog`] buffers the events of a tile range;
+//!   [`ShardLog::replay`] feeds them to a `Replay` later, in order.
 //!
-//! Because the log captures the *complete* ordered stream of
-//! potentially-memory-touching events — with the pure clock advances
-//! between them — the replay leaves every cache line, LRU stamp, DRAM
-//! row buffer, stat counter and cycle count **bit-identical to the
-//! sequential raster phase at any thread count and any shard size**.
-//! The oracle tests below pin that equivalence against both the direct
-//! fast path and the retained seed [`crate::ReferenceGpu`].
+//! `Gpu::simulate_frame` records straight into a `Replay` unless the
+//! work can overlap: with at least two tiles, more than one worker
+//! thread and outside a pool worker, workers record [`SHARD_TILES`]-tile
+//! logs in parallel while the caller replays them tile-index-ascending
+//! ([`megsim_exec::shard_merge`]). The split-frame rig
+//! (`crate::multi_gpu`) replays its per-band logs round-robin, one
+//! `Replay` per GPU.
+//!
+//! A log replays exactly the event stream the direct sink receives, so
+//! every cache line, LRU stamp, DRAM row buffer, stat counter and cycle
+//! count is **bit-identical at any thread count and any shard size**.
+//! The oracle tests below and in `crate::timing_reference` pin both
+//! sinks against the retained seed model, `ReferenceGpu`.
 
 use std::ops::Range;
 
 use megsim_funcsim::{FrameTrace, RenderMode};
+use megsim_gfx::draw::Viewport;
 use megsim_gfx::math::Vec2;
 use megsim_gfx::shader::ShaderTable;
-use megsim_gfx::texture::LodSampler;
 use megsim_mem::{AddressSpace, Cache, MemoryHierarchy, RunCoalescer};
 
 use crate::config::GpuConfig;
-use crate::gpu::texture_run;
+use crate::gpu::Gpu;
 use crate::stats::UnitBusy;
 
 /// Tiles per shard. Small enough that shards load-balance across
@@ -51,10 +52,10 @@ use crate::stats::UnitBusy;
 pub(crate) const SHARD_TILES: usize = 8;
 
 /// One potentially-memory-touching event of a tile, in the exact order
-/// the sequential raster loop would issue it. `pre` fields carry the
-/// pure clock advances accumulated since the previous event on the
-/// same clock, so the replay reconstructs each clock's running value
-/// at the moment of the access.
+/// the raster pipeline issues it. `pre` fields carry the pure clock
+/// advances accumulated since the previous event on the same clock, so
+/// the replay reconstructs each clock's running value at the moment of
+/// the access.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TileOp {
     /// A coalesced same-line texture-sample run on FP `fp`'s cache.
@@ -88,9 +89,7 @@ pub(crate) enum TileOp {
     },
 }
 
-/// Pure per-tile totals plus the end offsets of the tile's slices in
-/// the shard's flat run/op arrays (CSR layout — one allocation set per
-/// shard, not per tile).
+/// Pure per-tile totals, sent with the tile's end.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TileMeta {
     /// Flattened tile index (row-major), for flush addressing.
@@ -108,20 +107,29 @@ pub(crate) struct TileMeta {
     /// blend mode reads the destination).
     color_accesses: u64,
     /// Visible pixels — the tile flush recomputes its line addresses
-    /// from this, so flush traffic needs no log entries.
+    /// from this, so flush traffic needs no events.
     visible_px: u64,
-    /// End offset of this tile's polygon-list runs in
-    /// [`ShardLog::list_runs`].
-    list_run_end: u32,
-    /// End offset of this tile's ops in [`ShardLog::ops`].
-    op_end: u32,
 }
 
-/// The recorded raster work of one shard of tiles: per-tile metadata
-/// over flat run/op arrays.
+/// Receives the raster events [`record_tiles`] produces, tile by tile:
+/// the tile's polygon-list runs, then its ordered ops, then its end.
+pub(crate) trait TileSink {
+    /// A same-line polygon-list read run of `count` entries from `addr`.
+    fn list_run(&mut self, addr: u64, count: u64);
+    /// An ordered memory-touching event.
+    fn op(&mut self, op: TileOp);
+    /// The tile's end: its pure totals and per-FP ALU clocks.
+    fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]);
+}
+
+/// The buffered events of a tile range: per-tile metadata over flat
+/// run/op/clock arrays (CSR layout — one allocation set per shard, not
+/// per tile).
 #[derive(Debug, Default)]
 pub(crate) struct ShardLog {
-    metas: Vec<TileMeta>,
+    /// Each tile's totals, with the end offsets of its slices in
+    /// `list_runs`, `ops` and `fp_alu`.
+    tiles: Vec<(TileMeta, [usize; 3])>,
     /// Same-line polygon-list read runs, all tiles concatenated.
     list_runs: Vec<(u64, u64)>,
     /// Ordered memory-touching events, all tiles concatenated.
@@ -130,33 +138,83 @@ pub(crate) struct ShardLog {
     fp_alu: Vec<u64>,
 }
 
-/// Records the raster-phase work of `trace.tiles[range]` without
-/// touching any shared cache or DRAM state. Pure: depends only on the
-/// trace, shader table, configuration and frame index, so shards can
-/// record concurrently in any order.
+impl ShardLog {
+    /// Records `trace.tiles[range]` into a fresh log. Pure, so shards
+    /// can record concurrently in any order.
+    pub(crate) fn record(
+        trace: &FrameTrace,
+        shaders: &ShaderTable,
+        config: &GpuConfig,
+        frame_index: u64,
+        range: Range<usize>,
+    ) -> Self {
+        let mut log = Self {
+            tiles: Vec::with_capacity(range.len()),
+            ..Self::default()
+        };
+        record_tiles(trace, shaders, config, frame_index, range, &mut log);
+        log
+    }
+
+    /// Feeds the buffered events to `sink` in recorded order.
+    pub(crate) fn replay(&self, sink: &mut impl TileSink) {
+        let mut start = [0; 3];
+        for &(meta, end) in &self.tiles {
+            for &(addr, count) in &self.list_runs[start[0]..end[0]] {
+                sink.list_run(addr, count);
+            }
+            for &op in &self.ops[start[1]..end[1]] {
+                sink.op(op);
+            }
+            sink.end_tile(meta, &self.fp_alu[start[2]..end[2]]);
+            start = end;
+        }
+    }
+}
+
+impl TileSink for ShardLog {
+    fn list_run(&mut self, addr: u64, count: u64) {
+        self.list_runs.push((addr, count));
+    }
+
+    fn op(&mut self, op: TileOp) {
+        self.ops.push(op);
+    }
+
+    fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]) {
+        self.fp_alu.extend_from_slice(fp_alu);
+        let end = [self.list_runs.len(), self.ops.len(), self.fp_alu.len()];
+        self.tiles.push((meta, end));
+    }
+}
+
+/// Walks the raster pipeline over `trace.tiles[range]`, sending each
+/// tile's events to `sink`. Touches no cache or DRAM state itself: it
+/// depends only on the trace, shader table, configuration and frame
+/// index.
 pub(crate) fn record_tiles(
     trace: &FrameTrace,
     shaders: &ShaderTable,
     config: &GpuConfig,
     frame_index: u64,
     range: Range<usize>,
-) -> ShardLog {
+    sink: &mut impl TileSink,
+) {
     let immediate = trace.mode == RenderMode::Immediate;
     let deferred = trace.mode == RenderMode::TileBasedDeferred;
     let tc_shift = config.tile_cache.line_size.trailing_zeros();
     let tex_shift = config.texture_cache.line_size.trailing_zeros();
     let n_fp = config.fragment_processors;
+    // Early-Z: one quad per cycle; a deferred (HSR) pipeline pays a
+    // second resolve pass.
     let earlyz_step: u64 = if deferred { 2 } else { 1 };
 
-    let mut log = ShardLog {
-        metas: Vec::with_capacity(range.len()),
-        ..ShardLog::default()
-    };
-    let mut samplers: Vec<LodSampler> = Vec::new();
+    let mut fp_alu = vec![0u64; n_fp];
+    let mut samplers = Vec::new();
     for tile in &trace.tiles[range] {
-        // Polygon-list read-back runs: a pure function of the tile
-        // index and entry count (absent in immediate mode), coalesced
-        // by tile-cache line exactly as the sequential scan would.
+        // Polygon-list read-back runs through the Tile cache (absent in
+        // immediate mode: there are no tile lists to read), coalesced
+        // by line like the PLB wrote them.
         if !immediate {
             let entries = tile.prims.len() as u64;
             let mut n = 0u64;
@@ -169,27 +227,34 @@ pub(crate) fn record_tiles(
                 {
                     m += 1;
                 }
-                log.list_runs.push((addr, m - n));
+                sink.list_run(addr, m - n);
                 n = m;
             }
         }
 
-        let fp_base = log.fp_alu.len();
-        log.fp_alu.resize(fp_base + n_fp, 0);
+        // Rasterizer / Early-Z / Fragment Processors / Blending.
+        fp_alu.fill(0);
         let mut raster_clock = 0u64;
         let mut earlyz_pending = 0u64;
         let mut blend_pending = 0u64;
         let mut depth_accesses = 0u64;
         let mut color_accesses = 0u64;
         let mut visible_px = 0u64;
+        // Round-robin quad distribution: a wrapping counter in place of
+        // `quad_count % n_fp` (same sequence, no per-quad division).
         let mut fp_rr = 0usize;
         for prim in &tile.prims {
             let fs = shaders.fragment_shader(prim.fragment_shader);
             let fs_instr = u64::from(fs.instruction_count());
+            // FP issue cost per visible-fragment count, hoisting the
+            // `div_ceil` out of the quad loop (vis is 1..=4).
             let mut quad_cost = [0u64; 5];
             for (v, cost) in quad_cost.iter_mut().enumerate().skip(1) {
                 *cost = (v as u64 * fs_instr).div_ceil(config.fragment_issue_width);
             }
+            // Memoize the prim's texture samplers once: the level
+            // clamp, mip-chain walk and wrap masks are fixed per
+            // (texture, filter, lod).
             samplers.clear();
             if let Some(texture) = prim.texture.as_ref() {
                 for filter in &fs.texture_samples {
@@ -200,6 +265,9 @@ pub(crate) fn record_tiles(
                 .first()
                 .map(|s| s.texel_extent())
                 .unwrap_or_default();
+            // The quad's four fragments sample at one-texel offsets (at
+            // the selected LOD): +x, +y, then both — a per-prim table,
+            // so the quad loop does no integer-to-float conversion.
             let offsets = [
                 Vec2::new(0.0, 0.0),
                 Vec2::new(texel.x, 0.0),
@@ -213,59 +281,57 @@ pub(crate) fn record_tiles(
                 earlyz_pending += earlyz_step;
                 depth_accesses += u64::from(quad.covered_count());
                 if immediate && prim.depth_test {
+                    // IMR keeps depth in memory: one line-sized access
+                    // per quad (depth values of a quad share a line).
                     let addr = AddressSpace::depth_pixel(
                         u32::from(quad.x),
                         u32::from(quad.y),
                         trace.viewport.width,
                     );
-                    log.ops.push(TileOp::Depth {
+                    sink.op(TileOp::Depth {
                         pre: earlyz_pending as u32,
                         addr,
                     });
                     earlyz_pending = 0;
                 }
                 let vis = u64::from(quad.visible_count());
-                if vis == 0 {
-                    fp_rr += 1;
-                    if fp_rr == n_fp {
-                        fp_rr = 0;
-                    }
-                    continue;
-                }
                 let fp = fp_rr;
                 fp_rr += 1;
                 if fp_rr == n_fp {
                     fp_rr = 0;
                 }
-                log.fp_alu[fp_base + fp] += quad_cost[vis as usize];
+                if vis == 0 {
+                    continue;
+                }
+                fp_alu[fp] += quad_cost[vis as usize];
                 if !samplers.is_empty() {
-                    // Same-line run merging with the exact boundaries
-                    // of the sequential address scan; the coalescer
-                    // state spans the whole quad, as in the direct
-                    // path's `sample_textures`.
+                    // Texture samples stream through one same-line run
+                    // spanning the whole quad, flushed on every line
+                    // change: a bilinear footprint inside one texel
+                    // block is a single texture-cache lookup, and
+                    // adjacent fragments extend the run.
                     let mut runs = RunCoalescer::new(tex_shift);
-                    for off in &offsets[..vis.min(4) as usize] {
-                        let fuv = Vec2::new(quad.uv.x + off.x, quad.uv.y + off.y);
-                        for sampler in &samplers {
-                            sampler.for_each_run(fuv, tex_shift, |addr, count| {
-                                runs.push(addr, count, |addr, count| {
-                                    log.ops.push(TileOp::Tex {
-                                        fp: fp as u8,
-                                        count: count as u32,
-                                        addr,
-                                    });
-                                });
-                            });
-                        }
-                    }
-                    runs.flush(|addr, count| {
-                        log.ops.push(TileOp::Tex {
+                    let mut emit = |addr, count: u64| {
+                        sink.op(TileOp::Tex {
                             fp: fp as u8,
                             count: count as u32,
                             addr,
                         });
-                    });
+                    };
+                    for off in &offsets[..vis.min(4) as usize] {
+                        let fuv = Vec2::new(quad.uv.x + off.x, quad.uv.y + off.y);
+                        for sampler in &samplers {
+                            sampler.for_each_run(fuv, tex_shift, |addr, count| {
+                                runs.push(addr, count, &mut emit);
+                            });
+                        }
+                    }
+                    runs.flush(&mut emit);
                 }
+                // Blending Unit: one fragment per cycle. TBR blends
+                // against the on-chip color buffer; IMR reads and
+                // writes the frame buffer in memory immediately — the
+                // off-chip traffic §II-A describes.
                 blend_pending += vis;
                 color_accesses += vis * if prim.blend.reads_destination() { 2 } else { 1 };
                 if immediate {
@@ -275,7 +341,7 @@ pub(crate) fn record_tiles(
                         trace.viewport.width,
                         frame_index,
                     );
-                    log.ops.push(TileOp::Color {
+                    sink.op(TileOp::Color {
                         pre: blend_pending as u32,
                         read: prim.blend.reads_destination(),
                         addr,
@@ -285,7 +351,7 @@ pub(crate) fn record_tiles(
                 visible_px += vis;
             }
         }
-        log.metas.push(TileMeta {
+        let meta = TileMeta {
             tile_index: tile.tile_index,
             raster_clock,
             earlyz_tail: earlyz_pending,
@@ -293,15 +359,14 @@ pub(crate) fn record_tiles(
             depth_accesses,
             color_accesses,
             visible_px,
-            list_run_end: log.list_runs.len() as u32,
-            op_end: log.ops.len() as u32,
-        });
+        };
+        sink.end_tile(meta, &fp_alu);
     }
-    log
 }
 
-/// Raster-phase accumulators threaded through the tile-ordered merge.
-#[derive(Debug, Default)]
+/// Raster-phase totals of one GPU, carried across the [`Replay`]s of a
+/// frame.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ReplayState {
     /// Accumulated per-tile pipeline time.
     pub tile_work_clock: u64,
@@ -324,144 +389,222 @@ impl ReplayState {
     }
 }
 
-/// Replays one shard's log against the shared memory system, tile by
-/// tile in index order — the deterministic merge. Must be called with
-/// shards in ascending tile order; within the call it reproduces the
-/// sequential raster loop's access order and clock arithmetic exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_shard(
-    log: &ShardLog,
-    trace: &FrameTrace,
-    config: &GpuConfig,
-    tile_cache: &mut Cache,
-    texture_caches: &mut [Cache],
-    memory: &mut MemoryHierarchy,
+/// The sink that times tiles: applies each event to one GPU's tile and
+/// texture caches and memory hierarchy as it arrives, and folds the
+/// tile's clocks into the [`UnitBusy`] counters and the [`ReplayState`].
+/// Events must arrive in ascending tile order; tiles may be split
+/// across several `Replay`s sharing one state, as long as each ends on
+/// a tile boundary.
+#[derive(Debug)]
+pub(crate) struct Replay<'a> {
+    config: &'a GpuConfig,
+    viewport: Viewport,
+    immediate: bool,
     frame_index: u64,
+    /// Cycle the raster phase starts at.
     base: u64,
-    busy: &mut UnitBusy,
-    state: &mut ReplayState,
-    tex_clock: &mut [u64],
-) {
-    let immediate = trace.mode == RenderMode::Immediate;
-    let tc_latency = config.tile_cache.latency;
-    let stall_cap = config.texture_miss_stall_cap;
-    let n_fp = config.fragment_processors;
-    let mut list_start = 0usize;
-    let mut op_start = 0usize;
-    for (t, meta) in log.metas.iter().enumerate() {
-        let tile_base = base + state.tile_work_clock;
-        // Polygon-list read-back through the tile cache.
-        let mut list_clock = 0u64;
-        for &(addr, count) in &log.list_runs[list_start..meta.list_run_end as usize] {
-            list_clock += 1;
-            let acc = tile_cache.access_run(addr, false, count);
-            if let Some(wb) = acc.writeback {
-                memory.access(wb, tile_base + list_clock, true);
-            }
-            if acc.hit {
-                list_clock += tc_latency;
-            } else {
-                let fill = memory.access(addr, tile_base + list_clock, false);
-                list_clock += fill.latency;
-            }
-            list_clock += (count - 1) * (1 + tc_latency);
-        }
-        list_start = meta.list_run_end as usize;
+    tile_cache: &'a mut Cache,
+    texture_caches: &'a mut [Cache],
+    memory: &'a mut MemoryHierarchy,
+    busy: &'a mut UnitBusy,
+    state: &'a mut ReplayState,
+    /// Per-FP texture-pipe clocks of the current tile (zero between
+    /// tiles). Each FP has a texture pipe that runs in parallel with its
+    /// ALU; the FP finishes when the slower of the two does.
+    tex_clock: &'a mut [u64],
+    /// The current tile's polygon-list read-back clock.
+    list_clock: u64,
+    /// The current tile's Early-Z clock, up to its last depth event.
+    earlyz_clock: u64,
+    /// The current tile's blend clock, up to its last color event.
+    blend_clock: u64,
+}
 
-        // Ordered event replay: texture runs, IMR depth tests and IMR
-        // color writes interleave on the shared L2/DRAM exactly as the
-        // per-quad loop issued them.
-        let mut earlyz_clock = 0u64;
-        let mut blend_clock = 0u64;
-        tex_clock[..n_fp].fill(0);
-        for op in &log.ops[op_start..meta.op_end as usize] {
-            match *op {
-                TileOp::Tex { fp, count, addr } => texture_run(
-                    &mut texture_caches[fp as usize],
-                    memory,
-                    addr,
-                    u64::from(count),
-                    tile_base,
-                    stall_cap,
-                    &mut tex_clock[fp as usize],
-                ),
-                TileOp::Depth { pre, addr } => {
-                    earlyz_clock += u64::from(pre);
-                    let acc = memory.access(addr, tile_base + earlyz_clock, true);
-                    let arrival = acc.ready_at.saturating_sub(tile_base);
-                    earlyz_clock =
-                        earlyz_clock.max(arrival.saturating_sub(config.plb_write_window));
+impl<'a> Replay<'a> {
+    /// Times `trace`'s tiles on `gpu`, from raster-phase start `base`.
+    pub(crate) fn new(
+        gpu: &'a mut Gpu,
+        trace: &FrameTrace,
+        base: u64,
+        busy: &'a mut UnitBusy,
+        state: &'a mut ReplayState,
+    ) -> Self {
+        Self {
+            config: &gpu.config,
+            viewport: trace.viewport,
+            immediate: trace.mode == RenderMode::Immediate,
+            frame_index: gpu.frame_index,
+            base,
+            tile_cache: &mut gpu.tile_cache,
+            texture_caches: &mut gpu.texture_caches,
+            memory: &mut gpu.memory,
+            busy,
+            state,
+            tex_clock: &mut gpu.tex_clock,
+            list_clock: 0,
+            earlyz_clock: 0,
+            blend_clock: 0,
+        }
+    }
+
+    /// The replayed GPU's configuration, for the recorder.
+    pub(crate) fn config(&self) -> &'a GpuConfig {
+        self.config
+    }
+
+    /// The cycle the current tile started at.
+    #[inline(always)]
+    fn tile_base(&self) -> u64 {
+        self.base + self.state.tile_work_clock
+    }
+
+    /// Streams the tile's covered pixels to the frame buffer
+    /// (partial-tile flush — Arm-style transaction elimination skips
+    /// untouched pixels); overlaps the next tile's work. The line
+    /// addresses are a pure function of the tile rect and visible-pixel
+    /// count, so they need no events.
+    fn flush(&mut self, meta: &TileMeta) {
+        let viewport = self.viewport;
+        let line_size = self.config.dram.line_size;
+        let (tx, ty) = (
+            meta.tile_index % viewport.tiles_x(),
+            meta.tile_index / viewport.tiles_x(),
+        );
+        let rect = viewport.tile_rect(tx, ty);
+        let flush_lines = (meta.visible_px * 4).div_ceil(line_size);
+        let start = self.state.flush_clock;
+        let mut clock = start;
+        for line in 0..flush_lines {
+            // Spread the flush across the tile's pixel rows so the
+            // address stream matches a real raster layout. Each flush
+            // line is its own cache line, so there is nothing to
+            // coalesce — the locality shows up as L2 and DRAM row hits.
+            let local = line * (line_size / 4);
+            let y = rect.1 + (local / u64::from(viewport.tile_size)) as u32;
+            let x = rect.0 + (local % u64::from(viewport.tile_size)) as u32;
+            let addr = AddressSpace::framebuffer_pixel(
+                x.min(viewport.width - 1),
+                y.min(viewport.height - 1),
+                viewport.width,
+                self.frame_index,
+            );
+            // Posted cached writes: the flush engine runs ahead of
+            // memory by up to the Color queue's drain window, then
+            // feels backpressure. Lines land in the L2 and reach DRAM
+            // on eviction, exactly like IMR's color writes.
+            let w = self.memory.access(addr, self.base + clock, true);
+            let retire = w.ready_at.saturating_sub(self.base);
+            clock = (clock + 1).max(retire.saturating_sub(self.config.flush_write_window));
+        }
+        self.state.flush_clock = clock;
+        self.busy.flush += clock - start;
+    }
+}
+
+// `list_run` and `op` run once per event. Forced inlining lets each
+// recorder call site compile down to the one arm it constructs, so the
+// direct route pays no call or variant dispatch per event.
+impl TileSink for Replay<'_> {
+    #[inline(always)]
+    fn list_run(&mut self, addr: u64, count: u64) {
+        let tile_base = self.tile_base();
+        let latency = self.config.tile_cache.latency;
+        self.list_clock += 1;
+        let acc = self.tile_cache.access_run(addr, false, count);
+        if let Some(wb) = acc.writeback {
+            self.memory.access(wb, tile_base + self.list_clock, true);
+        }
+        if acc.hit {
+            self.list_clock += latency;
+        } else {
+            let fill = self.memory.access(addr, tile_base + self.list_clock, false);
+            self.list_clock += fill.latency;
+        }
+        self.list_clock += (count - 1) * (1 + latency);
+    }
+
+    #[inline(always)]
+    fn op(&mut self, op: TileOp) {
+        let tile_base = self.tile_base();
+        match op {
+            TileOp::Tex { fp, count, addr } => {
+                // One texel lookup per cycle of pipe occupancy; a miss
+                // stalls the pipe for a capped latency (the in-flight
+                // quad window hides the rest); the run's remaining
+                // `count - 1` accesses are hits at one cycle each.
+                let clock = &mut self.tex_clock[fp as usize];
+                let acc = self.texture_caches[fp as usize].access_run(addr, false, count.into());
+                if let Some(wb) = acc.writeback {
+                    self.memory.access(wb, tile_base + *clock, true);
                 }
-                TileOp::Color { pre, read, addr } => {
-                    blend_clock += u64::from(pre);
-                    if read {
-                        memory.access(addr, tile_base + blend_clock, false);
-                    }
-                    let acc = memory.access(addr, tile_base + blend_clock, true);
-                    let arrival = acc.ready_at.saturating_sub(tile_base);
-                    blend_clock =
-                        blend_clock.max(arrival.saturating_sub(config.flush_write_window));
+                if acc.hit {
+                    *clock += 1;
+                } else {
+                    let fill = self.memory.access(addr, tile_base + *clock, false);
+                    let arrival = fill.ready_at.saturating_sub(tile_base);
+                    *clock = (*clock + 1)
+                        .max(arrival.saturating_sub(self.config.texture_miss_stall_cap));
                 }
+                *clock += u64::from(count) - 1;
+            }
+            TileOp::Depth { pre, addr } => {
+                // Posted behind the 8-quad Early-Z window, which hides
+                // the depth-buffer latency.
+                self.earlyz_clock += u64::from(pre);
+                let acc = self
+                    .memory
+                    .access(addr, tile_base + self.earlyz_clock, true);
+                let arrival = acc.ready_at.saturating_sub(tile_base);
+                self.earlyz_clock = self
+                    .earlyz_clock
+                    .max(arrival.saturating_sub(self.config.plb_write_window));
+            }
+            TileOp::Color { pre, read, addr } => {
+                self.blend_clock += u64::from(pre);
+                if read {
+                    self.memory
+                        .access(addr, tile_base + self.blend_clock, false);
+                }
+                let acc = self.memory.access(addr, tile_base + self.blend_clock, true);
+                let arrival = acc.ready_at.saturating_sub(tile_base);
+                self.blend_clock = self
+                    .blend_clock
+                    .max(arrival.saturating_sub(self.config.flush_write_window));
             }
         }
-        op_start = meta.op_end as usize;
-        earlyz_clock += meta.earlyz_tail;
-        blend_clock += meta.blend_tail;
-        state.depth_accesses += meta.depth_accesses;
-        state.color_accesses += meta.color_accesses;
-        state.visible_px += meta.visible_px;
+    }
 
-        let fp_alu = &log.fp_alu[t * n_fp..(t + 1) * n_fp];
+    fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]) {
+        let earlyz_clock = std::mem::take(&mut self.earlyz_clock) + meta.earlyz_tail;
+        let blend_clock = std::mem::take(&mut self.blend_clock) + meta.blend_tail;
+        let list_clock = std::mem::take(&mut self.list_clock);
         let fp_alu_max = fp_alu.iter().copied().max().unwrap_or(0);
-        let tex_max = tex_clock[..n_fp].iter().copied().max().unwrap_or(0);
+        let tex_max = self.tex_clock.iter().copied().max().unwrap_or(0);
         let fp_max = fp_alu
             .iter()
-            .zip(&tex_clock[..n_fp])
+            .zip(self.tex_clock.iter())
             .map(|(&alu, &tex)| alu.max(tex))
             .max()
             .unwrap_or(0);
-        busy.polygon_list_read += list_clock;
-        busy.rasterizer += meta.raster_clock;
-        busy.early_z += earlyz_clock;
-        busy.fragment_alu += fp_alu_max;
-        busy.texture_pipe += tex_max;
-        busy.blending += blend_clock;
+        self.tex_clock.fill(0);
+        self.busy.polygon_list_read += list_clock;
+        self.busy.rasterizer += meta.raster_clock;
+        self.busy.early_z += earlyz_clock;
+        self.busy.fragment_alu += fp_alu_max;
+        self.busy.texture_pipe += tex_max;
+        self.busy.blending += blend_clock;
         let tile_pipeline = list_clock
             .max(meta.raster_clock)
             .max(earlyz_clock)
             .max(fp_max)
             .max(blend_clock);
-        state.tile_work_clock += tile_pipeline + config.early_z_in_flight;
-
-        // Tile flush: line addresses are a pure function of the tile
-        // rect and visible-pixel count, so they are recomputed here
-        // instead of logged (IMR wrote its colors inline — nothing to
-        // flush).
-        if immediate {
-            continue;
-        }
-        let (tx, ty) = (
-            meta.tile_index % trace.viewport.tiles_x(),
-            meta.tile_index / trace.viewport.tiles_x(),
-        );
-        let rect = trace.viewport.tile_rect(tx, ty);
-        let flush_bytes = meta.visible_px * 4;
-        let flush_lines = flush_bytes.div_ceil(config.dram.line_size);
-        let row_pixels = u64::from(trace.viewport.width);
-        for line in 0..flush_lines {
-            let local = line * (config.dram.line_size / 4);
-            let y = rect.1 + (local / u64::from(trace.viewport.tile_size)) as u32;
-            let x = rect.0 + (local % u64::from(trace.viewport.tile_size)) as u32;
-            let addr = AddressSpace::framebuffer_pixel(
-                x.min(trace.viewport.width - 1),
-                y.min(trace.viewport.height - 1),
-                row_pixels as u32,
-                frame_index,
-            );
-            let w = memory.access(addr, base + state.flush_clock, true);
-            let retire = w.ready_at.saturating_sub(base);
-            state.flush_clock =
-                (state.flush_clock + 1).max(retire.saturating_sub(config.flush_write_window));
+        self.state.tile_work_clock += tile_pipeline + self.config.early_z_in_flight;
+        self.state.depth_accesses += meta.depth_accesses;
+        self.state.color_accesses += meta.color_accesses;
+        self.state.visible_px += meta.visible_px;
+        // IMR wrote its colors inline, so there is nothing to flush.
+        if !self.immediate {
+            self.flush(&meta);
         }
     }
 }
@@ -600,9 +743,9 @@ mod tests {
 
     #[test]
     fn sharding_bit_identical_to_sequential_all_modes() {
-        // One worker thread runs the sequential raster loop; two and
-        // eight shard it (every viewport here has at least two tiles),
-        // and the stats must not move.
+        // One worker thread records straight into the replay; two and
+        // eight record shard logs (every viewport here has at least two
+        // tiles), and the stats must not move.
         let frames = scene();
         for viewport in [Viewport::new(128, 128, 32), Viewport::new(96, 40, 24)] {
             for mode in MODES {
@@ -621,9 +764,9 @@ mod tests {
     fn sharding_matches_reference_on_partial_tiles_and_trivial_frames() {
         // 33×33 target with 16-px tiles: a 3×3 grid whose right column
         // and bottom row are 1-px slivers — the shard-boundary and
-        // flush-rect-clamp regression case. At one thread the GPU runs
-        // the sequential loop while the N = 1 split-frame rig replays
-        // recorded shards; at eight threads both record and replay.
+        // flush-rect-clamp regression case. At one thread the GPU feeds
+        // the replay directly while the N = 1 split-frame rig replays
+        // shard logs; at eight threads both replay logs.
         let viewport = Viewport::new(33, 33, 16);
         let t = shaders();
         for (name, frames) in [("scene", scene()), ("trivial", trivial_frames())] {

@@ -513,8 +513,19 @@ mod tests {
 
     /// Runs the same frame sequence through the optimized and reference
     /// GPU models in every render mode, frame-by-frame over warm state,
-    /// asserting full `FrameStats` bit-equality.
+    /// asserting full `FrameStats` bit-equality. Runs at one worker
+    /// thread (tiles recorded straight into the replay) and at two
+    /// (frames of two or more tiles recorded as shard logs), whatever
+    /// the host's core count.
     fn assert_matches_reference(frames: &[Frame], viewport: Viewport) {
+        for threads in [1, 2] {
+            megsim_exec::with_threads(threads, || {
+                assert_matches_reference_at(frames, viewport, threads);
+            });
+        }
+    }
+
+    fn assert_matches_reference_at(frames: &[Frame], viewport: Viewport, threads: usize) {
         let t = shaders();
         for mode in [
             RenderMode::TileBased,
@@ -531,8 +542,9 @@ mod tests {
                 let trace = renderer.render_frame(frame, &t);
                 let a = optimized.simulate_frame(&trace, &t);
                 let b = reference.simulate_frame(&trace, &t);
-                assert_eq!(a, b, "{mode:?} frame {i}");
-                assert_eq!(optimized.now(), reference.now(), "{mode:?} frame {i} clock");
+                assert_eq!(a, b, "{mode:?} frame {i} at {threads} threads");
+                let clock = format!("{mode:?} frame {i} clock at {threads} threads");
+                assert_eq!(optimized.now(), reference.now(), "{clock}");
             }
         }
     }

@@ -34,4 +34,4 @@ pub mod suite;
 pub use game::{GameType, ObjectClass, Segment, SegmentTemplate, Workload, WorkloadSpec};
 #[cfg(any(test, feature = "reference"))]
 pub use reference::ReferenceWorkload;
-pub use suite::{build, by_alias, suite, BenchmarkInfo, BENCHMARKS};
+pub use suite::{build, by_alias, check_scale, suite, BenchmarkInfo, BENCHMARKS, MAX_FRAMES};

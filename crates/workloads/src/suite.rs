@@ -142,12 +142,47 @@ pub const BENCHMARKS: [BenchmarkInfo; 8] = [
     },
 ];
 
+/// The longest workload [`build`] makes, in frames: 20× the longest
+/// Table II benchmark. A frame scale read from user input can ask for
+/// more frames than any host can hold; front ends validate it with
+/// [`check_scale`] and report an input error instead.
+pub const MAX_FRAMES: usize = 100_000;
+
+/// Checks a user-supplied `--scale`: a finite positive number small
+/// enough that every benchmark stays within [`MAX_FRAMES`].
+///
+/// # Errors
+///
+/// Returns a message naming `--scale` for any other value.
+pub fn check_scale(scale: f64) -> Result<(), String> {
+    let longest = BENCHMARKS.iter().map(|b| b.frames).max().unwrap_or(1);
+    let max = MAX_FRAMES as f64 / longest as f64;
+    if scale.is_finite() && scale > 0.0 && scale <= max {
+        Ok(())
+    } else {
+        Err(format!(
+            "--scale must be a positive number of at most {max}, got {scale}"
+        ))
+    }
+}
+
 /// Builds one benchmark's workload.
 ///
 /// `frame_scale` multiplies the Table II frame count (1.0 = paper
-/// length); `seed` perturbs the script deterministically.
+/// length; at least 16 frames); `seed` perturbs the script
+/// deterministically.
+///
+/// # Panics
+///
+/// Panics if the scaled frame count exceeds [`MAX_FRAMES`].
 pub fn build(info: &BenchmarkInfo, frame_scale: f64, seed: u64) -> Workload {
-    let frames = ((info.frames as f64 * frame_scale).round() as usize).max(16);
+    let frames = (info.frames as f64 * frame_scale).round().max(16.0);
+    assert!(
+        frames <= MAX_FRAMES as f64,
+        "a workload holds at most {MAX_FRAMES} frames, got {frames} ({} at scale {frame_scale})",
+        info.alias
+    );
+    let frames = frames as usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ hash_alias(info.alias));
     let shaders = build_shaders(info, &mut rng);
     let textures = build_textures(info);
@@ -428,6 +463,23 @@ mod tests {
         let tenth = build(&BENCHMARKS[3], 0.1, 1);
         assert_eq!(full.frames(), 2000);
         assert_eq!(tenth.frames(), 200);
+    }
+
+    #[test]
+    fn scale_check_bounds_every_benchmark_by_max_frames() {
+        let max = MAX_FRAMES as f64 / 5000.0; // the longest benchmarks
+        assert!(check_scale(max).is_ok());
+        assert!(check_scale(0.01).is_ok());
+        for bad in [0.0, -1.0, max * 1.01, f64::NAN, f64::INFINITY, 1e30] {
+            let err = check_scale(bad).unwrap_err();
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 100000 frames")]
+    fn build_rejects_more_than_max_frames() {
+        build(&BENCHMARKS[0], 1e12, 1);
     }
 
     #[test]

@@ -132,12 +132,13 @@ fn frame_generation_is_bit_identical_at_any_thread_count() {
     }
 }
 
-/// Intra-frame tile sharding is bit-identical to the sequential raster
-/// loop at every thread count, in every render mode, on both an even
-/// tile grid and a 33×33 viewport whose right column and bottom row are
-/// 1-px partial tiles (the shard-boundary regression case). One worker
-/// thread runs the sequential loop; two and eight run the sharded
-/// record/replay path, over warm multi-frame state.
+/// Intra-frame tile sharding is bit-identical to one thread at every
+/// thread count, in every render mode, on both an even tile grid and a
+/// 33×33 viewport whose right column and bottom row are 1-px partial
+/// tiles (the shard-boundary regression case). At one worker thread
+/// the tile recorder feeds the replay directly; at two and eight it
+/// records shard logs in parallel that are replayed in order, over warm
+/// multi-frame state.
 #[test]
 fn tile_sharded_timing_is_bit_identical_at_any_thread_count() {
     use megsim_funcsim::{RenderConfig, RenderMode, Renderer};
