@@ -88,7 +88,7 @@ fn secs(mut f: impl FnMut()) -> f64 {
 }
 
 /// Measures single-thread frames/sec of the retained scalar reference
-/// rasterizer vs the optimized incremental path (activity-only, the
+/// rasterizer vs the optimized span path (activity-only, the
 /// characterization hot loop) over a small bundled-workload suite, and
 /// prints the numbers.
 fn print_bench_summary() {

@@ -61,12 +61,29 @@ fn outcode(v: Vec4) -> u8 {
     code
 }
 
+/// Screen-space bound on vertex positions, in pixels. Inside it every
+/// product the rasterizer's `f32` edge functions form stays below about
+/// 4e36, short of `f32::MAX`, so edge values are finite, which the
+/// exact span walk relies on.
+const GUARD_BAND: f32 = 1e18;
+
+/// Whether a shaded vertex can be rasterized: finite in clip and screen
+/// space and positioned inside the [`GUARD_BAND`].
+fn rasterizable(clip: Vec4, screen: &ScreenVertex) -> bool {
+    [clip.x, clip.y, clip.z, clip.w, screen.z, screen.inv_w]
+        .iter()
+        .all(|c| c.is_finite())
+        && screen.x.abs() <= GUARD_BAND
+        && screen.y.abs() <= GUARD_BAND
+}
+
 /// Runs one draw call through the Geometry Pipeline.
 ///
 /// Vertices are shaded once per unique index (modelling the
 /// post-transform cache of the Vertex Processors); triangles whose
 /// vertices all fall outside one frustum plane — or that touch the
-/// near plane (`w ≤ ε`) — are clipped; back-facing and degenerate
+/// near plane (`w ≤ ε`), or have a vertex that is non-finite or
+/// outside the guard band — are clipped; back-facing and degenerate
 /// triangles are culled. The synthetic workloads keep geometry clear of
 /// the near plane, so the conservative near-plane rejection loses no
 /// realism while avoiding a full polygon clipper.
@@ -107,13 +124,16 @@ pub fn process_draw(
             vertices_shaded += 1;
             if clip.w > f32::EPSILON {
                 let ndc = clip.perspective_divide();
-                screen_cache[idx as usize] = Some(ScreenVertex {
+                let screen = ScreenVertex {
                     x: (ndc.x + 1.0) * half_w,
                     y: (ndc.y + 1.0) * half_h,
                     z: (ndc.z + 1.0) * 0.5,
                     inv_w: 1.0 / clip.w,
                     uv: v.uv,
-                });
+                };
+                if rasterizable(clip, &screen) {
+                    screen_cache[idx as usize] = Some(screen);
+                }
             }
         }
     }
@@ -132,21 +152,17 @@ pub fn process_draw(
             clip_cache[tri[1] as usize].expect("shaded above"),
             clip_cache[tri[2] as usize].expect("shaded above"),
         ];
-        // Trivial reject: all vertices outside one plane, or touching
-        // the near plane / behind the eye.
+        // Trivial reject: all vertices outside one plane, behind the
+        // eye, or without a screen position (touching the near plane,
+        // non-finite or outside the guard band).
         let codes = [outcode(c[0]), outcode(c[1]), outcode(c[2])];
-        let near_or_behind = c.iter().any(|v| v.w <= f32::EPSILON || v.z < -v.w);
-        if near_or_behind || (codes[0] & codes[1] & codes[2]) != 0 {
+        let rejected = (codes[0] & codes[1] & codes[2]) != 0 || c.iter().any(|v| v.z < -v.w);
+        let screen = [0, 1, 2].map(|i| screen_cache[tri[i] as usize]);
+        let (false, [Some(v0), Some(v1), Some(v2)]) = (rejected, screen) else {
             activity.primitives_clipped += 1;
             continue;
-        }
-        let prim = Primitive {
-            v: [
-                screen_cache[tri[0] as usize].expect("w > 0 checked"),
-                screen_cache[tri[1] as usize].expect("w > 0 checked"),
-                screen_cache[tri[2] as usize].expect("w > 0 checked"),
-            ],
         };
+        let prim = Primitive { v: [v0, v1, v2] };
         let area2 = prim.signed_area2();
         if area2.abs() < 1e-6 {
             activity.primitives_culled_degenerate += 1;

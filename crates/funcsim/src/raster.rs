@@ -16,22 +16,23 @@
 //!   Tiling Engine, and every shaded color goes to the frame buffer in
 //!   memory immediately (the off-chip-traffic problem §II-A describes).
 //!
-//! ## The incremental hot path
+//! ## The span hot path
 //!
-//! `rasterize_prim` is the innermost loop of the whole simulator, so
-//! it is written as an *edge-stepped* rasterizer: the row-constant term
-//! of each edge function is hoisted out of the pixel loop, a
-//! conservative `f64` span test culls quads that provably produce no
-//! coverage, and fully-interior quads take a trivial-accept path that
-//! skips the per-pixel inside tests. Crucially, every `f32` operation
-//! that *does* run executes in exactly the sequence the original scalar
-//! rasterizer used, so counters, traces and interpolants stay
+//! `rasterize_prim` is the innermost loop of the whole simulator. It
+//! evaluates the edge functions with exactly the `f32` operation
+//! sequence of the original scalar rasterizer, whose every step is
+//! monotone in the pixel column. So on each pixel row a triangle's
+//! covered pixels form one span, which the rasterizer finds exactly by
+//! walking each edge's boundary column from where it sat on the
+//! previous row, instead of testing every pixel of the bounding box.
+//! Only pixels inside the spans are interpolated and depth-tested, at
+//! the reference's rounding, so counters, traces and interpolants stay
 //! bit-identical — the seed implementation survives as
-//! `crate::raster_reference` and an equivalence proptest pins the two
-//! together. Work that cannot be observed is skipped entirely: span-
-//! culled quads (zero coverage is never traced or counted), UV
-//! interpolation when no trace is collected, and `z` interpolation for
-//! depth-ignoring draws.
+//! `crate::raster_reference` and equivalence tests pin the two
+//! together. Work that cannot be observed is skipped entirely: the
+//! activity-only pass counts quads and covered pixels from the spans
+//! without visiting quads, UV interpolation runs only when a trace is
+//! collected, and `z` only for depth-tested draws.
 
 use megsim_gfx::draw::{DrawCall, Frame, Viewport};
 use megsim_gfx::geometry::Primitive;
@@ -618,14 +619,15 @@ pub(crate) fn texture_lod(prim: &Primitive, tex_w: u32, tex_h: u32) -> u32 {
     }
 }
 
-/// Where the rasterizer delivers finished quads. Monomorphizing over the
-/// sink lets the no-trace characterization pass skip UV interpolation
-/// and quad materialization entirely.
+/// Where the rasterizer delivers a primitive's coverage, one quad row
+/// at a time. Monomorphizing over the sink lets the no-trace
+/// characterization pass count from the row spans without visiting
+/// quads at all.
 trait QuadSink {
-    /// Whether the caller observes the quad's interpolated UV (trace
-    /// collection); when false the rasterizer skips the interpolation.
-    const WANT_UV: bool;
-    fn push(&mut self, quad: QuadTrace);
+    /// Takes the quad row whose pixel rows `qy` and `qy + 1` are covered
+    /// on `rows[0]` and `rows[1]` (an empty span for a row outside the
+    /// bounding box).
+    fn quad_row(&mut self, prim: &PrimRaster, depth: &mut DepthBuffer, qy: u32, rows: &[Row; 2]);
 }
 
 /// Appends quads to a buffer. `UV` selects texture-coordinate
@@ -634,10 +636,55 @@ trait QuadSink {
 struct Collect<'a, const UV: bool>(&'a mut Vec<QuadTrace>);
 
 impl<const UV: bool> QuadSink for Collect<'_, UV> {
-    const WANT_UV: bool = UV;
-    #[inline]
-    fn push(&mut self, quad: QuadTrace) {
-        self.0.push(quad);
+    fn quad_row(&mut self, prim: &PrimRaster, depth: &mut DepthBuffer, qy: u32, rows: &[Row; 2]) {
+        // Every quad either row touches, and the gap quads between
+        // them when the two rows' spans are disjoint.
+        let [a, b] = rows.map(|r| prim.quad_cols(&r));
+        for col in a.0.min(b.0)..a.1.max(b.1) {
+            let qx = prim.x0 + 2 * col;
+            let mut coverage = 0u8;
+            let mut visible = 0u8;
+            let mut uv_sum = Vec2::default();
+            let mut covered_px = 0u32;
+            // Pixels in coverage-bit order: bit 2·dy + dx (QUAD_OFFSETS).
+            for (dy, row) in (0u32..).zip(rows) {
+                for dx in 0..2 {
+                    let px = qx + dx;
+                    if px < row.l || px >= row.r {
+                        continue;
+                    }
+                    let mask = 1u8 << (2 * dy + dx);
+                    coverage |= mask;
+                    covered_px += 1;
+                    if !UV && prim.policy == DepthPolicy::Always {
+                        // Neither uv nor z is observable: coverage suffices.
+                        visible |= mask;
+                        continue;
+                    }
+                    let [w0, w1, w2] = prim.weights(prim.edges.at(&row.t, px));
+                    if UV {
+                        let [v0, v1, v2] = &prim.prim.v;
+                        uv_sum = uv_sum + (v0.uv * w0 + v1.uv * w1 + v2.uv * w2);
+                    }
+                    if prim.depth_test(depth, [w0, w1, w2], px, qy + dy) {
+                        visible |= mask;
+                    }
+                }
+            }
+            if coverage != 0 {
+                self.0.push(QuadTrace {
+                    x: qx as u16,
+                    y: qy as u16,
+                    coverage,
+                    visible,
+                    uv: if UV {
+                        uv_sum / covered_px as f32
+                    } else {
+                        Vec2::default()
+                    },
+                });
+            }
+        }
     }
 }
 
@@ -651,124 +698,196 @@ struct Count {
 }
 
 impl QuadSink for Count {
-    const WANT_UV: bool = false;
-    #[inline]
-    fn push(&mut self, quad: QuadTrace) {
-        self.quads += 1;
-        self.covered += u64::from(quad.covered_count());
-        self.visible += u64::from(quad.visible_count());
-    }
-}
-
-/// Upper bound on the *relative* `f32` evaluation error of an edge
-/// function: |e_f32 − e_exact| ≤ ~3·2⁻²⁴·(|Δx·dy| + |Δy·dx|); the factor
-/// 8·ε = 16·2⁻²⁴ leaves a ~5× safety slack (and swallows the `f64`
-/// rounding of the span arithmetic, which is 2²⁹× smaller still).
-const EPS_GUARD: f64 = 8.0 * (f32::EPSILON as f64);
-
-/// Bbox widths at or below this skip the span machinery — for tiny
-/// primitives (sprites) the per-row `f64` setup outweighs the skipped
-/// pixels. Purely a work heuristic; results are identical either way.
-const SPAN_MIN_WIDTH: u32 = 8;
-
-/// Per-quad-row conservative spans, in pixel coordinates.
-struct RowSpans {
-    /// First/last pixel column that may produce coverage.
-    cover: (u32, u32),
-    /// Pixel columns provably strictly inside every edge for both pixel
-    /// rows (quads fully within are trivially accepted), if any.
-    accept: Option<(u32, u32)>,
-}
-
-/// Computes the conservative cover/accept column spans of one quad row
-/// in `f64`. A pixel outside the cover span has `e_f32 < 0` for some
-/// edge — guaranteed by the [`EPS_GUARD`] error bound plus one full
-/// pixel of slack on every derived bound — so skipping it cannot change
-/// any observable output. Returns `None` when the whole row is culled.
-#[allow(clippy::too_many_arguments)]
-fn row_spans(
-    qy: u32,
-    two_rows: bool,
-    x0: u32,
-    x1: u32,
-    org: &[(f64, f64); 3],
-    ga: &[f64; 3],
-    gb: &[f64; 3],
-    maxdx: &[f64; 3],
-) -> Option<RowSpans> {
-    let y_lo = f64::from(qy) + 0.5;
-    let y_hi = if two_rows { y_lo + 1.0 } else { y_lo };
-    let first = f64::from(x0);
-    let last = f64::from(x1 - 1);
-    let mut cov_lo = first;
-    let mut cov_hi = last;
-    let mut acc_lo = first;
-    let mut acc_hi = last;
-    let mut acc_ok = true;
-    for i in 0..3 {
-        let (ox, oy) = org[i];
-        let dy0 = y_lo - oy;
-        let dy1 = y_hi - oy;
-        let t0 = ga[i] * dy0;
-        let t1 = ga[i] * dy1;
-        let (tmin, tmax) = if t0 <= t1 { (t0, t1) } else { (t1, t0) };
-        let margin = EPS_GUARD * (ga[i].abs() * dy0.abs().max(dy1.abs()) + gb[i].abs() * maxdx[i]);
-        let b = gb[i];
-        if b == 0.0 {
-            // Horizontal edge: e is column-independent on this row.
-            if tmax < -margin {
-                return None;
+    fn quad_row(&mut self, prim: &PrimRaster, depth: &mut DepthBuffer, qy: u32, rows: &[Row; 2]) {
+        // The quads touched by either pixel row: the union of two
+        // column ranges.
+        let [a, b] = rows.map(|r| prim.quad_cols(&r));
+        let len = |(first, end): (u32, u32)| end.saturating_sub(first);
+        let overlap = len((a.0.max(b.0), a.1.min(b.1)));
+        self.quads += u64::from(len(a) + len(b) - overlap);
+        for (dy, row) in (0u32..).zip(rows).filter(|(_, r)| r.l < r.r) {
+            let covered = row.r - row.l;
+            self.covered += u64::from(covered);
+            if prim.policy == DepthPolicy::Always {
+                self.visible += u64::from(covered);
+                continue;
             }
-            if tmin <= margin {
-                acc_ok = false;
-            }
-        } else {
-            // e(x) = t − b·(x + 0.5 − ox): monotone in x, so each edge
-            // yields one cover bound (e ≥ −margin possible) and one
-            // accept bound (e > margin certain), each slackened a pixel.
-            let cov_bound = ox - 0.5 + (tmax + margin) / b;
-            let acc_bound = ox - 0.5 + (tmin - margin) / b;
-            if b > 0.0 {
-                cov_hi = cov_hi.min(cov_bound + 1.0);
-                acc_hi = acc_hi.min(acc_bound - 1.0);
-            } else {
-                cov_lo = cov_lo.max(cov_bound - 1.0);
-                acc_lo = acc_lo.max(acc_bound + 1.0);
+            // No winner to record: one straight loop over the row's
+            // slice of the depth buffer.
+            let start = depth.index(row.l - prim.origin.0, qy + dy - prim.origin.1);
+            let write = prim.policy == DepthPolicy::TestWrite;
+            for (px, d) in (row.l..row.r).zip(&mut depth.depth[start..]) {
+                let z = prim.z(prim.weights(prim.edges.at(&row.t, px)));
+                let passes = z < *d;
+                *d = if passes && write { z } else { *d };
+                self.visible += u64::from(passes);
             }
         }
     }
-    if cov_lo > cov_hi || cov_hi < first || cov_lo > last {
-        return None;
-    }
-    let px_lo = cov_lo.floor().max(first) as u32;
-    let px_hi = cov_hi.ceil().min(last) as u32;
-    if px_lo > px_hi {
-        return None;
-    }
-    let accept = if acc_ok && acc_lo <= acc_hi {
-        let alo = acc_lo.ceil().max(f64::from(px_lo)) as u32;
-        let ahi = acc_hi.floor().min(f64::from(px_hi)) as u32;
-        (alo <= ahi).then_some((alo, ahi))
-    } else {
-        None
-    };
-    Some(RowSpans {
-        cover: (px_lo, px_hi),
-        accept,
-    })
 }
 
-/// Rasterizes one primitive clipped to `rect`, delivering the produced
-/// quads to `sink`. Depth is resolved immediately against `depth` (whose
+/// The three edge functions of a primitive, evaluated with the reference
+/// `edge_function`'s exact `f32` operation sequence: edge `i` runs
+/// `org[i]` → `org[i + 1]`, and at pixel `(px, py)` its value is
+/// `fl(t − fl(Δy · fl(px + 0.5 − org.x)))` with the row term
+/// `t = fl(Δx · fl(py + 0.5 − org.y))`.
+struct Edges {
+    org: [Vec2; 3],
+    /// Δx per edge.
+    ea: [f32; 3],
+    /// Δy per edge.
+    eb: [f32; 3],
+    /// Top-left fill rule flag per edge.
+    tl: [bool; 3],
+}
+
+impl Edges {
+    fn new(prim: &Primitive) -> Self {
+        let org = prim.v.map(|v| v.pos2());
+        let end = [org[1], org[2], org[0]];
+        let top_left = |p: Vec2, q: Vec2| (p.y == q.y && q.x < p.x) || q.y > p.y;
+        Self {
+            org,
+            ea: [0, 1, 2].map(|i| end[i].x - org[i].x),
+            eb: [0, 1, 2].map(|i| end[i].y - org[i].y),
+            tl: [0, 1, 2].map(|i| top_left(org[i], end[i])),
+        }
+    }
+
+    /// The row terms of pixel row `py`.
+    #[inline]
+    fn row(&self, py: u32) -> [f32; 3] {
+        let pyf = py as f32 + 0.5;
+        [0, 1, 2].map(|i| self.ea[i] * (pyf - self.org[i].y))
+    }
+
+    /// Edge `i` at pixel column `px` of the row with terms `t`.
+    #[inline]
+    fn edge(&self, t: &[f32; 3], i: usize, px: u32) -> f32 {
+        t[i] - self.eb[i] * ((px as f32 + 0.5) - self.org[i].x)
+    }
+
+    /// All three edges at pixel column `px` of the row with terms `t`.
+    #[inline]
+    fn at(&self, t: &[f32; 3], px: u32) -> [f32; 3] {
+        [0, 1, 2].map(|i| self.edge(t, i, px))
+    }
+
+    /// The top-left fill rule's inside test for edge `i`.
+    #[inline]
+    fn inside(&self, i: usize, e: f32) -> bool {
+        e > 0.0 || (e == 0.0 && self.tl[i])
+    }
+
+    /// The covered columns `l..r` of the row with terms `t`, within
+    /// `x0..x1`.
+    ///
+    /// Along a row every step of [`Edges::edge`] is monotone in `px`
+    /// (rounding to nearest is monotone, and the geometry's guard band
+    /// keeps every intermediate finite), so edge `i`'s inside set is a prefix of the row when Δy ≥ 0 and
+    /// a suffix when Δy < 0. `cols[i]` is where that set starts (suffix)
+    /// or ends (prefix); it is walked from its place on the previous row,
+    /// testing the same expression the reference tests per pixel.
+    fn span(&self, t: &[f32; 3], cols: &mut [u32; 3], x0: u32, x1: u32) -> Row {
+        let (mut l, mut r) = (x0, x1);
+        for (i, col) in cols.iter_mut().enumerate() {
+            let suffix = self.eb[i] < 0.0;
+            // True exactly on x0..*col.
+            let before = |px: u32| self.inside(i, self.edge(t, i, px)) != suffix;
+            while *col > x0 && !before(*col - 1) {
+                *col -= 1;
+            }
+            while *col < x1 && before(*col) {
+                *col += 1;
+            }
+            if suffix {
+                l = l.max(*col);
+            } else {
+                r = r.min(*col);
+            }
+        }
+        Row { t: *t, l, r }
+    }
+}
+
+/// One pixel row of a primitive: its edge row terms and its covered
+/// columns `l..r` (empty when `l >= r`).
+#[derive(Clone, Copy, Default)]
+struct Row {
+    t: [f32; 3],
+    l: u32,
+    r: u32,
+}
+
+/// One primitive being rasterized: its edges, its bounding box's first
+/// column and the per-pixel interpolation and depth test.
+struct PrimRaster<'a> {
+    prim: &'a Primitive,
+    edges: Edges,
+    inv_area2: f32,
+    x0: u32,
+    policy: DepthPolicy,
+    winner_seq: Option<u32>,
+    origin: (u32, u32),
+}
+
+impl PrimRaster<'_> {
+    /// The quad columns `(first, end)` that a row's span touches,
+    /// counted from `x0`; `(u32::MAX, 0)` for an empty span, so that
+    /// min/max hulls and saturating lengths ignore it.
+    #[inline]
+    fn quad_cols(&self, row: &Row) -> (u32, u32) {
+        if row.l < row.r {
+            ((row.l - self.x0) / 2, (row.r - self.x0).div_ceil(2))
+        } else {
+            (u32::MAX, 0)
+        }
+    }
+
+    /// Affine barycentric weights `[w0, w1, w2]` from the edge values
+    /// (e0 spans edge a→b and therefore weights vertex 2, etc.).
+    #[inline]
+    fn weights(&self, [e0, e1, e2]: [f32; 3]) -> [f32; 3] {
+        [e1, e2, e0].map(|e| e * self.inv_area2)
+    }
+
+    /// The interpolated depth at a pixel with weights `[w0, w1, w2]`.
+    #[inline]
+    fn z(&self, [w0, w1, w2]: [f32; 3]) -> f32 {
+        let [v0, v1, v2] = &self.prim.v;
+        v0.z * w0 + v1.z * w1 + v2.z * w2
+    }
+
+    /// Whether the covered pixel `(px, py)` passes the depth test,
+    /// resolving depth (and the HSR winner) when the primitive writes.
+    #[inline]
+    fn depth_test(&self, depth: &mut DepthBuffer, w: [f32; 3], px: u32, py: u32) -> bool {
+        if self.policy == DepthPolicy::Always {
+            return true;
+        }
+        let z = self.z(w);
+        let idx = depth.index(px - self.origin.0, py - self.origin.1);
+        let passes = z < depth.depth[idx];
+        if passes && self.policy == DepthPolicy::TestWrite {
+            depth.depth[idx] = z;
+            if let Some(seq) = self.winner_seq {
+                depth.winner[idx] = seq;
+            }
+        }
+        passes
+    }
+}
+
+/// Rasterizes one primitive clipped to `rect`, delivering its coverage
+/// to `sink`. Depth is resolved immediately against `depth` (whose
 /// local coordinates start at `origin`); when `winner_seq` is set,
 /// passing opaque fragments record their primitive in the winner buffer
 /// (HSR).
 ///
-/// This is the edge-stepped hot path: per-row edge terms are hoisted
-/// out of the pixel loop, `f64` span tests cull provably-empty quads
-/// and trivially accept fully-interior ones, and the `f32` arithmetic
-/// for surviving pixels replays the reference operation sequence
-/// exactly (see the module docs).
+/// Each pixel row's covered pixels form one span, found exactly by
+/// [`Edges::span`]; the sink then interpolates and depth-tests only the
+/// pixels inside the spans, with the reference's `f32` operation
+/// sequence (see the module docs).
 fn rasterize_prim<S: QuadSink>(
     prim: &Primitive,
     (rx0, ry0, rx1, ry1): (u32, u32, u32, u32),
@@ -778,12 +897,8 @@ fn rasterize_prim<S: QuadSink>(
     depth: &mut DepthBuffer,
     sink: &mut S,
 ) {
-    let a = prim.v[0].pos2();
-    let b = prim.v[1].pos2();
-    let c = prim.v[2].pos2();
     let area2 = prim.signed_area2();
     debug_assert!(area2 > 0.0, "backfaces culled in geometry");
-    let inv_area2 = 1.0 / area2;
     // Clamp the primitive bbox to the rect, snapping to even offsets
     // *relative to the rect origin* so whole 2×2 quads are walked even
     // when the rect corner is odd (non-tile-aligned viewports).
@@ -795,148 +910,28 @@ fn rasterize_prim<S: QuadSink>(
     if x0 >= x1 || y0 >= y1 {
         return;
     }
-    // Top-left fill rule flags per edge.
-    let top_left = |p: Vec2, q: Vec2| (p.y == q.y && q.x < p.x) || q.y > p.y;
-    let tl = [top_left(a, b), top_left(b, c), top_left(c, a)];
-    // Edge setup: edge i runs org[i] → end[i]; the f32 deltas below are
-    // the exact differences the reference edge_function computes.
-    let org = [a, b, c];
-    let end = [b, c, a];
-    let mut ea = [0.0f32; 3]; // Δx per edge
-    let mut eb = [0.0f32; 3]; // Δy per edge
-    for i in 0..3 {
-        ea[i] = end[i].x - org[i].x;
-        eb[i] = end[i].y - org[i].y;
-    }
-    // f64 shadow of the edge setup for the conservative span tests.
-    let use_spans = x1 - x0 > SPAN_MIN_WIDTH;
-    let org64 = [
-        (f64::from(a.x), f64::from(a.y)),
-        (f64::from(b.x), f64::from(b.y)),
-        (f64::from(c.x), f64::from(c.y)),
-    ];
-    let ga = [f64::from(ea[0]), f64::from(ea[1]), f64::from(ea[2])];
-    let gb = [f64::from(eb[0]), f64::from(eb[1]), f64::from(eb[2])];
-    let mut maxdx = [0.0f64; 3];
-    for i in 0..3 {
-        let lo = f64::from(x0) + 0.5 - org64[i].0;
-        let hi = f64::from(x1 - 1) + 0.5 - org64[i].0;
-        maxdx[i] = lo.abs().max(hi.abs());
-    }
+    let edges = Edges::new(prim);
+    debug_assert!(
+        edges.ea.iter().chain(&edges.eb).all(|d| d.is_finite()),
+        "geometry clips non-finite and out-of-band vertices"
+    );
+    let raster = PrimRaster {
+        prim,
+        edges,
+        inv_area2: 1.0 / area2,
+        x0,
+        policy,
+        winner_seq,
+        origin,
+    };
+    let mut cols = [x0; 3];
     let mut qy = y0;
     while qy < y1 {
-        let two_rows = qy + 1 < y1;
-        // Hoisted row terms: t32[j][i] = fl(Δx_i · fl(py_c − org_i.y)) —
-        // the row-constant partial of the reference edge_function, at
-        // identical rounding.
-        let py0 = qy as f32 + 0.5;
-        let py1 = (qy + 1) as f32 + 0.5;
-        let t32 = [
-            [
-                ea[0] * (py0 - org[0].y),
-                ea[1] * (py0 - org[1].y),
-                ea[2] * (py0 - org[2].y),
-            ],
-            [
-                ea[0] * (py1 - org[0].y),
-                ea[1] * (py1 - org[1].y),
-                ea[2] * (py1 - org[2].y),
-            ],
-        ];
-        let spans = if use_spans {
-            match row_spans(qy, two_rows, x0, x1, &org64, &ga, &gb, &maxdx) {
-                Some(s) => s,
-                None => {
-                    qy += 2;
-                    continue;
-                }
-            }
-        } else {
-            RowSpans {
-                cover: (x0, x1 - 1),
-                accept: None,
-            }
-        };
-        let (px_lo, px_hi) = spans.cover;
-        let mut qx = x0 + ((px_lo - x0) & !1);
-        let qx_last = x0 + ((px_hi - x0) & !1);
-        while qx <= qx_last {
-            // Trivial accept: all four samples provably strictly inside
-            // every edge — skip the per-pixel inside tests.
-            let accepted = two_rows
-                && qx + 1 < x1
-                && matches!(spans.accept, Some((alo, ahi)) if qx >= alo && qx < ahi);
-            let mut coverage = 0u8;
-            let mut visible = 0u8;
-            let mut uv_sum = Vec2::default();
-            let mut covered_px = 0u32;
-            for (mask, dx, dy) in quad_pixels() {
-                let px = qx + dx;
-                let py = qy + dy;
-                if px >= x1 || py >= y1 || px < px_lo || px > px_hi {
-                    continue;
-                }
-                let pxf = px as f32 + 0.5;
-                let j = dy as usize;
-                let e0 = t32[j][0] - eb[0] * (pxf - org[0].x);
-                let e1 = t32[j][1] - eb[1] * (pxf - org[1].x);
-                let e2 = t32[j][2] - eb[2] * (pxf - org[2].x);
-                if !accepted {
-                    let inside = (e0 > 0.0 || (e0 == 0.0 && tl[0]))
-                        && (e1 > 0.0 || (e1 == 0.0 && tl[1]))
-                        && (e2 > 0.0 || (e2 == 0.0 && tl[2]));
-                    if !inside {
-                        continue;
-                    }
-                }
-                coverage |= mask;
-                covered_px += 1;
-                if S::WANT_UV || policy != DepthPolicy::Always {
-                    // Affine barycentric interpolation (e0 spans edge
-                    // a→b and therefore weights vertex 2, etc.).
-                    let w2 = e0 * inv_area2;
-                    let w0 = e1 * inv_area2;
-                    let w1 = e2 * inv_area2;
-                    if S::WANT_UV {
-                        let uv = prim.v[0].uv * w0 + prim.v[1].uv * w1 + prim.v[2].uv * w2;
-                        uv_sum = uv_sum + uv;
-                    }
-                    if policy == DepthPolicy::Always {
-                        visible |= mask;
-                    } else {
-                        let z = prim.v[0].z * w0 + prim.v[1].z * w1 + prim.v[2].z * w2;
-                        let idx = depth.index(px - origin.0, py - origin.1);
-                        if z < depth.depth[idx] {
-                            visible |= mask;
-                            if policy == DepthPolicy::TestWrite {
-                                depth.depth[idx] = z;
-                                if let Some(seq) = winner_seq {
-                                    depth.winner[idx] = seq;
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Depth-ignoring draw with no trace: z and uv are
-                    // unobservable, so only coverage is tracked.
-                    visible |= mask;
-                }
-            }
-            if coverage != 0 {
-                sink.push(QuadTrace {
-                    x: qx as u16,
-                    y: qy as u16,
-                    coverage,
-                    visible,
-                    uv: if S::WANT_UV {
-                        uv_sum / covered_px.max(1) as f32
-                    } else {
-                        Vec2::default()
-                    },
-                });
-            }
-            qx += 2;
+        let mut rows = [Row::default(); 2];
+        for (py, row) in (qy..y1.min(qy + 2)).zip(&mut rows) {
+            *row = raster.edges.span(&raster.edges.row(py), &mut cols, x0, x1);
         }
+        sink.quad_row(&raster, depth, qy, &rows);
         qy += 2;
     }
 }

@@ -3,11 +3,13 @@
 //!
 //! Every pixel re-evaluates all three edge functions from scratch via
 //! [`edge_function`] and every primitive allocates a fresh quad `Vec` —
-//! exactly the code the incremental rasterizer replaced, except for the
+//! exactly the code the span rasterizer replaced, except for the
 //! one bug fix both share (bounding boxes snap to even offsets relative
 //! to the *rect origin*, so odd tile origins cannot misalign quads).
-//! The equivalence proptest at the bottom of this file pins the
-//! optimized rasterizer to this implementation bit for bit; the
+//! The equivalence tests at the bottom of this file (proptests, fixed
+//! fill-rule edge cases and real benchmark frames at the baseline
+//! viewport) pin the optimized rasterizer to this implementation bit
+//! for bit; the
 //! `reference` cargo feature exposes it to benchmarks so speedups are
 //! measured against the true baseline.
 
@@ -418,12 +420,12 @@ mod tests {
         }
     }
 
-    /// Strategy: one triangle as 3 NDC vertices with a shared depth —
-    /// winding is unconstrained (backfaces exercise geometry culling).
+    /// Strategy: one triangle as 3 NDC vertices, each with its own
+    /// depth (so depth tests see sloped `z`) — winding is unconstrained
+    /// (backfaces exercise geometry culling).
     fn tri_strategy() -> impl Strategy<Value = [(f32, f32, f32); 3]> {
-        let v = (-1.2f32..1.2, -1.2f32..1.2);
-        (v.clone(), v.clone(), v, 0.05f32..0.95)
-            .prop_map(|((x0, y0), (x1, y1), (x2, y2), z)| [(x0, y0, z), (x1, y1, z), (x2, y2, z)])
+        let v = (-1.2f32..1.2, -1.2f32..1.2, 0.05f32..0.95);
+        (v.clone(), v.clone(), v).prop_map(|(a, b, c)| [a, b, c])
     }
 
     fn frame_strategy() -> impl Strategy<Value = Frame> {
@@ -449,21 +451,24 @@ mod tests {
     }
 
     fn assert_matches_reference(frame: &Frame, viewport: Viewport) {
-        let t = shaders();
+        assert_matches_reference_with(frame, &shaders(), viewport);
+    }
+
+    fn assert_matches_reference_with(frame: &Frame, t: &ShaderTable, viewport: Viewport) {
         for mode in [
             RenderMode::TileBased,
             RenderMode::TileBasedDeferred,
             RenderMode::Immediate,
         ] {
             let config = RenderConfig { viewport, mode };
-            let reference = render_frame_reference(config, frame, &t, true);
-            let optimized = Renderer::new(config).render_frame(frame, &t);
+            let reference = render_frame_reference(config, frame, t, true);
+            let optimized = Renderer::new(config).render_frame(frame, t);
             assert_eq!(optimized.activity, reference.activity, "{mode:?} activity");
             assert_eq!(optimized.tiles, reference.tiles, "{mode:?} tiles");
             assert_eq!(optimized.geometry, reference.geometry, "{mode:?} geometry");
             // The activity-only pass must agree too (it takes different
             // fast paths through the sink machinery).
-            let fast = Renderer::new(config).frame_activity(frame, &t);
+            let fast = Renderer::new(config).frame_activity(frame, t);
             assert_eq!(fast, *reference.activity, "{mode:?} fast activity");
         }
     }
@@ -486,9 +491,166 @@ mod tests {
 
         #[test]
         fn bit_identical_on_large_viewport(frame in frame_strategy()) {
-            // Large tiles make the span culling + trivial accept paths
-            // do real work (wide bboxes, fully-interior quads).
+            // Large tiles give wide bounding boxes: long spans, and
+            // boundary columns that travel far between rows.
             assert_matches_reference(&frame, Viewport::new(256, 256, 64));
+        }
+    }
+
+    /// A 128×128 viewport (tile 32) maps pixel coordinate `p` to NDC
+    /// `p / 64 − 1` and back exactly, so the fixed cases below can put
+    /// vertices exactly on pixel centres.
+    const PX: Viewport = Viewport {
+        width: 128,
+        height: 128,
+        tile_size: 32,
+    };
+
+    /// Pixel-space triangles to NDC triangles on [`PX`].
+    fn px_tris(tris: &[[(f32, f32, f32); 3]]) -> Vec<[(f32, f32, f32); 3]> {
+        tris.iter()
+            .map(|t| t.map(|(x, y, z)| (x / 64.0 - 1.0, y / 64.0 - 1.0, z)))
+            .collect()
+    }
+
+    /// The triangles in pixel coordinates drawn once per depth policy
+    /// (test + write, test only, always), overlapping each other.
+    fn policies_frame(tris: &[[(f32, f32, f32); 3]]) -> Frame {
+        let tris = px_tris(tris);
+        let mut f = Frame::new();
+        f.draws.push(draw_of(&tris, 0, BlendMode::Opaque, true));
+        f.draws.push(draw_of(&tris, 1, BlendMode::AlphaBlend, true));
+        f.draws.push(draw_of(&tris, 0, BlendMode::Additive, false));
+        f
+    }
+
+    /// A sprite from `(x0, y0)` to `(x1, y1)` split along its diagonal,
+    /// with a depth slope across it.
+    fn sprite(x0: f32, y0: f32, x1: f32, y1: f32, z: f32) -> [[(f32, f32, f32); 3]; 2] {
+        let (a, b, c, d) = (
+            (x0, y0, z),
+            (x1, y0, z + 0.1),
+            (x1, y1, z + 0.2),
+            (x0, y1, z + 0.1),
+        );
+        [[a, b, c], [a, c, d]]
+    }
+
+    #[test]
+    fn sprites_on_pixel_centres_match_reference() {
+        // Vertices on pixel centres put whole rows and columns of pixel
+        // centres exactly on the sprite edges and diagonals (e == 0):
+        // the fill rule's ties. Odd and even sizes, and offsets that
+        // start a sprite mid-quad and mid-tile.
+        let mut tris = Vec::new();
+        for (x0, y0, side, z) in [
+            (2.5, 2.5, 8.0, 0.5),
+            (3.5, 10.5, 7.0, 0.4),
+            (28.5, 29.5, 9.0, 0.3),
+            (40.0, 40.0, 16.0, 0.6),
+            (60.5, 5.5, 1.0, 0.2),
+            (90.5, 90.5, 33.0, 0.45),
+        ] {
+            tris.extend(sprite(x0, y0, x0 + side, y0 + side, z));
+        }
+        // A second sprite sharing the first one's right edge.
+        tris.extend(sprite(10.5, 2.5, 18.5, 10.5, 0.35));
+        assert_matches_reference(&policies_frame(&tris), PX);
+    }
+
+    #[test]
+    fn horizontal_edges_match_reference() {
+        // Δy == 0 edges: the inside test is constant along each row, on
+        // a pixel-centre row and between rows, flat-top and flat-bottom.
+        let tris = [
+            [(10.5, 10.5, 0.3), (50.5, 10.5, 0.6), (30.5, 40.5, 0.4)],
+            [(60.0, 70.0, 0.5), (100.0, 70.0, 0.2), (80.25, 40.75, 0.7)],
+            [(5.5, 100.5, 0.4), (64.5, 100.5, 0.4), (5.5, 127.5, 0.9)],
+            [(70.5, 120.5, 0.6), (70.5, 90.5, 0.1), (120.5, 120.5, 0.3)],
+        ];
+        assert_matches_reference(&policies_frame(&tris), PX);
+    }
+
+    #[test]
+    fn one_pixel_slivers_match_reference() {
+        // Slivers one pixel (or less) thick across many tiles: spans of
+        // zero or one pixel, and boundaries that jump far between rows.
+        let tris = [
+            [(0.5, 20.5, 0.5), (127.5, 21.5, 0.3), (0.5, 21.5, 0.6)],
+            [(20.5, 0.5, 0.2), (21.5, 0.5, 0.4), (21.5, 127.5, 0.8)],
+            [(10.25, 0.5, 0.3), (10.75, 0.5, 0.6), (100.5, 127.5, 0.1)],
+            [(3.0, 60.0, 0.7), (125.0, 60.4, 0.2), (3.0, 60.6, 0.5)],
+        ];
+        assert_matches_reference(&policies_frame(&tris), PX);
+    }
+
+    #[test]
+    fn triangles_wider_than_a_tile_match_reference() {
+        // In IMR a triangle is rasterized once against the whole screen,
+        // so its spans cross several tiles in one row.
+        let tris = [
+            [(3.5, 5.0, 0.2), (120.25, 17.5, 0.8), (40.0, 110.75, 0.5)],
+            [(-20.0, 64.0, 0.6), (150.0, 60.0, 0.3), (64.0, 130.0, 0.4)],
+        ];
+        assert_matches_reference(&policies_frame(&tris), PX);
+    }
+
+    #[test]
+    fn non_finite_and_overflowing_vertices_are_clipped() {
+        // One bad coordinate (NaN, ±inf, a finite value that overflows
+        // in screen space, or one outside the guard band) clips its
+        // triangle; the other renders as usual, in every mode.
+        let good = [(-0.5, -0.5, 0.5), (0.5, -0.5, 0.5), (0.0, 0.5, 0.5)];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38, 1e17] {
+            for coord in 0..3 {
+                let mut tri = [(-0.4, -0.4, 0.3), (0.6, -0.4, 0.3), (0.1, 0.6, 0.3)];
+                match coord {
+                    0 => tri[1].0 = bad,
+                    1 => tri[1].1 = bad,
+                    _ => tri[1].2 = bad,
+                }
+                if coord == 2 && bad.abs() < f32::INFINITY {
+                    // A huge finite depth leaves the triangle renderable:
+                    // only screen positions are bounded.
+                    continue;
+                }
+                let mut f = Frame::new();
+                f.draws
+                    .push(draw_of(&[tri, good], 0, BlendMode::Opaque, true));
+                assert_matches_reference(&f, Viewport::new(64, 64, 32));
+                for mode in [
+                    RenderMode::TileBased,
+                    RenderMode::TileBasedDeferred,
+                    RenderMode::Immediate,
+                ] {
+                    let config = RenderConfig {
+                        viewport: Viewport::new(64, 64, 32),
+                        mode,
+                    };
+                    let act = Renderer::new(config).frame_activity(&f, &shaders());
+                    let what = format!("{mode:?}, coordinate {coord} = {bad}");
+                    assert_eq!(act.primitives_clipped, 1, "{what}");
+                    assert_eq!(act.primitives_emitted, 1, "{what}");
+                    assert!(act.fragments_shaded > 0, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn benchmark_frames_match_reference_at_the_baseline_viewport() {
+        // Real scenes at the real viewport: the first, middle and last
+        // frame of every Table II benchmark.
+        for info in &megsim_workloads::BENCHMARKS {
+            let workload = megsim_workloads::build(info, 0.01, 3);
+            let n = workload.frames();
+            for i in [0, n / 2, n - 1] {
+                assert_matches_reference_with(
+                    &workload.frame(i),
+                    workload.shaders(),
+                    Viewport::MALI450_BASELINE,
+                );
+            }
         }
     }
 
