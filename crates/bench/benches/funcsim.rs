@@ -97,6 +97,9 @@ fn print_bench_summary() {
         .map(|alias| by_alias(alias, 0.02, 7).expect("known alias"))
         .collect();
     let frame_count: usize = suite.iter().map(megsim_workloads::Workload::frames).sum();
+    // Generated once, outside the timed loops, so the ratios compare the
+    // two renderers and not frame synthesis.
+    let frames: Vec<_> = suite.iter().map(|w| w.generate_frames()).collect();
     let mut total_reference = 0.0;
     let mut total_optimized = 0.0;
     for (name, mode) in [
@@ -110,16 +113,16 @@ fn print_bench_summary() {
         };
         let renderer = Renderer::new(config);
         let reference = secs(|| {
-            for w in &suite {
-                for f in w.iter_frames() {
-                    black_box(render_frame_reference(config, &f, w.shaders(), false).activity);
+            for (w, frames) in suite.iter().zip(&frames) {
+                for f in frames {
+                    black_box(render_frame_reference(config, f, w.shaders(), false).activity);
                 }
             }
         });
         let optimized = secs(|| {
-            for w in &suite {
-                for f in w.iter_frames() {
-                    black_box(renderer.frame_activity(&f, w.shaders()));
+            for (w, frames) in suite.iter().zip(&frames) {
+                for f in frames {
+                    black_box(renderer.frame_activity(f, w.shaders()));
                 }
             }
         });

@@ -10,12 +10,11 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use megsim_core::evaluate::{characterize_sequence, simulate, FrameStart};
-use megsim_core::pipeline::Selection;
-use megsim_core::pipeline::{select_representatives, MegsimConfig};
+use megsim_core::evaluate::{simulate, FrameStart};
+use megsim_core::flow::{estimate, Estimate, Flow};
+use megsim_core::pipeline::MegsimConfig;
 use megsim_core::FrameCache;
-use megsim_gfx::shader::ShaderTable;
-use megsim_timing::{FrameStats, GpuConfig, MultiGpuConfig};
+use megsim_timing::{GpuConfig, MultiGpuConfig};
 use megsim_workloads::by_alias;
 use megsim_workloads::Workload;
 
@@ -31,31 +30,15 @@ fn thread_sweep() -> Vec<usize> {
     sweep
 }
 
-/// Cold single-GPU simulation of `frames`.
-fn simulate_cold(
-    frames: impl Iterator<Item = megsim_gfx::draw::Frame> + Send,
-    shaders: &ShaderTable,
-    gpu: &GpuConfig,
-    cache: Option<&FrameCache>,
-) -> Vec<FrameStats> {
-    let start = FrameStart::Cold(cache);
-    simulate(frames, shaders, gpu, MultiGpuConfig::single(), start).0
-}
-
-/// Simulates only the selected representative frames.
-fn simulate_reps(
-    workload: &Workload,
-    selection: &Selection,
-    gpu: &GpuConfig,
-    cache: Option<&FrameCache>,
-) -> Vec<FrameStats> {
-    let reps = selection.representatives.iter();
-    simulate_cold(
-        reps.map(|r| workload.frame(r.frame_index)),
+/// The MEGsim flow over `workload`'s in-memory frames: characterize,
+/// select, then simulate only the representatives.
+fn megsim_flow(workload: &Workload, flow: &Flow<'_>) -> Estimate {
+    let source = (
         workload.shaders(),
-        gpu,
-        cache,
-    )
+        || workload.iter_frames(),
+        |i| workload.frame(i),
+    );
+    estimate(&source, flow).expect("a workload has frames")
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -70,7 +53,17 @@ fn bench_end_to_end(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 megsim_exec::with_threads(threads, || {
-                    b.iter(|| simulate_cold(workload.iter_frames(), workload.shaders(), &gpu, None))
+                    b.iter(|| {
+                        let frames = workload.iter_frames();
+                        let start = FrameStart::Cold(None);
+                        simulate(
+                            frames,
+                            workload.shaders(),
+                            &gpu,
+                            MultiGpuConfig::single(),
+                            start,
+                        )
+                    })
                 });
             },
         );
@@ -84,17 +77,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 megsim_exec::with_threads(threads, || {
-                    b.iter(|| {
-                        let matrix = characterize_sequence(
-                            workload.iter_frames(),
-                            workload.shaders(),
-                            &gpu,
-                            &config,
-                            None,
-                        );
-                        let selection = select_representatives(&matrix, &config);
-                        simulate_reps(&workload, &selection, &gpu, None)
-                    })
+                    b.iter(|| megsim_flow(&workload, &Flow::new(&gpu, config)))
                 });
             },
         );
@@ -117,15 +100,11 @@ fn print_cache_summary() {
     let config = MegsimConfig::default();
     let cache = FrameCache::new();
     let flow = || {
-        let matrix = characterize_sequence(
-            workload.iter_frames(),
-            workload.shaders(),
-            &gpu,
-            &config,
-            Some(&cache),
-        );
-        let selection = select_representatives(&matrix, &config);
-        simulate_reps(&workload, &selection, &gpu, Some(&cache))
+        let flow = Flow {
+            cache: Some(&cache),
+            ..Flow::new(&gpu, config)
+        };
+        megsim_flow(&workload, &flow)
     };
     let start = Instant::now();
     black_box(flow());

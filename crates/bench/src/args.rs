@@ -51,7 +51,7 @@ impl ExperimentArgs {
     ///
     /// Returns a human-readable message on unknown flags or malformed
     /// values.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter().skip(1);
         while let Some(flag) = it.next() {
@@ -118,7 +118,7 @@ impl ExperimentArgs {
     }
 
     /// True when `alias` passes the benchmark filter.
-    pub fn selects(&self, alias: &str) -> bool {
+    pub(crate) fn selects(&self, alias: &str) -> bool {
         self.benchmarks.is_empty() || self.benchmarks.iter().any(|b| b == alias)
     }
 }

@@ -506,12 +506,7 @@ pub struct Table4Row {
 /// Computes one benchmark's Table IV row: MEGsim is re-run with `seeds`
 /// different k-means seedings (the paper uses 100) and random
 /// sub-sampling grows until its 95 %-confidence error matches.
-pub fn table4_row(
-    d: &BenchmarkData,
-    config: &MegsimConfig,
-    seeds: usize,
-    trials: usize,
-) -> Table4Row {
+fn table4_row(d: &BenchmarkData, config: &MegsimConfig, seeds: usize, trials: usize) -> Table4Row {
     // Every seeding is an independent end-to-end MEGsim run; fan them
     // out on the pool (each run derives everything from its seed index).
     let runs = megsim_exec::par_map_range(seeds, |s| {

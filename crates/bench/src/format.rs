@@ -9,7 +9,7 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Self {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -21,14 +21,14 @@ impl TextTable {
     /// # Panics
     ///
     /// Panics if the row width differs from the header.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
         self
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut width = vec![0usize; cols];
         for (i, h) in self.header.iter().enumerate() {
@@ -63,17 +63,17 @@ impl TextTable {
 }
 
 /// Formats a fraction as a percentage with two decimals.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.2}%", fraction * 100.0)
 }
 
 /// Formats a ratio as a `N×` factor with one decimal.
-pub fn times(factor: f64) -> String {
+pub(crate) fn times(factor: f64) -> String {
     format!("{factor:.1}x")
 }
 
 /// Formats a large count in millions with one decimal.
-pub fn millions(v: f64) -> String {
+pub(crate) fn millions(v: f64) -> String {
     format!("{:.1}", v / 1e6)
 }
 

@@ -105,7 +105,7 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
 }
 
 /// Dispatches a full argv (including program name).
-pub fn run(argv: &[String]) -> Result<(), String> {
+pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let mut opts = Options::parse(argv)?;
     if opts.has("help") || matches!(opts.command.as_str(), "help" | "") {
         println!("{USAGE}");

@@ -101,7 +101,7 @@ impl KMeansConfig {
     }
 
     /// Sets the initialization method (builder style).
-    pub fn with_init(mut self, init: InitMethod) -> Self {
+    pub(crate) fn with_init(mut self, init: InitMethod) -> Self {
         self.init = init;
         self
     }
@@ -122,7 +122,7 @@ pub struct KMeansResult {
 
 impl KMeansResult {
     /// Number of clusters.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.centroids.len()
     }
 

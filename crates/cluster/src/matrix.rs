@@ -9,7 +9,7 @@
 //! contiguous memory and streaming the whole matrix is a linear scan.
 //!
 //! [`SoaPoints`] is the transposed (column-major) view feeding
-//! [`SoaPoints::d2_block`]: all-pairs stages (the §III-D similarity
+//! [`SoaPoints::dist_block`]: all-pairs stages (the §III-D similarity
 //! matrix, the silhouette ablation) compute distances tile by tile so
 //! one pass over a dimension's column serves a whole block of pairs
 //! from cache, and the inner loop over `j` is a contiguous stream the
@@ -28,7 +28,7 @@ pub struct PointMatrix {
 
 impl PointMatrix {
     /// An empty matrix whose rows will have `dim` columns.
-    pub fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         PointMatrix {
             data: Vec::new(),
             dim,
@@ -93,7 +93,7 @@ impl PointMatrix {
     /// # Panics
     ///
     /// Panics if `i` is out of range or `row.len() != dim`.
-    pub fn set_row(&mut self, i: usize, row: &[f64]) {
+    pub(crate) fn set_row(&mut self, i: usize, row: &[f64]) {
         assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
         assert_eq!(row.len(), self.dim, "row length != matrix dim");
         self.data[i * self.dim..(i + 1) * self.dim].copy_from_slice(row);
@@ -101,7 +101,7 @@ impl PointMatrix {
 
     /// Removes every row, keeping the allocation (the streaming
     /// clusterer's mini-batch window).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.clear();
         self.rows = 0;
     }
@@ -144,7 +144,7 @@ impl PointMatrix {
     }
 }
 
-/// Register-block width of [`SoaPoints::d2_block`]: how many `j` points
+/// Register-block width of [`SoaPoints::dist_block`]: how many `j` points
 /// accumulate simultaneously, each in its own register lane (8 f64s is
 /// one AVX-512 vector, two AVX ones).
 const D2_LANES: usize = 8;
@@ -176,77 +176,31 @@ impl SoaPoints {
     }
 
     /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether there are no points.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Dimensions per point.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Column `d`: coordinate `d` of every point, contiguous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= dim`.
-    pub fn col(&self, d: usize) -> &[f64] {
-        assert!(d < self.dim, "column {d} out of range ({} dims)", self.dim);
-        &self.cols[d * self.n..(d + 1) * self.n]
-    }
-
-    /// Writes the squared Euclidean distances between every `i` in `is`
-    /// and every `j` in `js` into `out` as a row-major
-    /// `is.len() × js.len()` tile (`out[(i − is.start) · js.len() +
-    /// (j − js.start)]`).
+    /// Writes the Euclidean distances between every `i` in `is` and
+    /// every `j` in `js` into `out` as a row-major `is.len() × js.len()`
+    /// tile (`out[(i − is.start) · js.len() + (j − js.start)]`).
     ///
     /// The tile accumulates dimension by dimension: per pair that is a
     /// single scalar receiving `(x_id − x_jd)²` in ascending `d` order —
-    /// bitwise the fold [`crate::squared_distance`] computes. The kernel
-    /// register-blocks `D2_LANES` points of `js` at a time: their
-    /// accumulators live in registers across the whole dimension loop
-    /// (one contiguous vector load per dimension, no per-dimension tile
-    /// traffic), and each lane is an independent sum, so the block
-    /// vectorizes at full width without reordering any pair's fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a range exceeds the point count or `out` is smaller
-    /// than the tile.
-    pub fn d2_block(
-        &self,
-        is: std::ops::Range<usize>,
-        js: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        self.block_kernel::<false>(is, js, out);
-    }
-
-    /// [`SoaPoints::d2_block`] with the square root fused into the
-    /// store: `out` receives Euclidean distances (`sqrt` applied to the
-    /// finished accumulator lanes, bitwise
+    /// bitwise the fold [`crate::squared_distance`] computes — and the
+    /// square root is fused into the store (bitwise
     /// [`crate::euclidean_distance`]), saving consumers a separate pass
-    /// over the tile.
+    /// over the tile. The kernel register-blocks `D2_LANES` points of
+    /// `js` at a time: their accumulators live in registers across the
+    /// whole dimension loop (one contiguous vector load per dimension,
+    /// no per-dimension tile traffic), and each lane is an independent
+    /// sum, so the block vectorizes at full width without reordering any
+    /// pair's fold.
     ///
     /// # Panics
     ///
     /// Panics if a range exceeds the point count or `out` is smaller
     /// than the tile.
     pub fn dist_block(
-        &self,
-        is: std::ops::Range<usize>,
-        js: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        self.block_kernel::<true>(is, js, out);
-    }
-
-    fn block_kernel<const SQRT: bool>(
         &self,
         is: std::ops::Range<usize>,
         js: std::ops::Range<usize>,
@@ -273,10 +227,8 @@ impl SoaPoints {
                         *a += diff * diff;
                     }
                 }
-                if SQRT {
-                    for a in &mut acc {
-                        *a = a.sqrt();
-                    }
+                for a in &mut acc {
+                    *a = a.sqrt();
                 }
                 row[jb..jb + D2_LANES].copy_from_slice(&acc);
                 jb += D2_LANES;
@@ -289,7 +241,7 @@ impl SoaPoints {
                     let diff = col[i] - col[j];
                     acc += diff * diff;
                 }
-                row[jb + off] = if SQRT { acc.sqrt() } else { acc };
+                row[jb + off] = acc.sqrt();
             }
         }
     }
@@ -346,13 +298,12 @@ mod tests {
         let m = PointMatrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let soa = SoaPoints::from_matrix(&m);
         assert_eq!(soa.len(), 3);
-        assert_eq!(soa.dim(), 2);
-        assert_eq!(soa.col(0), &[1.0, 3.0, 5.0]);
-        assert_eq!(soa.col(1), &[2.0, 4.0, 6.0]);
+        assert_eq!(soa.dim, 2);
+        assert_eq!(soa.cols, &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
     }
 
     #[test]
-    fn d2_block_is_bitwise_squared_distance() {
+    fn dist_block_is_bitwise_euclidean_distance() {
         // Awkward magnitudes so any accumulation-order difference would
         // show up in the low bits.
         let m = PointMatrix::from_rows(
@@ -368,10 +319,10 @@ mod tests {
         let mut tile = vec![f64::NAN; 17 * 17];
         for (is, js) in [(0..17, 0..17), (3..9, 11..17), (16..17, 0..1), (5..5, 0..4)] {
             let w = js.len();
-            soa.d2_block(is.clone(), js.clone(), &mut tile);
+            soa.dist_block(is.clone(), js.clone(), &mut tile);
             for (bi, i) in is.clone().enumerate() {
                 for (bj, j) in js.clone().enumerate() {
-                    let expected = crate::kmeans::squared_distance(m.row(i), m.row(j));
+                    let expected = crate::kmeans::euclidean_distance(m.row(i), m.row(j));
                     assert_eq!(
                         tile[bi * w + bj].to_bits(),
                         expected.to_bits(),
@@ -403,11 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn d2_block_handles_zero_dim() {
+    fn dist_block_handles_zero_dim() {
         let m = PointMatrix::from_rows(vec![vec![], vec![]]);
         let soa = SoaPoints::from_matrix(&m);
         let mut tile = vec![f64::NAN; 4];
-        soa.d2_block(0..2, 0..2, &mut tile);
+        soa.dist_block(0..2, 0..2, &mut tile);
         assert_eq!(tile, vec![0.0; 4]);
     }
 }

@@ -83,7 +83,8 @@ impl SearchConfig {
     }
 
     /// Sets the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
@@ -103,7 +104,8 @@ impl SearchConfig {
     }
 
     /// Sets the k-means restarts per candidate `k` (builder style).
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_restarts(mut self, restarts: usize) -> Self {
         assert!(restarts >= 1, "restarts must be at least 1");
         self.restarts = restarts;
         self
@@ -121,13 +123,6 @@ pub struct SearchResult {
     pub bic_scores: Vec<f64>,
 }
 
-impl SearchResult {
-    /// The BIC score of the selected clustering.
-    pub fn selected_bic(&self) -> f64 {
-        self.bic_scores[self.k - 1]
-    }
-}
-
 /// Derives the k-means seed of candidate `k` from the search's base
 /// seed — `seed ⊕ k · 0x9E37_79B9_7F4A_7C15` (the 64-bit golden-ratio
 /// multiplier, pinned). Every search path goes through this function; a
@@ -142,7 +137,7 @@ pub fn candidate_seed(seed: u64, k: usize) -> u64 {
 /// Reusable buffers of the §III-F search: the shared k-means scratch
 /// (labels, bounds, accumulators, memoized D²-seeding rows) plus the
 /// per-candidate result/score accumulators. One scratch serves any
-/// number of searches; every [`search_clusters_with`] call re-keys the
+/// number of searches; every `search_clusters_with` call re-keys the
 /// data-dependent state itself.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
@@ -151,7 +146,7 @@ pub struct SearchScratch {
 
 impl SearchScratch {
     /// A fresh scratch (equivalent to `Default::default()`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -173,7 +168,7 @@ pub fn search_clusters(data: &PointMatrix, config: &SearchConfig) -> SearchResul
 /// # Panics
 ///
 /// Panics if `data` is empty.
-pub fn search_clusters_with(
+pub(crate) fn search_clusters_with(
     data: &PointMatrix,
     config: &SearchConfig,
     scratch: &mut SearchScratch,
@@ -284,10 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn selected_bic_is_consistent() {
+    fn selected_clustering_has_k_clusters() {
         let data = blobs(20, &[(0.0, 0.0), (30.0, 30.0)]);
         let r = search_clusters(&data, &SearchConfig::default());
-        assert_eq!(r.selected_bic(), r.bic_scores[r.k - 1]);
         assert_eq!(r.clustering.k(), r.k);
     }
 

@@ -30,7 +30,7 @@
 //! micro-centroid updates apply one row at a time in frame order, and
 //! the finishing search's seeds derive only from `(seed, k)`. The
 //! parallel machinery lives *inside* the finishing
-//! [`search_clusters_with`] call, which is already bit-identical at any
+//! `search_clusters_with` call, which is already bit-identical at any
 //! thread count — so the whole streaming path is too.
 //!
 //! # The exact mode (oracle)
@@ -38,7 +38,7 @@
 //! With `reservoir_capacity == 0` the reservoir is unbounded: Algorithm
 //! R never evicts (and never consumes RNG), so [`StreamClusterer::finish`]
 //! stabilizes over *all* rows in arrival order — the same matrix, the
-//! same [`search_clusters_with`] call, and therefore **bitwise** the
+//! same `search_clusters_with` call, and therefore **bitwise** the
 //! batch search's output. The proptest oracle and the CI determinism
 //! matrix pin streaming-exact ≡ batch at 1/2/8 threads.
 
@@ -78,7 +78,8 @@ impl Default for StreamConfig {
 impl StreamConfig {
     /// The exact (unbounded-reservoir) configuration — the oracle mode
     /// whose output is bitwise the batch search's.
-    pub fn exact() -> Self {
+    #[cfg(test)]
+    fn exact() -> Self {
         Self {
             reservoir_capacity: 0,
             ..Self::default()
@@ -113,7 +114,8 @@ impl StreamConfig {
 
     /// Sets the base seed (builder style) — forwarded to the search
     /// and the reservoir RNG.
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    #[cfg(test)]
+    fn with_seed(mut self, seed: u64) -> Self {
         self.search.seed = seed;
         self
     }
@@ -256,21 +258,6 @@ impl StreamClusterer {
         if self.batch.len() >= self.config.batch_size {
             self.flush_batch();
         }
-    }
-
-    /// Total rows consumed so far.
-    pub fn frames_seen(&self) -> usize {
-        self.n_seen
-    }
-
-    /// Rows currently retained in the reservoir.
-    pub fn reservoir_len(&self) -> usize {
-        self.reservoir.len()
-    }
-
-    /// High-water mark of raw rows retained at any instant.
-    pub fn peak_rows_retained(&self) -> usize {
-        self.peak_rows
     }
 
     /// Flushes any partial mini-batch, stabilizes over the retained

@@ -43,14 +43,6 @@ impl BatchOp {
             _ => None,
         }
     }
-
-    /// The manifest keyword for this op.
-    pub fn keyword(&self) -> &'static str {
-        match self {
-            BatchOp::Characterize => "characterize",
-            BatchOp::Estimate => "estimate",
-        }
-    }
 }
 
 /// One campaign from a batch manifest.
@@ -183,7 +175,7 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Tier counts summed over every campaign.
-    pub fn totals(&self) -> TierCounts {
+    fn totals(&self) -> TierCounts {
         let mut totals = TierCounts::ZERO;
         for c in &self.campaigns {
             totals.merge(&c.tiers);

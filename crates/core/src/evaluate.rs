@@ -115,7 +115,7 @@ pub fn characterize_simulated(
 /// matrix, then cluster it) disappears.
 ///
 /// Characterization fans out on the worker pool
-/// ([`megsim_exec::iter_fold`]); the caller thread folds each frame's
+/// ([`megsim_exec::iter_pipeline`]); the caller thread folds each frame's
 /// feature row — in strict arrival order — into the running §III-C
 /// group masses and the [`StreamClusterer`]. Peak feature memory is the
 /// clusterer's reservoir plus one mini-batch plus the pipeline window,
@@ -145,14 +145,11 @@ pub fn characterize_stream(
     let renderer = Renderer::new(render_config);
     let config_fp = frame_cache::activity_config_fingerprint(&render_config, shaders);
     let dim = shaders.vertex_count() + shaders.fragment_count() + 1;
-    let clusterer = StreamClusterer::new(dim, stream.to_stream_config(&config.search));
+    let mut clusterer = StreamClusterer::new(dim, stream.to_stream_config(&config.search));
+    let mut mass = RunningGroupMass::new(shaders.vertex_count(), shaders.fragment_count());
+    let mut scales = Vec::new();
     let characterization = config.characterization;
-    struct Fold {
-        clusterer: StreamClusterer,
-        mass: RunningGroupMass,
-        scales: Vec<f64>,
-    }
-    let fold = megsim_exec::iter_fold(
+    megsim_exec::iter_pipeline(
         frames,
         STREAM_PIPELINE_DEPTH,
         // Map stage: render + characterize, pure per frame (cache hits
@@ -163,23 +160,16 @@ pub fn characterize_stream(
             characterize_frame_into(&activity, shaders, &characterization, &mut row);
             row
         },
-        Fold {
-            clusterer,
-            mass: RunningGroupMass::new(shaders.vertex_count(), shaders.fragment_count()),
-            scales: Vec::new(),
-        },
-        // Fold stage: strict arrival order on the caller thread — the
+        // Consume stage: strict arrival order on the caller thread — the
         // exact FP fold of the batch normalization pass.
-        |state, _, row| {
-            state.mass.add_row(&row);
-            state
-                .mass
-                .column_scales_into(&config.weights, &mut state.scales);
-            state.clusterer.set_scales(&state.scales);
-            state.clusterer.push(&row);
+        |_, row| {
+            mass.add_row(&row);
+            mass.column_scales_into(&config.weights, &mut scales);
+            clusterer.set_scales(&scales);
+            clusterer.push(&row);
         },
     );
-    finish_stream(fold.clusterer)
+    finish_stream(clusterer)
 }
 
 /// A frame's functional activity, through `cache` when there is one.

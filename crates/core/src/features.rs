@@ -71,26 +71,6 @@ impl FeatureMatrix {
         self.vscv_len + self.fscv_len + 1
     }
 
-    /// The full row of a frame.
-    pub fn row(&self, frame: usize) -> &[f64] {
-        self.rows.row(frame)
-    }
-
-    /// The VSCV slice of a row.
-    pub fn vscv(&self, frame: usize) -> &[f64] {
-        &self.rows.row(frame)[..self.vscv_len]
-    }
-
-    /// The FSCV slice of a row.
-    pub fn fscv(&self, frame: usize) -> &[f64] {
-        &self.rows.row(frame)[self.vscv_len..self.vscv_len + self.fscv_len]
-    }
-
-    /// The PRIM element of a row.
-    pub fn prim(&self, frame: usize) -> f64 {
-        self.rows.row(frame)[self.vscv_len + self.fscv_len]
-    }
-
     /// Column `c` as a vector (used by the Fig. 3 correlation study).
     pub fn column(&self, c: usize) -> Vec<f64> {
         self.rows.iter_rows().map(|r| r[c]).collect()
@@ -210,9 +190,8 @@ mod tests {
         let m = feature_matrix([&activity()], &shaders(), &Default::default());
         assert_eq!(m.frames(), 1);
         assert_eq!(m.dim(), 4);
-        assert_eq!(m.vscv(0), &[30.0, 20.0]); // count × instructions
-        assert_eq!(m.fscv(0), &[100.0 * 9.0]); // 5 ALU + bilinear(4)
-        assert_eq!(m.prim(0), 42.0);
+        // VSCV: count × instructions; FSCV: 5 ALU + bilinear(4); PRIM.
+        assert_eq!(m.rows.row(0), &[30.0, 20.0, 100.0 * 9.0, 42.0]);
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl TierCounts {
     }
 
     /// Lookups served without computing (any hit tier).
-    pub fn hits(&self) -> u64 {
+    fn hits(&self) -> u64 {
         self.activity_memory
             + self.activity_disk
             + self.activity_shared
@@ -169,7 +169,7 @@ impl TierCounts {
     }
 
     /// Accumulates `other` into `self` (campaign → batch totals).
-    pub fn merge(&mut self, other: &TierCounts) {
+    pub(crate) fn merge(&mut self, other: &TierCounts) {
         self.activity_memory += other.activity_memory;
         self.activity_disk += other.activity_disk;
         self.activity_shared += other.activity_shared;
@@ -181,7 +181,7 @@ impl TierCounts {
     }
 
     /// One-line `mem/disk/shared/computed` summary across both kinds.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "mem {} disk {} shared {} computed {} ({:.1}% hit)",
             self.activity_memory + self.stats_memory,
@@ -317,7 +317,7 @@ impl FrameCache {
 
     /// Returns the cached [`FrameActivity`] for `(config_fp, frame)`,
     /// or computes (and caches) it.
-    pub fn activity_or_else(
+    pub(crate) fn activity_or_else(
         &self,
         config_fp: u128,
         frame: &Frame,
@@ -336,7 +336,7 @@ impl FrameCache {
 
     /// Returns the cached [`FrameStats`] for `(config_fp, frame)`, or
     /// computes (and caches) it.
-    pub fn stats_or_else(
+    pub(crate) fn stats_or_else(
         &self,
         config_fp: u128,
         frame: &Frame,
@@ -424,7 +424,7 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// A fresh fingerprint with fixed, distinct lane seeds.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             h0: 0xcbf2_9ce4_8422_2325,
             h1: 0x9e37_79b9_7f4a_7c15,
@@ -442,26 +442,26 @@ impl Fingerprint {
 
     /// Feeds one 64-bit word.
     #[inline]
-    pub fn write_u64(&mut self, v: u64) {
+    fn write_u64(&mut self, v: u64) {
         self.h0 = Self::mix(self.h0, v);
         self.h1 = Self::mix(self.h1, v ^ 0xa5a5_a5a5_a5a5_a5a5);
     }
 
     /// Feeds one 32-bit word.
     #[inline]
-    pub fn write_u32(&mut self, v: u32) {
+    fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
 
     /// Feeds an `f32` by bit pattern (so `-0.0` and `0.0` differ —
     /// exactness matters more than float semantics here).
     #[inline]
-    pub fn write_f32(&mut self, v: f32) {
+    fn write_f32(&mut self, v: f32) {
         self.write_u32(v.to_bits());
     }
 
     /// Feeds a byte slice (word-at-a-time, length-prefixed).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
@@ -471,7 +471,7 @@ impl Fingerprint {
     }
 
     /// The 128-bit digest.
-    pub fn finish(&self) -> u128 {
+    fn finish(&self) -> u128 {
         (u128::from(self.h0) << 64) | u128::from(self.h1)
     }
 }
@@ -557,7 +557,7 @@ pub fn frame_fingerprint(frame: &Frame) -> u128 {
 /// Both types are plain data with derived `Debug`, so their full debug
 /// representation is a faithful (if verbose) serialization — computed
 /// once per sequence, not per frame.
-pub fn activity_config_fingerprint(config: &RenderConfig, shaders: &ShaderTable) -> u128 {
+pub(crate) fn activity_config_fingerprint(config: &RenderConfig, shaders: &ShaderTable) -> u128 {
     let mut fp = Fingerprint::new();
     fp.write_u64(0x41435449); // "ACTI" domain tag
     fp.write_bytes(format!("{config:?}|{shaders:?}").as_bytes());
@@ -569,7 +569,7 @@ pub fn activity_config_fingerprint(config: &RenderConfig, shaders: &ShaderTable)
 /// viewport), the rig shape (GPU count, dispatch, memory topology and
 /// link) and the shader table. Keying on the rig means a result cached
 /// for one rig is never served to another.
-pub fn stats_config_fingerprint(
+pub(crate) fn stats_config_fingerprint(
     config: &GpuConfig,
     rig: &MultiGpuConfig,
     shaders: &ShaderTable,

@@ -110,7 +110,7 @@ pub fn normalize(matrix: &FeatureMatrix, weights: &GroupWeights) -> PointMatrix 
 }
 
 /// Incremental group-mass accumulator for the single-pass streaming
-/// pipeline: feed rows with [`RunningGroupMass::add_row`] in arrival
+/// pipeline: feed rows with `add_row` in arrival
 /// order and read off per-column scales at any point.
 ///
 /// The accumulation is the **exact floating-point fold** of
@@ -128,7 +128,7 @@ pub struct RunningGroupMass {
 impl RunningGroupMass {
     /// A zeroed accumulator for rows with `vscv_len` geometry columns
     /// and `fscv_len` raster columns (plus the trailing PRIM column).
-    pub fn new(vscv_len: usize, fscv_len: usize) -> Self {
+    pub(crate) fn new(vscv_len: usize, fscv_len: usize) -> Self {
         Self {
             p: vscv_len,
             q: fscv_len,
@@ -137,7 +137,7 @@ impl RunningGroupMass {
     }
 
     /// Row dimensionality `p + q + 1`.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.p + self.q + 1
     }
 
@@ -147,7 +147,7 @@ impl RunningGroupMass {
     /// # Panics
     ///
     /// Panics if `row.len() != dim()`.
-    pub fn add_row(&mut self, row: &[f64]) {
+    pub(crate) fn add_row(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim(), "row length != feature dim");
         for (c, &v) in row.iter().enumerate() {
             self.mass[group_of(c, self.p, self.q)] += v;
@@ -159,7 +159,7 @@ impl RunningGroupMass {
     /// Column `c`'s scale is its group's `weight / mass` — the exact
     /// value [`normalize`] multiplies by — or `0` for a zero-mass
     /// group.
-    pub fn column_scales_into(&self, weights: &GroupWeights, out: &mut Vec<f64>) {
+    pub(crate) fn column_scales_into(&self, weights: &GroupWeights, out: &mut Vec<f64>) {
         let scale = [
             if self.mass[0] > 0.0 {
                 weights.geometry / self.mass[0]
@@ -179,14 +179,6 @@ impl RunningGroupMass {
         ];
         out.clear();
         out.extend((0..self.dim()).map(|c| scale[group_of(c, self.p, self.q)]));
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`RunningGroupMass::column_scales_into`].
-    pub fn column_scales(&self, weights: &GroupWeights) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.column_scales_into(weights, &mut out);
-        out
     }
 }
 
@@ -274,7 +266,8 @@ mod tests {
             for row in m.rows.iter_rows() {
                 running.add_row(row);
             }
-            let scales = running.column_scales(&weights);
+            let mut scales = Vec::new();
+            running.column_scales_into(&weights, &mut scales);
             for (i, row) in m.rows.iter_rows().enumerate() {
                 for (c, &v) in row.iter().enumerate() {
                     assert_eq!(
@@ -291,7 +284,8 @@ mod tests {
     fn running_mass_handles_zero_mass_groups() {
         let mut running = RunningGroupMass::new(1, 1);
         running.add_row(&[0.0, 0.0, 2.0]);
-        let scales = running.column_scales(&GroupWeights::paper());
+        let mut scales = Vec::new();
+        running.column_scales_into(&GroupWeights::paper(), &mut scales);
         assert_eq!(scales[0], 0.0);
         assert_eq!(scales[1], 0.0);
         assert!(scales[2].is_finite() && scales[2] > 0.0);

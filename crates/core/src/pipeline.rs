@@ -22,7 +22,8 @@ pub struct MegsimConfig {
 impl MegsimConfig {
     /// The paper's exact configuration: T = 0.85 and the strict
     /// "stop at the first BIC decrease" rule of §III-F.
-    pub fn paper() -> Self {
+    #[cfg(test)]
+    fn paper() -> Self {
         let mut cfg = Self::default();
         cfg.search = cfg.search.with_patience(1);
         cfg

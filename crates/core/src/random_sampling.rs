@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// One random draw: `k` (frame index, range size) pairs.
-pub fn sample_indices(n_frames: usize, k: usize, rng: &mut SmallRng) -> Vec<(usize, usize)> {
+fn sample_indices(n_frames: usize, k: usize, rng: &mut SmallRng) -> Vec<(usize, usize)> {
     assert!(k >= 1 && k <= n_frames, "k must be in [1, n]");
     let mut out = Vec::with_capacity(k);
     for r in 0..k {
@@ -23,7 +23,7 @@ pub fn sample_indices(n_frames: usize, k: usize, rng: &mut SmallRng) -> Vec<(usi
 }
 
 /// Estimates a metric total from a sample: Σ value × range size.
-pub fn estimate_total(samples: &[(usize, usize)], per_frame_metric: &[f64]) -> f64 {
+fn estimate_total(samples: &[(usize, usize)], per_frame_metric: &[f64]) -> f64 {
     samples
         .iter()
         .map(|&(i, size)| per_frame_metric[i] * size as f64)
@@ -38,7 +38,7 @@ pub fn estimate_total(samples: &[(usize, usize)], per_frame_metric: &[f64]) -> f
 ///
 /// Panics if the metric array is empty or `confidence` is outside
 /// `(0, 1]`.
-pub fn max_error_at_confidence(
+fn max_error_at_confidence(
     per_frame_metric: &[f64],
     k: usize,
     trials: usize,

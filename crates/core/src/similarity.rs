@@ -123,7 +123,7 @@ impl SimilarityMatrix {
     }
 
     /// Largest distance in the matrix.
-    pub fn max_distance(&self) -> f64 {
+    fn max_distance(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
     }
 

@@ -46,7 +46,7 @@ pub mod pipeline;
 pub mod single_flight;
 
 pub use cache::ConcurrentCache;
-pub use pipeline::{iter_fold, iter_pipeline, shard_merge};
+pub use pipeline::{iter_pipeline, shard_merge};
 pub use single_flight::{FlightOutcome, SingleFlight};
 
 use std::cell::Cell;

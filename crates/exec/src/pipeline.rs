@@ -8,7 +8,8 @@
 //! warm-sequence GPU simulation — frame `N + 1` renders (stateless,
 //! parallel) while frame `N` runs through the timing model (stateful,
 //! sequential) — and of any other stateful-fold-over-parallel-map
-//! stage. [`iter_fold`] and [`shard_merge`] are thin shapes over it.
+//! stage, such as the fused characterize → online-cluster pass.
+//! [`shard_merge`] is a thin shape over it.
 
 use std::sync::{Condvar, Mutex};
 
@@ -195,30 +196,6 @@ where
     });
 }
 
-/// [`iter_pipeline`] folding into an accumulator: the pool pulls the
-/// iterator in order and maps, and `fold(&mut acc, i,
-/// mapped)` runs on the caller thread in strict index order — the
-/// single-pass shape of a fused characterize → online-cluster pipeline,
-/// where the accumulator is a streaming clusterer consuming one mapped
-/// frame at a time.
-///
-/// Because the fold observes items in index order on one thread, the
-/// result is bit-identical to the plain sequential loop at every
-/// thread count and capacity (same contract as [`iter_pipeline`]).
-/// Panics in any stage propagate to the caller.
-pub fn iter_fold<I, T, U, A, M, F>(source: I, capacity: usize, map: M, init: A, mut fold: F) -> A
-where
-    I: Iterator<Item = T> + Send,
-    T: Send,
-    U: Send,
-    M: Fn(usize, T) -> U + Sync,
-    F: FnMut(&mut A, usize, U),
-{
-    let mut acc = init;
-    iter_pipeline(source, capacity, map, |i, item| fold(&mut acc, i, item));
-    acc
-}
-
 /// Shards `0..n` into fixed `chunk`-sized ranges, maps each range on
 /// the worker pool, and merges the results **in shard order** on the
 /// caller thread — the record/replay shape of intra-frame parallel
@@ -260,29 +237,6 @@ mod tests {
     use super::*;
     use crate::with_threads;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn iter_fold_matches_sequential_at_any_thread_count() {
-        // An order-sensitive accumulator over a sequential source: the
-        // streaming-clusterer shape (push rows in arrival order).
-        let run = || {
-            iter_fold(
-                (0..311u64).map(|x| x.wrapping_mul(0x2545_F491_4F6C_DD1D)),
-                4,
-                |i, x| x.rotate_left((i % 29) as u32),
-                (0u64, Vec::new()),
-                |acc: &mut (u64, Vec<u64>), i, v| {
-                    acc.0 = acc.0.wrapping_mul(31).wrapping_add(v ^ i as u64);
-                    acc.1.push(v);
-                },
-            )
-        };
-        let baseline = with_threads(1, run);
-        assert_eq!(baseline.1.len(), 311);
-        for threads in [2, 3, 8] {
-            assert_eq!(with_threads(threads, run), baseline, "threads = {threads}");
-        }
-    }
 
     #[test]
     fn shard_merge_covers_ranges_in_order_at_any_thread_count() {

@@ -142,7 +142,8 @@ impl<V: Clone> SingleFlight<V> {
     }
 
     /// Keys currently being computed.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.flights.lock().expect("flight map").len()
     }
 }

@@ -38,37 +38,18 @@ pub struct TileBins {
 impl TileBins {
     /// Bins with no tiles and no primitives — the placeholder for
     /// immediate-mode rendering, which bypasses the Tiling Engine.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::default()
     }
 
     /// The binned primitive with the given index.
     #[inline]
-    pub fn prim(&self, index: u32) -> &BinnedPrim {
+    pub(crate) fn prim(&self, index: u32) -> &BinnedPrim {
         &self.prims[index as usize]
     }
 
-    /// Number of binned primitives.
-    pub fn prim_count(&self) -> usize {
-        self.prims.len()
-    }
-
-    /// Whether no primitive was binned.
-    pub fn is_empty(&self) -> bool {
-        self.prims.is_empty()
-    }
-
-    /// Primitive indices binned to the given tile (row-major).
-    pub fn tile_entries(&self, tile: u32) -> &[u32] {
-        let t = tile as usize;
-        if t + 1 >= self.offsets.len() {
-            return &[];
-        }
-        &self.entries[self.offsets[t] as usize..self.offsets[t + 1] as usize]
-    }
-
     /// Tiles that contain at least one primitive, in row-major order.
-    pub fn touched_tiles(&self) -> impl Iterator<Item = (u32, &[u32])> {
+    pub(crate) fn touched_tiles(&self) -> impl Iterator<Item = (u32, &[u32])> {
         self.offsets
             .windows(2)
             .enumerate()
@@ -96,7 +77,7 @@ pub struct BinScratch {
 /// (recording each primitive's tile span), the second fills the CSR
 /// entries in primitive order — preserving submission order within every
 /// tile, exactly as the old push-based builder did.
-pub fn bin_primitives(
+pub(crate) fn bin_primitives(
     draws: &[TransformedDraw],
     viewport: Viewport,
     activity: &mut FrameActivity,
@@ -203,7 +184,7 @@ mod tests {
         let bins = bin(&[transformed(vec![prim])], viewport, &mut act);
         assert_eq!(act.tile_bin_entries, 1);
         assert_eq!(act.tiles_touched, 1);
-        assert_eq!(bins.tile_entries(0), &[0]);
+        assert_eq!(bins.touched_tiles().collect::<Vec<_>>(), [(0, &[0u32][..])]);
     }
 
     #[test]
@@ -230,7 +211,10 @@ mod tests {
         };
         let mut act = FrameActivity::new(1, 1);
         let bins = bin(&[transformed(vec![a, b])], viewport, &mut act);
-        assert_eq!(bins.tile_entries(0), &[0, 1]);
+        assert_eq!(
+            bins.touched_tiles().collect::<Vec<_>>(),
+            [(0, &[0u32, 1][..])]
+        );
     }
 
     #[test]
@@ -242,7 +226,7 @@ mod tests {
         let mut act = FrameActivity::new(1, 1);
         let bins = bin(&[transformed(vec![prim])], viewport, &mut act);
         assert_eq!(act.tile_bin_entries, 0);
-        assert!(bins.is_empty());
+        assert!(bins.prims.is_empty());
     }
 
     #[test]
@@ -277,7 +261,7 @@ mod tests {
         let mut act_fresh = FrameActivity::new(1, 1);
         let fresh = bin(&[transformed(prims)], viewport, &mut act_fresh);
         assert_eq!(act_reused, act_fresh);
-        assert_eq!(reused.prim_count(), fresh.prim_count());
+        assert_eq!(reused.prims.len(), fresh.prims.len());
         let r: Vec<_> = reused.touched_tiles().collect();
         let f: Vec<_> = fresh.touched_tiles().collect();
         assert_eq!(r, f);
@@ -286,9 +270,7 @@ mod tests {
     #[test]
     fn empty_bins_report_nothing() {
         let bins = TileBins::empty();
-        assert!(bins.is_empty());
-        assert_eq!(bins.prim_count(), 0);
+        assert!(bins.prims.is_empty());
         assert_eq!(bins.touched_tiles().count(), 0);
-        assert_eq!(bins.tile_entries(3), &[] as &[u32]);
     }
 }

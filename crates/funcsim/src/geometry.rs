@@ -87,7 +87,7 @@ fn rasterizable(clip: Vec4, screen: &ScreenVertex) -> bool {
 /// triangles are culled. The synthetic workloads keep geometry clear of
 /// the near plane, so the conservative near-plane rejection loses no
 /// realism while avoiding a full polygon clipper.
-pub fn process_draw(
+pub(crate) fn process_draw(
     draw: &DrawCall,
     draw_index: u32,
     viewport: Viewport,

@@ -146,7 +146,7 @@ pub struct RasterScratch {
 impl RasterScratch {
     /// Creates an empty scratch; buffers grow on first use and are
     /// reused afterwards.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             depth: DepthBuffer::new(),
             quads: Vec::new(),
@@ -168,7 +168,7 @@ impl Default for RasterScratch {
 /// when `collect_trace` is set — returning per-tile (or, for IMR, one
 /// whole-screen pseudo-tile) quad traces for the timing model.
 #[allow(clippy::too_many_arguments)]
-pub fn rasterize_frame(
+pub(crate) fn rasterize_frame(
     frame: &Frame,
     draws: &[TransformedDraw],
     bins: &TileBins,

@@ -85,7 +85,7 @@ pub fn render_frame_reference(
 
 /// Reference counterpart of [`crate::raster::rasterize_frame`].
 #[allow(clippy::too_many_arguments)]
-pub fn rasterize_frame_reference(
+fn rasterize_frame_reference(
     frame: &Frame,
     draws: &[TransformedDraw],
     bins: &TileBins,

@@ -77,11 +77,6 @@ impl Renderer {
         Self { config }
     }
 
-    /// The renderer's configuration.
-    pub fn config(&self) -> &RenderConfig {
-        &self.config
-    }
-
     /// Renders a frame, returning the full trace (geometry records +
     /// per-tile quads) for cycle-level simulation.
     ///

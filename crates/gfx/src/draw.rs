@@ -50,18 +50,6 @@ pub struct DrawCall {
     pub depth_test: bool,
 }
 
-impl DrawCall {
-    /// Number of vertices the Vertex Fetcher loads for this call.
-    pub fn vertex_count(&self) -> usize {
-        self.mesh.indices.len()
-    }
-
-    /// Number of triangles sent to Primitive Assembly.
-    pub fn triangle_count(&self) -> usize {
-        self.mesh.triangle_count()
-    }
-}
-
 /// One frame of the workload: an ordered list of draw calls.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Frame {
@@ -77,12 +65,7 @@ impl Frame {
 
     /// Total triangles submitted this frame (pre-culling).
     pub fn submitted_triangles(&self) -> usize {
-        self.draws.iter().map(DrawCall::triangle_count).sum()
-    }
-
-    /// Total vertices fetched this frame.
-    pub fn submitted_vertices(&self) -> usize {
-        self.draws.iter().map(DrawCall::vertex_count).sum()
+        self.draws.iter().map(|d| d.mesh.triangle_count()).sum()
     }
 }
 
@@ -203,13 +186,10 @@ mod tests {
             blend: BlendMode::Opaque,
             depth_test: true,
         };
-        assert_eq!(d.vertex_count(), 6);
-        assert_eq!(d.triangle_count(), 2);
         let mut f = Frame::new();
         f.draws.push(d.clone());
         f.draws.push(d);
         assert_eq!(f.submitted_triangles(), 4);
-        assert_eq!(f.submitted_vertices(), 12);
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl Primitive {
         let max = |a: &[f32; 3]| a.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         (min(&xs), min(&ys), max(&xs), max(&ys))
     }
-
-    /// True when the triangle has (near-)zero area and can be culled.
-    pub fn is_degenerate(&self) -> bool {
-        self.signed_area2().abs() < 1e-6
-    }
 }
 
 #[cfg(test)]
@@ -166,12 +161,5 @@ mod tests {
         let p = tri((0.0, 0.0), (4.0, 0.0), (0.0, 4.0));
         assert_eq!(p.signed_area2(), 16.0);
         assert_eq!(p.bounds(), (0.0, 0.0, 4.0, 4.0));
-        assert!(!p.is_degenerate());
-    }
-
-    #[test]
-    fn collinear_primitive_is_degenerate() {
-        let p = tri((0.0, 0.0), (1.0, 1.0), (2.0, 2.0));
-        assert!(p.is_degenerate());
     }
 }

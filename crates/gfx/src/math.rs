@@ -49,7 +49,7 @@ impl Vec2 {
     }
 
     /// Dot product.
-    pub fn dot(self, rhs: Self) -> f32 {
+    fn dot(self, rhs: Self) -> f32 {
         self.x * rhs.x + self.y * rhs.y
     }
 
@@ -73,39 +73,8 @@ impl Vec3 {
         Self::new(v, v, v)
     }
 
-    /// Dot product.
-    pub fn dot(self, rhs: Self) -> f32 {
-        self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
-    }
-
-    /// Cross product.
-    pub fn cross(self, rhs: Self) -> Self {
-        Self::new(
-            self.y * rhs.z - self.z * rhs.y,
-            self.z * rhs.x - self.x * rhs.z,
-            self.x * rhs.y - self.y * rhs.x,
-        )
-    }
-
-    /// Euclidean length.
-    pub fn length(self) -> f32 {
-        self.dot(self).sqrt()
-    }
-
-    /// Returns the unit-length vector pointing in the same direction.
-    ///
-    /// Returns the zero vector unchanged to avoid NaNs on degenerate input.
-    pub fn normalized(self) -> Self {
-        let len = self.length();
-        if len <= f32::EPSILON {
-            self
-        } else {
-            self / len
-        }
-    }
-
     /// Extends to a homogeneous point (`w = 1`).
-    pub fn to_point4(self) -> Vec4 {
+    fn to_point4(self) -> Vec4 {
         Vec4::new(self.x, self.y, self.z, 1.0)
     }
 }
@@ -114,11 +83,6 @@ impl Vec4 {
     /// Creates a vector from its components.
     pub const fn new(x: f32, y: f32, z: f32, w: f32) -> Self {
         Self { x, y, z, w }
-    }
-
-    /// Drops the W component.
-    pub fn xyz(self) -> Vec3 {
-        Vec3::new(self.x, self.y, self.z)
     }
 
     /// Performs the perspective division of the Geometry Pipeline.
@@ -274,37 +238,6 @@ impl Mat4 {
         )
     }
 
-    /// Orthographic projection (used by the 2-D games' sprite pipelines).
-    pub fn orthographic(left: f32, right: f32, bottom: f32, top: f32, near: f32, far: f32) -> Self {
-        let rl = right - left;
-        let tb = top - bottom;
-        let fne = far - near;
-        Self::from_cols(
-            Vec4::new(2.0 / rl, 0.0, 0.0, 0.0),
-            Vec4::new(0.0, 2.0 / tb, 0.0, 0.0),
-            Vec4::new(0.0, 0.0, -2.0 / fne, 0.0),
-            Vec4::new(
-                -(right + left) / rl,
-                -(top + bottom) / tb,
-                -(far + near) / fne,
-                1.0,
-            ),
-        )
-    }
-
-    /// Right-handed look-at view matrix.
-    pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Self {
-        let f = (target - eye).normalized();
-        let s = f.cross(up).normalized();
-        let u = s.cross(f);
-        Self::from_cols(
-            Vec4::new(s.x, u.x, -f.x, 0.0),
-            Vec4::new(s.y, u.y, -f.y, 0.0),
-            Vec4::new(s.z, u.z, -f.z, 0.0),
-            Vec4::new(-s.dot(eye), -u.dot(eye), f.dot(eye), 1.0),
-        )
-    }
-
     /// Transforms a homogeneous vector.
     pub fn transform(&self, v: Vec4) -> Vec4 {
         self.cols[0] * v.x + self.cols[1] * v.y + self.cols[2] * v.z + self.cols[3] * v.w
@@ -353,25 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn vec3_dot_and_cross() {
-        let x = Vec3::new(1.0, 0.0, 0.0);
-        let y = Vec3::new(0.0, 1.0, 0.0);
-        assert_eq!(x.dot(y), 0.0);
-        assert_eq!(x.cross(y), Vec3::new(0.0, 0.0, 1.0));
-    }
-
-    #[test]
-    fn vec3_normalized_unit_length() {
-        let v = Vec3::new(3.0, 4.0, 0.0).normalized();
-        assert!(approx(v.length(), 1.0));
-    }
-
-    #[test]
-    fn vec3_normalized_zero_is_zero() {
-        assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
-    }
-
-    #[test]
     fn identity_transform_is_noop() {
         let p = Vec4::new(1.0, 2.0, 3.0, 1.0);
         assert_eq!(Mat4::IDENTITY.transform(p), p);
@@ -381,7 +295,7 @@ mod tests {
     fn translation_moves_points() {
         let m = Mat4::translation(Vec3::new(1.0, 2.0, 3.0));
         let p = m.transform_point(Vec3::new(0.0, 0.0, 0.0));
-        assert_eq!(p.xyz(), Vec3::new(1.0, 2.0, 3.0));
+        assert_eq!(p, Vec4::new(1.0, 2.0, 3.0, 1.0));
     }
 
     #[test]
@@ -389,14 +303,14 @@ mod tests {
         let t = Mat4::translation(Vec3::new(1.0, 0.0, 0.0));
         let s = Mat4::scale(Vec3::splat(2.0));
         // (t * s) applies the scale first, then the translation.
-        let p = (t * s).transform_point(Vec3::new(1.0, 1.0, 1.0)).xyz();
-        assert_eq!(p, Vec3::new(3.0, 2.0, 2.0));
+        let p = (t * s).transform_point(Vec3::new(1.0, 1.0, 1.0));
+        assert_eq!(p, Vec4::new(3.0, 2.0, 2.0, 1.0));
     }
 
     #[test]
     fn rotation_y_quarter_turn() {
         let m = Mat4::rotation_y(std::f32::consts::FRAC_PI_2);
-        let p = m.transform_point(Vec3::new(1.0, 0.0, 0.0)).xyz();
+        let p = m.transform_point(Vec3::new(1.0, 0.0, 0.0));
         assert!(approx(p.x, 0.0) && approx(p.z, -1.0));
     }
 
@@ -414,17 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn look_at_centers_target() {
-        let m = Mat4::look_at(
-            Vec3::new(0.0, 0.0, 5.0),
-            Vec3::ZERO,
-            Vec3::new(0.0, 1.0, 0.0),
-        );
-        let p = m.transform_point(Vec3::ZERO);
-        assert!(approx(p.x, 0.0) && approx(p.y, 0.0) && approx(p.z, -5.0));
-    }
-
-    #[test]
     fn signed_area_ccw_positive() {
         let a = Vec2::new(0.0, 0.0);
         let b = Vec2::new(1.0, 0.0);
@@ -439,14 +342,5 @@ mod tests {
         let b = Vec2::new(1.0, 0.0);
         assert!(edge_function(a, b, Vec2::new(0.5, 1.0)) > 0.0);
         assert!(edge_function(a, b, Vec2::new(0.5, -1.0)) < 0.0);
-    }
-
-    #[test]
-    fn orthographic_maps_corners() {
-        let m = Mat4::orthographic(0.0, 10.0, 0.0, 10.0, -1.0, 1.0);
-        let p = m.transform_point(Vec3::new(10.0, 10.0, 0.0));
-        assert!(approx(p.x, 1.0) && approx(p.y, 1.0));
-        let q = m.transform_point(Vec3::new(0.0, 0.0, 0.0));
-        assert!(approx(q.x, -1.0) && approx(q.y, -1.0));
     }
 }

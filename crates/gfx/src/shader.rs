@@ -132,14 +132,6 @@ impl ShaderProgram {
             .sum();
         u64::from(self.alu_instructions) + tex
     }
-
-    /// Number of texture-memory accesses one invocation performs.
-    pub fn texture_memory_accesses(&self) -> u32 {
-        self.texture_samples
-            .iter()
-            .map(|f| f.memory_accesses())
-            .sum()
-    }
 }
 
 /// The shader library of one workload: `p` vertex + `q` fragment shaders.
@@ -238,7 +230,6 @@ mod tests {
         );
         assert_eq!(fs.instruction_count(), 12);
         assert_eq!(fs.weighted_instruction_count(), 10 + 4 + 8);
-        assert_eq!(fs.texture_memory_accesses(), 12);
     }
 
     #[test]

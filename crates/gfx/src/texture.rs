@@ -64,7 +64,7 @@ impl TextureDesc {
     /// Texels are stored in 4×4 tiles (Morton-lite layout) so that a
     /// bilinear footprint usually touches a single cache line, matching
     /// how mobile GPUs lay out textures.
-    pub fn texel_address(&self, x: i64, y: i64, level: u32) -> u64 {
+    fn texel_address(&self, x: i64, y: i64, level: u32) -> u64 {
         let w = (self.width >> level).max(1);
         let h = (self.height >> level).max(1);
         let x = x.rem_euclid(i64::from(w)) as u64;
@@ -93,17 +93,13 @@ impl TextureDesc {
     }
 
     /// Generates the memory addresses one sample at `(u, v)` touches for
-    /// the given filter mode at mip level 0, pushing them into `out`.
+    /// the given filter mode at mip `level` (clamped to
+    /// [`TextureDesc::max_level`]), pushing them into `out`; sampling a
+    /// coarser level is how the hardware keeps the texel:pixel ratio
+    /// near one.
     ///
     /// The number of addresses equals [`TextureFilter::memory_accesses`],
     /// which is the invariant the paper's §III-B weighting relies on.
-    pub fn sample_addresses(&self, uv: Vec2, filter: TextureFilter, out: &mut Vec<u64>) {
-        self.sample_addresses_lod(uv, filter, 0, out);
-    }
-
-    /// LOD-aware variant of [`TextureDesc::sample_addresses`]: samples at
-    /// mip `level` (clamped to [`TextureDesc::max_level`]), which is how
-    /// the hardware keeps the texel:pixel ratio near one.
     pub fn sample_addresses_lod(
         &self,
         uv: Vec2,
@@ -146,7 +142,7 @@ impl TextureDesc {
     /// mip-chain walk (`level_base` loops over levels) and euclidean
     /// remainders.
     ///
-    /// [`LodSampler::addresses`] is bit-identical to
+    /// [`LodSampler::for_each_run`] streams the addresses of
     /// [`TextureDesc::sample_addresses_lod`] with the same arguments
     /// (pinned by tests below): dimensions are powers of two, so the
     /// wrap `x.rem_euclid(w)` is exactly `x & (w - 1)` in two's
@@ -290,10 +286,6 @@ impl LevelParams {
     }
 }
 
-/// The most addresses one filter tap can produce (trilinear: 2×2 taps
-/// on each of two mip levels).
-pub const MAX_SAMPLE_ADDRESSES: usize = 8;
-
 /// Memoized sample-address generator for one (texture, filter, lod)
 /// triple; built once per primitive by [`TextureDesc::lod_sampler`] and
 /// queried once per fragment.
@@ -326,19 +318,11 @@ impl LodSampler {
         Vec2::new(1.0 / self.near.w as f32, 1.0 / self.near.h as f32)
     }
 
-    /// Pushes the sample addresses for `(u, v)`; bit-identical to
-    /// [`TextureDesc::sample_addresses_lod`] at the sampler's filter
-    /// and level.
-    pub fn addresses(&self, uv: Vec2, out: &mut Vec<u64>) {
-        let mut buf = [0u64; MAX_SAMPLE_ADDRESSES];
-        let n = self.addresses_array(uv, &mut buf);
-        out.extend_from_slice(&buf[..n]);
-    }
-
     /// Streams the sample addresses for `(u, v)` as same-line
-    /// `(first address, count)` runs, in stream order: concatenating the
-    /// runs yields exactly [`Self::addresses_array`]'s address stream,
-    /// and every address of a run falls on the same
+    /// `(first address, count)` runs, in stream order: the runs cover
+    /// exactly [`TextureDesc::sample_addresses_lod`]'s address stream at
+    /// the sampler's filter and level, each run starts at its first
+    /// address, and every address of a run falls on the same
     /// `1 << line_shift`-byte cache line. The timing hot loop feeds
     /// these straight into its run-coalescing state machine, so the
     /// common all-taps-in-one-block footprint costs one address
@@ -372,53 +356,6 @@ impl LodSampler {
             }
         }
     }
-
-    /// [`Self::for_each_run`] collected into a fixed buffer, returning
-    /// the run count (the form the equivalence tests pin against
-    /// [`Self::addresses_array`]).
-    pub fn sample_runs(
-        &self,
-        uv: Vec2,
-        line_shift: u32,
-        out: &mut [(u64, u64); MAX_SAMPLE_ADDRESSES],
-    ) -> usize {
-        let mut n = 0;
-        self.for_each_run(uv, line_shift, |addr, count| {
-            out[n] = (addr, count);
-            n += 1;
-        });
-        n
-    }
-
-    /// [`Self::addresses`] into a fixed buffer, returning the address
-    /// count — the allocation-free form [`Self::sample_runs`] is pinned
-    /// against.
-    #[inline]
-    pub fn addresses_array(&self, uv: Vec2, out: &mut [u64; MAX_SAMPLE_ADDRESSES]) -> usize {
-        let bpt = self.bytes_per_texel;
-        let x = floor_i64(uv.x * self.near.wf);
-        let y = floor_i64(uv.y * self.near.hf);
-        match self.filter {
-            TextureFilter::Nearest => {
-                out[0] = self.near.texel_address(x, y, bpt);
-                1
-            }
-            TextureFilter::Linear => {
-                out[0] = self.near.texel_address(x, y, bpt);
-                out[1] = self.near.texel_address(x + 1, y, bpt);
-                2
-            }
-            TextureFilter::Bilinear => {
-                self.near.quad_taps(x, y, bpt, &mut out[..4]);
-                4
-            }
-            TextureFilter::Trilinear => {
-                self.near.quad_taps(x, y, bpt, &mut out[..4]);
-                self.far.quad_taps(x >> 1, y >> 1, bpt, &mut out[4..8]);
-                8
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -427,6 +364,25 @@ mod tests {
 
     fn tex() -> TextureDesc {
         TextureDesc::new(0, 64, 64, 4, 0x1000)
+    }
+
+    /// Checks the sampler's same-line runs against the reference
+    /// address stream of [`TextureDesc::sample_addresses_lod`]: the runs
+    /// cover it in order, each run starts at its address exactly, and
+    /// every address of a run shares the run's 64-byte line.
+    fn assert_runs_match_reference(t: &TextureDesc, filter: TextureFilter, lod: u32, uv: Vec2) {
+        let mut expected = Vec::new();
+        t.sample_addresses_lod(uv, filter, lod, &mut expected);
+        let mut k = 0;
+        t.lod_sampler(filter, lod)
+            .for_each_run(uv, 6, |addr, count| {
+                assert_eq!(addr, expected[k], "{filter:?} lod {lod} uv {uv:?}");
+                for &a in &expected[k..k + count as usize] {
+                    assert_eq!(a >> 6, addr >> 6, "{filter:?} lod {lod} uv {uv:?}");
+                }
+                k += count as usize;
+            });
+        assert_eq!(k, expected.len(), "{filter:?} lod {lod} uv {uv:?}");
     }
 
     #[test]
@@ -467,7 +423,7 @@ mod tests {
         let t = tex();
         for filter in TextureFilter::ALL {
             let mut out = Vec::new();
-            t.sample_addresses(Vec2::new(0.3, 0.7), filter, &mut out);
+            t.sample_addresses_lod(Vec2::new(0.3, 0.7), filter, 0, &mut out);
             assert_eq!(out.len(), filter.memory_accesses() as usize, "{filter:?}");
         }
     }
@@ -492,9 +448,10 @@ mod tests {
         // entirely inside a block touches one line.
         let t = tex();
         let mut out = Vec::new();
-        t.sample_addresses(
+        t.sample_addresses_lod(
             Vec2::new(1.5 / 64.0, 1.5 / 64.0),
             TextureFilter::Bilinear,
+            0,
             &mut out,
         );
         let lines: std::collections::HashSet<u64> = out.iter().map(|a| a / 64).collect();
@@ -512,19 +469,12 @@ mod tests {
         // Non-square texture exercises the independent x/y wrap masks;
         // uv sweep includes negatives (wrap) and magnitudes past 1.
         let t = TextureDesc::new(7, 128, 32, 4, 0xABC0_0000);
-        let mut slow = Vec::new();
-        let mut fast = Vec::new();
         for filter in TextureFilter::ALL {
             for lod in 0..=t.max_level() + 2 {
-                let sampler = t.lod_sampler(filter, lod);
                 for i in -40i32..40 {
                     for j in -40i32..40 {
                         let uv = Vec2::new(i as f32 * 0.07, j as f32 * 0.11);
-                        slow.clear();
-                        fast.clear();
-                        t.sample_addresses_lod(uv, filter, lod, &mut slow);
-                        sampler.addresses(uv, &mut fast);
-                        assert_eq!(slow, fast, "{filter:?} lod {lod} uv {uv:?}");
+                        assert_runs_match_reference(&t, filter, lod, uv);
                     }
                 }
             }
@@ -544,29 +494,10 @@ mod tests {
         for t in textures {
             for filter in TextureFilter::ALL {
                 for lod in 0..=t.max_level() + 1 {
-                    let sampler = t.lod_sampler(filter, lod);
                     for i in -25i32..25 {
                         for j in -25i32..25 {
                             let uv = Vec2::new(i as f32 * 0.083, j as f32 * 0.129);
-                            let mut addrs = [0u64; MAX_SAMPLE_ADDRESSES];
-                            let n = sampler.addresses_array(uv, &mut addrs);
-                            let mut runs = [(0u64, 0u64); MAX_SAMPLE_ADDRESSES];
-                            let m = sampler.sample_runs(uv, 6, &mut runs);
-                            let mut flat = Vec::new();
-                            for &(addr, count) in &runs[..m] {
-                                for k in 0..count {
-                                    // Every address of a run shares the
-                                    // first address's 64-byte line.
-                                    flat.push((addr >> 6, if k == 0 { Some(addr) } else { None }));
-                                }
-                            }
-                            assert_eq!(flat.len(), n, "{filter:?} lod {lod} uv {uv:?}");
-                            for (k, &addr) in addrs[..n].iter().enumerate() {
-                                assert_eq!(flat[k].0, addr >> 6, "{filter:?} lod {lod} uv {uv:?}");
-                                if let Some(first) = flat[k].1 {
-                                    assert_eq!(first, addr, "{filter:?} lod {lod} uv {uv:?}");
-                                }
-                            }
+                            assert_runs_match_reference(&t, filter, lod, uv);
                         }
                     }
                 }

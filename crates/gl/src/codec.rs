@@ -101,7 +101,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Appends a LEB128 varint.
-pub(crate) fn put_varint(out: &mut BytesMut, mut v: u64) {
+fn put_varint(out: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -114,7 +114,7 @@ pub(crate) fn put_varint(out: &mut BytesMut, mut v: u64) {
 }
 
 /// Zigzag-maps a signed delta onto an unsigned varint payload.
-pub(crate) fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
@@ -135,7 +135,7 @@ fn put_signed(out: &mut BytesMut, v: i64) {
 /// change mask skips them); swapping moves the surviving low bytes
 /// down so the varint drops the zero tail. Lossless for every bit
 /// pattern, NaN payloads and -0.0 included.
-pub(crate) fn matrix_delta_to_wire(bits: u32, prev: u32) -> u64 {
+fn matrix_delta_to_wire(bits: u32, prev: u32) -> u64 {
     u64::from((bits ^ prev).swap_bytes())
 }
 
@@ -353,14 +353,14 @@ pub fn encode_with_version(stream: &CommandStream, version: u16) -> Option<Bytes
     }
 }
 
-pub(crate) const fn shader_kind_tag(kind: ShaderKind) -> u8 {
+const fn shader_kind_tag(kind: ShaderKind) -> u8 {
     match kind {
         ShaderKind::Vertex => 0,
         ShaderKind::Fragment => 1,
     }
 }
 
-pub(crate) const fn filter_tag(filter: TextureFilter) -> u8 {
+const fn filter_tag(filter: TextureFilter) -> u8 {
     match filter {
         TextureFilter::Nearest => 0,
         TextureFilter::Linear => 1,
@@ -369,7 +369,7 @@ pub(crate) const fn filter_tag(filter: TextureFilter) -> u8 {
     }
 }
 
-pub(crate) const fn blend_tag(blend: BlendMode) -> u8 {
+const fn blend_tag(blend: BlendMode) -> u8 {
     match blend {
         BlendMode::Opaque => 0,
         BlendMode::AlphaBlend => 1,

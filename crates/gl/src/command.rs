@@ -61,7 +61,7 @@ pub enum Command {
 
 impl Command {
     /// A compact opcode used by the binary codec.
-    pub const fn opcode(&self) -> u8 {
+    pub(crate) const fn opcode(&self) -> u8 {
         match self {
             Command::BufferData { .. } => 0,
             Command::TexImage(_) => 1,
@@ -87,7 +87,7 @@ pub struct CommandStream {
 
 impl CommandStream {
     /// Creates an empty stream.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -79,7 +79,7 @@ impl Default for StreamPlayer {
 
 impl StreamPlayer {
     /// A player in the GL default state with empty resource tables.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             shaders: ShaderTable::new(),
             buffers: HashMap::new(),
@@ -94,12 +94,12 @@ impl StreamPlayer {
     }
 
     /// The shader programs uploaded so far.
-    pub fn shaders(&self) -> &ShaderTable {
+    pub(crate) fn shaders(&self) -> &ShaderTable {
         &self.shaders
     }
 
     /// Consumes the player, returning its shader library.
-    pub fn into_shaders(self) -> ShaderTable {
+    fn into_shaders(self) -> ShaderTable {
         self.shaders
     }
 
@@ -110,7 +110,7 @@ impl StreamPlayer {
     ///
     /// Returns a [`PlayError`] when the command references resources
     /// that were never uploaded or draws without a bound program.
-    pub fn feed(&mut self, cmd: Command) -> Result<Option<Frame>, PlayError> {
+    pub(crate) fn feed(&mut self, cmd: Command) -> Result<Option<Frame>, PlayError> {
         match cmd {
             Command::BufferData { id, mesh } => {
                 self.buffers.insert(id, Arc::new(mesh));

@@ -35,7 +35,7 @@ pub struct Recorder {
 impl Recorder {
     /// Starts a recording with the workload's shader library uploaded in
     /// the prelude.
-    pub fn new(shaders: &ShaderTable) -> Self {
+    fn new(shaders: &ShaderTable) -> Self {
         let mut stream = CommandStream::new();
         for p in shaders.vertex_shaders().chain(shaders.fragment_shaders()) {
             stream.commands.push(Command::ProgramData(p.clone()));
@@ -54,7 +54,7 @@ impl Recorder {
     }
 
     /// Records one frame's draw calls followed by a SwapBuffers.
-    pub fn record_frame(&mut self, frame: &Frame) {
+    fn record_frame(&mut self, frame: &Frame) {
         for draw in &frame.draws {
             self.record_draw(draw);
         }
@@ -116,7 +116,7 @@ impl Recorder {
     }
 
     /// Finishes the recording and returns the stream.
-    pub fn finish(self) -> CommandStream {
+    fn finish(self) -> CommandStream {
         self.stream
     }
 }

@@ -184,12 +184,12 @@ impl<R: Read> StreamDecoder<R> {
     }
 
     /// Commands not yet decoded (from the header count).
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.remaining
     }
 
     /// Bytes consumed from the reader so far.
-    pub fn byte_offset(&self) -> u64 {
+    fn byte_offset(&self) -> u64 {
         self.reader.offset
     }
 
@@ -260,7 +260,7 @@ impl<R: Read> StreamDecoder<R> {
 
     /// Decodes the next command, or `None` past the declared count.
     #[allow(clippy::should_implement_trait)]
-    pub fn next_command(&mut self) -> Option<Result<Command, DecodeError>> {
+    fn next_command(&mut self) -> Option<Result<Command, DecodeError>> {
         if self.remaining == 0 || self.failed {
             return None;
         }
@@ -581,11 +581,6 @@ impl<R: Read> FrameIter<R> {
     /// The shader library uploaded in the trace prelude.
     pub fn shaders(&self) -> &ShaderTable {
         self.player.shaders()
-    }
-
-    /// The wire version of the underlying trace (1 or 2).
-    pub fn version(&self) -> u16 {
-        self.decoder.version()
     }
 
     /// Bytes consumed from the reader so far.

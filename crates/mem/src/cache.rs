@@ -72,7 +72,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         self.size_bytes / (self.line_size * u64::from(self.ways))
     }
 }
@@ -169,7 +169,7 @@ impl Cache {
     }
 
     /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.config
     }
 
@@ -182,17 +182,6 @@ impl Cache {
     /// attribute traffic per frame while modelling warm caches).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// Bank servicing `addr` (line-interleaved).
-    pub fn bank_of(&self, addr: u64) -> u32 {
-        ((addr >> self.line_shift) % u64::from(self.config.banks)) as u32
-    }
-
-    /// Line address (cache-line index) of `addr` — two addresses with
-    /// equal line addresses can be serviced as one [`Cache::access_run`].
-    pub fn line_addr(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
     }
 
     /// Accesses `addr`; returns hit/miss and any writeback generated.
@@ -296,7 +285,7 @@ impl Cache {
 
     /// Writes back all dirty lines and invalidates the cache, returning
     /// the number of writebacks produced (end-of-frame flush).
-    pub fn flush(&mut self) -> u64 {
+    pub(crate) fn flush(&mut self) -> u64 {
         let mut wb = 0;
         for i in 0..self.flags.len() {
             if self.flags[i] & (FLAG_VALID | FLAG_DIRTY) == FLAG_VALID | FLAG_DIRTY {
@@ -384,26 +373,11 @@ mod tests {
     }
 
     #[test]
-    fn bank_interleaving_is_line_granular() {
-        let c = Cache::new(CacheConfig::new("b", 1024, 64, 2, 4, 1));
-        assert_eq!(c.bank_of(0x00), 0);
-        assert_eq!(c.bank_of(0x40), 1);
-        assert_eq!(c.bank_of(0x100), 0);
-    }
-
-    #[test]
     fn miss_ratio_counts() {
         let mut c = tiny();
         c.access(0, false);
         c.access(0, false);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn line_addr_groups_by_line() {
-        let c = tiny();
-        assert_eq!(c.line_addr(0x00), c.line_addr(0x3f));
-        assert_ne!(c.line_addr(0x3f), c.line_addr(0x40));
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl ReferenceCache {
 
     /// Writes back all dirty lines and invalidates the cache, returning
     /// the number of writebacks produced (end-of-frame flush).
-    pub fn flush(&mut self) -> u64 {
+    #[cfg(test)]
+    fn flush(&mut self) -> u64 {
         let mut wb = 0;
         for line in &mut self.lines {
             if line.valid && line.dirty {

@@ -78,13 +78,7 @@ impl MemoryHierarchy {
     /// and nothing else touches the L2 inside the run. The returned
     /// [`HierarchyAccess`] describes the **first** access; the tail
     /// accesses each observe the plain L2 hit latency.
-    pub fn access_run(
-        &mut self,
-        addr: u64,
-        now: u64,
-        is_write: bool,
-        count: u64,
-    ) -> HierarchyAccess {
+    fn access_run(&mut self, addr: u64, now: u64, is_write: bool, count: u64) -> HierarchyAccess {
         let l2_latency = self.l2.config().latency;
         let result = self.l2.access_run(addr, is_write, count);
         if result.hit {
@@ -105,12 +99,6 @@ impl MemoryHierarchy {
             latency: fill.ready_at - now,
             l2_hit: false,
         }
-    }
-
-    /// Hit latency of the L2 (used by units that charge the tail of an
-    /// access run without re-querying the hierarchy).
-    pub fn l2_latency(&self) -> u64 {
-        self.l2.config().latency
     }
 
     /// Flushes the L2, writing dirty lines to DRAM (device idle time at

@@ -36,7 +36,7 @@ pub struct ReferenceDram {
 
 impl ReferenceDram {
     /// Builds an idle DRAM with all rows closed.
-    pub fn new(config: DramConfig) -> Self {
+    fn new(config: DramConfig) -> Self {
         Self {
             banks: vec![Bank::default(); config.banks as usize],
             bus_free_at: 0,
@@ -46,12 +46,12 @@ impl ReferenceDram {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> &DramStats {
+    fn stats(&self) -> &DramStats {
         &self.stats
     }
 
     /// Resets counters; bank state persists.
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.stats = DramStats::default();
     }
 
@@ -63,7 +63,7 @@ impl ReferenceDram {
     }
 
     /// Performs one line-sized access starting no earlier than `now`.
-    pub fn access(&mut self, addr: u64, now: u64, is_write: bool) -> DramAccess {
+    fn access(&mut self, addr: u64, now: u64, is_write: bool) -> DramAccess {
         let (bank_idx, row) = self.bank_and_row(addr);
         let bank = &mut self.banks[bank_idx];
         let row_hit = bank.open_row == Some(row);

@@ -10,8 +10,8 @@
 //!
 //! # The closed-form recurrence
 //!
-//! Multi-line transfers are serviced by [`Link::transfer_run`] in the
-//! style of [`crate::Dram::access_run`]: the first line is charged with
+//! Multi-line transfers are serviced by `Link::transfer_run` in
+//! closed form: the first line is charged with
 //! the full issue derivation (`start = max(now, free_at)`), and the
 //! remaining `count - 1` lines — which by construction find the lane
 //! busy with their own predecessor — collapse to one multiplication
@@ -46,7 +46,7 @@ impl LinkConfig {
     }
 
     /// Lane cycles needed to move one line.
-    pub const fn transfer_cycles(&self) -> u64 {
+    const fn transfer_cycles(&self) -> u64 {
         self.line_size / self.bytes_per_cycle
     }
 }
@@ -66,15 +66,6 @@ pub struct LinkStats {
     pub bytes: u64,
     /// Cycles the lane was occupied by bursts.
     pub busy_cycles: u64,
-}
-
-impl LinkStats {
-    /// Accumulates another stats block.
-    pub fn merge(&mut self, other: &LinkStats) {
-        self.transfers += other.transfers;
-        self.bytes += other.bytes;
-        self.busy_cycles += other.busy_cycles;
-    }
 }
 
 /// Result of one (possibly multi-line) link transfer.
@@ -107,44 +98,20 @@ impl Link {
         }
     }
 
-    /// The link configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
     /// Current counters.
     pub fn stats(&self) -> &LinkStats {
         &self.stats
     }
 
-    /// Resets counters; queueing state persists.
-    pub fn reset_stats(&mut self) {
-        self.stats = LinkStats::default();
-    }
-
-    /// Moves one line across the lane, starting no earlier than `now`.
-    #[inline]
-    pub fn transfer(&mut self, now: u64) -> LinkTransfer {
-        let start = now.max(self.free_at);
-        self.free_at = start + self.transfer;
-        self.stats.transfers += 1;
-        self.stats.busy_cycles += self.transfer;
-        let ready_at = self.free_at + self.config.latency;
-        LinkTransfer {
-            ready_at,
-            latency: ready_at - now,
-        }
-    }
-
     /// Moves `count` back-to-back lines issued at cycle `now`, replaying
-    /// the scalar [`Self::transfer`] loop bit-for-bit.
+    /// the one-line-at-a-time loop bit-for-bit.
     ///
     /// After the first line the lane is busy with this run's own
     /// predecessor, so lines `2..=count` start exactly at `free_at`;
     /// their serialization collapses to `count - 1` occupancy terms
     /// added in one step. Returns the **last** line's result (the cycle
     /// the whole payload has landed).
-    pub fn transfer_run(&mut self, now: u64, count: u64) -> LinkTransfer {
+    fn transfer_run(&mut self, now: u64, count: u64) -> LinkTransfer {
         debug_assert!(count >= 1, "a run needs at least one transfer");
         let start = now.max(self.free_at);
         self.free_at = start + count * self.transfer;
@@ -184,10 +151,13 @@ mod tests {
         assert_eq!(c.latency, 200);
     }
 
+    /// One line-sized burst (the baseline line is 64 bytes).
+    const LINE: u64 = 64;
+
     #[test]
     fn idle_link_pays_occupancy_plus_latency() {
         let mut l = Link::new(LinkConfig::baseline());
-        let t = l.transfer(100);
+        let t = l.transfer_bytes(LINE, 100);
         assert_eq!(t.ready_at, 100 + 8 + 200);
         assert_eq!(t.latency, 208);
     }
@@ -195,12 +165,12 @@ mod tests {
     #[test]
     fn back_to_back_transfers_queue_on_the_lane() {
         let mut l = Link::new(LinkConfig::baseline());
-        let a = l.transfer(0);
+        let a = l.transfer_bytes(LINE, 0);
         // Issued while the lane drains: starts at free_at (8), not 0.
-        let b = l.transfer(0);
+        let b = l.transfer_bytes(LINE, 0);
         assert_eq!(b.ready_at, a.ready_at + 8);
         // Issued after the lane went idle: no queueing delay.
-        let c = l.transfer(1_000);
+        let c = l.transfer_bytes(LINE, 1_000);
         assert_eq!(c.latency, 208);
     }
 
@@ -209,17 +179,17 @@ mod tests {
         let mut run = Link::new(LinkConfig::baseline());
         let mut scalar = Link::new(LinkConfig::baseline());
         // Pre-load both lanes so the run starts on a busy wire.
-        run.transfer(0);
-        scalar.transfer(0);
+        run.transfer_run(0, 1);
+        scalar.transfer_run(0, 1);
         let a = run.transfer_run(3, 5);
         let mut last = None;
         for _ in 0..5 {
-            last = Some(scalar.transfer(3));
+            last = Some(scalar.transfer_run(3, 1));
         }
         assert_eq!(Some(a), last);
         assert_eq!(run.stats(), scalar.stats());
         // State converged: the next transfer agrees too.
-        assert_eq!(run.transfer(10_000), scalar.transfer(10_000));
+        assert_eq!(run.transfer_run(10_000, 1), scalar.transfer_run(10_000, 1));
     }
 
     #[test]
@@ -238,18 +208,5 @@ mod tests {
         let t = l.transfer_bytes(0, 42);
         assert_eq!(t.ready_at, 42);
         assert_eq!(l.stats(), &LinkStats::default());
-    }
-
-    #[test]
-    fn stats_merge_sums() {
-        let mut a = LinkStats {
-            transfers: 1,
-            bytes: 64,
-            busy_cycles: 8,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.transfers, 2);
-        assert_eq!(a.bytes, 128);
-        assert_eq!(a.busy_cycles, 16);
     }
 }

@@ -15,9 +15,7 @@
 //! [`RunCoalescer`] is the shared merge machine: it folds an address
 //! stream into maximal same-line runs with the exact boundaries a
 //! sequential scan would produce, so the recorded log replays
-//! bit-identically. [`Cache::access_run`],
-//! [`crate::MemoryHierarchy::access_run`] and
-//! [`crate::Dram::access_run`] are the replay entry points.
+//! bit-identically. [`Cache::access_run`] is the replay entry point.
 //!
 //! [`Cache::access_run`]: crate::Cache::access_run
 

@@ -65,27 +65,12 @@ impl MemoryPool {
         }
     }
 
-    /// The pool's topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// Number of GPUs served.
-    pub fn gpus(&self) -> usize {
-        self.gpus
-    }
-
-    /// Number of distinct hierarchies backing the pool.
-    pub fn backends(&self) -> usize {
-        self.hierarchies.len()
-    }
-
     /// The hierarchy servicing GPU `gpu`'s stream: the single shared
     /// back end, or the GPU's private one.
     ///
     /// # Panics
     ///
-    /// Panics if `gpu >= self.gpus()`.
+    /// Panics if `gpu` is not below the number of GPUs served.
     pub fn for_gpu(&mut self, gpu: usize) -> &mut MemoryHierarchy {
         assert!(gpu < self.gpus, "GPU {gpu} out of range");
         match self.topology {
@@ -132,8 +117,8 @@ mod tests {
 
     #[test]
     fn shared_pool_has_one_backend_private_has_n() {
-        assert_eq!(pool(Topology::Shared, 4).backends(), 1);
-        assert_eq!(pool(Topology::Private, 4).backends(), 4);
+        assert_eq!(pool(Topology::Shared, 4).hierarchies.len(), 1);
+        assert_eq!(pool(Topology::Private, 4).hierarchies.len(), 4);
     }
 
     #[test]

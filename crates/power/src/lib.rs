@@ -94,7 +94,7 @@ pub struct PowerBreakdown {
 
 impl PowerBreakdown {
     /// Total energy.
-    pub fn total(&self) -> f64 {
+    fn total(&self) -> f64 {
         self.geometry + self.tiling + self.raster
     }
 
@@ -145,15 +145,6 @@ impl PhaseWeights {
             raster: 0.745,
         }
     }
-
-    /// Equal weights (ablation baseline).
-    pub const fn uniform() -> Self {
-        Self {
-            geometry: 1.0 / 3.0,
-            tiling: 1.0 / 3.0,
-            raster: 1.0 / 3.0,
-        }
-    }
 }
 
 impl Default for PhaseWeights {
@@ -170,11 +161,6 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// Creates a model with explicit coefficients.
-    pub fn new(coefficients: EnergyCoefficients) -> Self {
-        Self { coefficients }
-    }
-
     /// Computes the per-phase energy of one simulated frame.
     pub fn breakdown(&self, stats: &FrameStats) -> PowerBreakdown {
         let c = &self.coefficients;

@@ -33,7 +33,7 @@ impl std::error::Error for MatrixError {}
 
 impl Matrix {
     /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -42,7 +42,7 @@ impl Matrix {
     }
 
     /// Creates an identity matrix.
-    pub fn identity(n: usize) -> Self {
+    fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -55,43 +55,10 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    #[cfg(test)]
+    fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must match shape");
         Self { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::ShapeMismatch`] when inner dimensions differ.
-    pub fn mul(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.cols != rhs.rows {
-            return Err(MatrixError::ShapeMismatch);
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Matrix–vector product.
@@ -99,7 +66,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`MatrixError::ShapeMismatch`] when `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, MatrixError> {
+    pub(crate) fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, MatrixError> {
         if v.len() != self.cols {
             return Err(MatrixError::ShapeMismatch);
         }
@@ -114,7 +81,7 @@ impl Matrix {
     ///
     /// Returns [`MatrixError::ShapeMismatch`] for non-square matrices and
     /// [`MatrixError::Singular`] when a pivot underflows.
-    pub fn inverse(&self) -> Result<Matrix, MatrixError> {
+    pub(crate) fn inverse(&self) -> Result<Matrix, MatrixError> {
         if self.rows != self.cols {
             return Err(MatrixError::ShapeMismatch);
         }
@@ -161,7 +128,7 @@ impl Matrix {
 
     /// Adds `lambda` to the diagonal (ridge regularization used when the
     /// shader-count correlation matrix is near-singular).
-    pub fn add_ridge(&mut self, lambda: f64) {
+    pub(crate) fn add_ridge(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
         for i in 0..n {
             self[(i, i)] += lambda;
@@ -197,37 +164,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_is_multiplicative_unit() {
-        let m = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(m.mul(&i).unwrap(), m);
-        assert_eq!(i.mul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn mul_known_product() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_rows(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.mul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(2, 2, vec![58.0, 64.0, 139.0, 154.0]));
-    }
-
-    #[test]
-    fn mul_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert_eq!(a.mul(&b), Err(MatrixError::ShapeMismatch));
-    }
-
-    #[test]
     fn inverse_times_original_is_identity() {
         let m = Matrix::from_rows(3, 3, vec![4.0, 7.0, 2.0, 3.0, 6.0, 1.0, 2.0, 5.0, 3.0]);
         let inv = m.inverse().unwrap();
-        let prod = m.mul(&inv).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
+        for j in 0..3 {
+            // Column j of m · inv is m applied to column j of inv.
+            let col: Vec<f64> = (0..3).map(|i| inv[(i, j)]).collect();
+            let prod = m.mul_vec(&col).unwrap();
+            for (i, &p) in prod.iter().enumerate() {
                 let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expected).abs() < 1e-9, "({i},{j})");
+                assert!((p - expected).abs() < 1e-9, "({i},{j})");
             }
         }
     }

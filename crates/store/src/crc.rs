@@ -36,12 +36,12 @@ pub struct Crc32 {
 
 impl Crc32 {
     /// Starts a fresh checksum.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { state: !0 }
     }
 
     /// Feeds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let table = table();
         for &b in bytes {
             self.state = (self.state >> 8) ^ table[((self.state ^ u32::from(b)) & 0xFF) as usize];
@@ -49,7 +49,7 @@ impl Crc32 {
     }
 
     /// The final checksum value.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.state
     }
 }
@@ -61,7 +61,7 @@ impl Default for Crc32 {
 }
 
 /// One-shot checksum of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(bytes);
     crc.finish()

@@ -34,7 +34,7 @@ pub const HEADER_LEN: usize = SEGMENT_MAGIC.len() + 4;
 pub const RECORD_OVERHEAD: usize = 4 + 16 + 4;
 
 /// Writes the segment header into `out`.
-pub fn write_header(out: &mut Vec<u8>) {
+pub(crate) fn write_header(out: &mut Vec<u8>) {
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
 }
@@ -45,7 +45,7 @@ pub fn write_header(out: &mut Vec<u8>) {
 ///
 /// Panics if `payload` exceeds [`MAX_PAYLOAD`] — the typed codecs never
 /// produce records anywhere near the cap.
-pub fn append_record(out: &mut Vec<u8>, key: u128, payload: &[u8]) {
+pub(crate) fn append_record(out: &mut Vec<u8>, key: u128, payload: &[u8]) {
     assert!(payload.len() <= MAX_PAYLOAD, "record payload over cap");
     let len = (payload.len() as u32).to_le_bytes();
     let key_bytes = key.to_le_bytes();
@@ -71,13 +71,6 @@ pub struct RecordRef {
     pub payload_len: u32,
 }
 
-impl RecordRef {
-    /// Total on-disk length of the record, framing included.
-    pub fn record_len(&self) -> usize {
-        RECORD_OVERHEAD + self.payload_len as usize
-    }
-}
-
 /// Result of scanning one segment's bytes.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
@@ -94,7 +87,7 @@ pub struct ScanOutcome {
 /// Never fails: a segment with a bad header simply yields zero records
 /// (and `corrupt = true`), and a damaged record ends the scan at the
 /// last good one.
-pub fn scan(bytes: &[u8]) -> ScanOutcome {
+pub(crate) fn scan(bytes: &[u8]) -> ScanOutcome {
     let mut out = ScanOutcome::default();
     if bytes.len() < HEADER_LEN
         || bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC
@@ -150,7 +143,7 @@ fn frame_record(bytes: &[u8]) -> Option<(u128, u32)> {
 ///
 /// Returns `None` — a miss, never an error — if the bytes do not frame
 /// exactly one record for `expected_key`.
-pub fn verify_record(bytes: &[u8], expected_key: u128) -> Option<&[u8]> {
+pub(crate) fn verify_record(bytes: &[u8], expected_key: u128) -> Option<&[u8]> {
     let (key, payload_len) = frame_record(bytes)?;
     if key != expected_key || bytes.len() != RECORD_OVERHEAD + payload_len as usize {
         return None;
@@ -181,7 +174,8 @@ mod tests {
         assert_eq!(scan.records[1].payload_len, 0);
         assert_eq!(scan.records[2].key, 7 << 64);
         let r = scan.records[2];
-        let image = &bytes[r.offset as usize..r.offset as usize + r.record_len()];
+        let image =
+            &bytes[r.offset as usize..r.offset as usize + RECORD_OVERHEAD + r.payload_len as usize];
         assert_eq!(verify_record(image, r.key), Some(&b"gamma"[..]));
     }
 
@@ -241,7 +235,8 @@ mod tests {
     fn verify_record_rejects_wrong_key_and_trailing_bytes() {
         let bytes = segment_with(&[(5, b"payload")]);
         let r = scan(&bytes).records[0];
-        let image = &bytes[r.offset as usize..r.offset as usize + r.record_len()];
+        let image =
+            &bytes[r.offset as usize..r.offset as usize + RECORD_OVERHEAD + r.payload_len as usize];
         assert!(verify_record(image, 6).is_none());
         let mut longer = image.to_vec();
         longer.push(0);

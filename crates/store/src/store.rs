@@ -213,13 +213,6 @@ impl Store {
         segment::verify_record(&image, key).map(<[u8]>::to_vec)
     }
 
-    /// Whether `key` is already stored (indexed or pending) — a cheap
-    /// existence probe that does not touch the disk or the counters.
-    pub fn contains(&self, key: u128) -> bool {
-        let shard = self.shard(key).lock();
-        shard.pending.contains_key(&key) || shard.index.contains_key(&key)
-    }
-
     /// Buffers `key → payload` for the next [`flush`](Store::flush)
     /// (write-behind). Re-puts of an already stored or pending key are
     /// dropped: values are content-addressed, so the first write is as
@@ -326,7 +319,7 @@ impl Store {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> StoreStats {
+    fn stats(&self) -> StoreStats {
         let mut records = 0u64;
         let mut pending = 0u64;
         for shard in &self.shards {
@@ -342,17 +335,6 @@ impl Store {
             reads_served: self.reads_served.load(Ordering::Relaxed),
             reads_missed: self.reads_missed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Records readable from disk or pending.
-    pub fn len(&self) -> usize {
-        let stats = self.stats();
-        (stats.records + stats.pending) as usize
-    }
-
-    /// Whether the store holds nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The directory this store lives in.
@@ -440,7 +422,7 @@ mod tests {
         let dir = tmp_dir("empty");
         let store = Store::open(&dir).expect("open");
         assert_eq!(store.flush().expect("flush"), 0);
-        assert!(store.is_empty());
+        assert_eq!((store.stats().records, store.stats().pending), (0, 0));
         assert_eq!(store.stats().segments, 0);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -87,11 +87,6 @@ impl Gpu {
         }
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
     /// Global cycle count since construction.
     pub fn now(&self) -> u64 {
         self.now

@@ -56,6 +56,6 @@ pub use multi_gpu::{
 // The rig's topology and link knobs are part of its configuration
 // surface; re-exported so downstream crates need no megsim-mem dep.
 pub use megsim_mem::{LinkConfig, Topology};
-pub use stats::{FrameStats, SequenceStats, UnitBusy};
+pub use stats::{FrameStats, UnitBusy};
 #[cfg(any(test, feature = "reference"))]
 pub use timing_reference::ReferenceGpu;

@@ -126,25 +126,25 @@ impl WorkDistributor {
     /// # Panics
     ///
     /// Panics if `gpus` is zero.
-    pub fn new(gpus: usize, dispatch: DispatchMode) -> Self {
+    fn new(gpus: usize, dispatch: DispatchMode) -> Self {
         assert!(gpus > 0, "a rig needs at least one GPU");
         Self { gpus, dispatch }
     }
 
     /// The dispatch mode.
-    pub fn dispatch(&self) -> DispatchMode {
+    fn dispatch(&self) -> DispatchMode {
         self.dispatch
     }
 
     /// AFR assignment: frame `i` → GPU `i mod N`.
-    pub fn gpu_for_frame(&self, frame_index: u64) -> usize {
+    fn gpu_for_frame(&self, frame_index: u64) -> usize {
         (frame_index % self.gpus as u64) as usize
     }
 
     /// SFR assignment: `tiles` split into N contiguous near-equal
     /// bands in tile-index order (the first `tiles % N` bands take the
     /// remainder). Bands can be empty when `tiles < N`.
-    pub fn tile_ranges(&self, tiles: usize) -> Vec<Range<usize>> {
+    fn tile_ranges(&self, tiles: usize) -> Vec<Range<usize>> {
         let base = tiles / self.gpus;
         let rem = tiles % self.gpus;
         let mut start = 0;
@@ -239,19 +239,9 @@ impl MultiGpu {
         }
     }
 
-    /// Number of GPU instances.
-    pub fn gpus(&self) -> usize {
-        self.gpus.len()
-    }
-
     /// Cycle count of the furthest-ahead GPU clock.
     pub fn now(&self) -> u64 {
         self.gpus.iter().map(Gpu::now).max().unwrap_or(0)
-    }
-
-    /// Frames dispatched so far.
-    pub fn frames(&self) -> u64 {
-        self.frame_index
     }
 
     /// Cumulative work/traffic accounting.

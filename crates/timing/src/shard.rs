@@ -384,7 +384,7 @@ pub(crate) struct ReplayState {
 impl ReplayState {
     /// The raster phase's duration so far: tile work and the
     /// overlapping flush engine, whichever finishes later.
-    pub fn raster_cycles(&self) -> u64 {
+    pub(crate) fn raster_cycles(&self) -> u64 {
         self.tile_work_clock.max(self.flush_clock)
     }
 }

@@ -39,7 +39,7 @@ pub struct UnitBusy {
 
 impl UnitBusy {
     /// Accumulates another breakdown.
-    pub fn merge(&mut self, other: &UnitBusy) {
+    pub(crate) fn merge(&mut self, other: &UnitBusy) {
         self.vertex_fetch += other.vertex_fetch;
         self.vertex_alu += other.vertex_alu;
         self.prim_assembly += other.prim_assembly;
@@ -149,32 +149,6 @@ impl FrameStats {
     }
 }
 
-/// Totals over a simulated frame sequence.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SequenceStats {
-    /// Number of frames simulated.
-    pub frames: u64,
-    /// Summed per-frame statistics.
-    pub totals: FrameStats,
-}
-
-impl SequenceStats {
-    /// Adds one frame.
-    pub fn push(&mut self, frame: &FrameStats) {
-        self.frames += 1;
-        self.totals.merge(frame);
-    }
-
-    /// Average cycles per frame.
-    pub fn cycles_per_frame(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.totals.cycles as f64 / self.frames as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,15 +180,5 @@ mod tests {
         let s = sample().scaled(5);
         assert_eq!(s.cycles, 500);
         assert_eq!(s.instructions, 2250);
-    }
-
-    #[test]
-    fn sequence_tracks_frames() {
-        let mut seq = SequenceStats::default();
-        seq.push(&sample());
-        seq.push(&sample());
-        assert_eq!(seq.frames, 2);
-        assert_eq!(seq.totals.cycles, 200);
-        assert!((seq.cycles_per_frame() - 100.0).abs() < 1e-12);
     }
 }

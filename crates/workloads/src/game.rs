@@ -230,7 +230,11 @@ pub struct Workload {
     /// 2-D or 3-D.
     pub game_type: GameType,
     pub(crate) shaders: ShaderTable,
+    /// The texture and mesh libraries, kept for the reference generator
+    /// (the fast path reads them through its geometry cache).
+    #[cfg(any(test, feature = "reference"))]
     pub(crate) textures: Vec<TextureDesc>,
+    #[cfg(any(test, feature = "reference"))]
     pub(crate) meshes: Vec<Arc<Mesh>>,
     pub(crate) templates: Vec<SegmentTemplate>,
     pub(crate) timeline: Vec<Segment>,
@@ -328,7 +332,9 @@ impl Workload {
             alias: spec.alias,
             game_type: spec.game_type,
             shaders: spec.shaders,
+            #[cfg(any(test, feature = "reference"))]
             textures: spec.textures,
+            #[cfg(any(test, feature = "reference"))]
             meshes: spec.meshes,
             templates: spec.templates,
             timeline,
@@ -448,16 +454,6 @@ impl Workload {
     /// The game's shader library.
     pub fn shaders(&self) -> &ShaderTable {
         &self.shaders
-    }
-
-    /// The game's texture library.
-    pub fn textures(&self) -> &[TextureDesc] {
-        &self.textures
-    }
-
-    /// The game's mesh library.
-    pub fn meshes(&self) -> &[Arc<Mesh>] {
-        &self.meshes
     }
 
     /// The segment templates (for reporting).
