@@ -85,8 +85,18 @@ fn print_bench_summary() {
             .map(|f| renderer.render_frame(&f, shaders))
             .collect();
         let n = traces.len() as f64;
-        // Fresh GPU per pass so every pass sees the same cold-to-warm
-        // cache trajectory; the two models stay bit-identical per frame.
+        // The two models stay bit-identical per frame over the same
+        // cold-to-warm trajectory: checked once here, then each timed
+        // pass runs a fresh GPU.
+        let mut reference_gpu = ReferenceGpu::new(cfg.clone());
+        let mut gpu = Gpu::new(cfg.clone());
+        for (i, t) in traces.iter().enumerate() {
+            assert_eq!(
+                gpu.simulate_frame(t, shaders),
+                reference_gpu.simulate_frame(t, shaders),
+                "timing {name}: frame {i} differs from the reference model"
+            );
+        }
         let reference = secs(|| {
             let mut gpu = ReferenceGpu::new(cfg.clone());
             for t in &traces {

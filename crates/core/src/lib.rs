@@ -77,7 +77,7 @@ pub use features::{
     FeatureMatrix,
 };
 pub use frame_cache::{FrameCache, TierCounts};
-pub use normalize::{normalize, GroupWeights, RunningGroupMass};
+pub use normalize::{normalize, GroupWeights};
 pub use pipeline::{
     select_representatives, select_representatives_stream, MegsimConfig, Representative, Selection,
     StreamClusterConfig, StreamSelection,

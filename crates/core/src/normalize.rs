@@ -119,7 +119,7 @@ pub fn normalize(matrix: &FeatureMatrix, weights: &GroupWeights) -> PointMatrix 
 /// pass computes. That identity is what makes the exact-reservoir
 /// streaming mode reproduce `select_representatives` bit for bit.
 #[derive(Debug, Clone)]
-pub struct RunningGroupMass {
+pub(crate) struct RunningGroupMass {
     p: usize,
     q: usize,
     mass: [f64; 3],

@@ -142,25 +142,27 @@ impl TextureDesc {
     /// mip-chain walk (`level_base` loops over levels) and euclidean
     /// remainders.
     ///
-    /// [`LodSampler::for_each_run`] streams the addresses of
-    /// [`TextureDesc::sample_addresses_lod`] with the same arguments
-    /// (pinned by tests below): dimensions are powers of two, so the
-    /// wrap `x.rem_euclid(w)` is exactly `x & (w - 1)` in two's
-    /// complement.
-    pub fn lod_sampler(&self, filter: TextureFilter, level: u32) -> LodSampler {
+    /// The sampler streams the addresses of
+    /// [`TextureDesc::sample_addresses_lod`] with the same arguments as
+    /// runs on `1 << line_shift`-byte cache lines (pinned by tests
+    /// below): dimensions are powers of two, so the wrap
+    /// `x.rem_euclid(w)` is exactly `x & (w - 1)` in two's complement.
+    pub fn lod_sampler(&self, filter: TextureFilter, level: u32, line_shift: u32) -> LodSampler {
         let level = level.min(self.max_level());
         let next = (level + 1).min(self.max_level());
         LodSampler {
             filter,
             bytes_per_texel: u64::from(self.bytes_per_texel),
-            near: self.level_params(level),
-            far: self.level_params(next),
+            near: self.level_params(level, line_shift),
+            far: self.level_params(next, line_shift),
         }
     }
 
-    fn level_params(&self, level: u32) -> LevelParams {
+    fn level_params(&self, level: u32, line_shift: u32) -> LevelParams {
         let w = (self.width >> level).max(1);
         let h = (self.height >> level).max(1);
+        let base = self.level_base(level);
+        let block_bytes = 16 * u64::from(self.bytes_per_texel);
         LevelParams {
             w,
             h,
@@ -169,7 +171,12 @@ impl TextureDesc {
             x_mask: i64::from(w) - 1,
             y_mask: i64::from(h) - 1,
             block_row: u64::from(w.div_ceil(4)),
-            base: self.level_base(level),
+            base,
+            block_in_line: block_bytes <= 1 << line_shift && base.is_multiple_of(block_bytes),
+            block_is_line: block_bytes == 1 << line_shift
+                && base.is_multiple_of(block_bytes)
+                && w >= 4
+                && h >= 4,
         }
     }
 }
@@ -188,6 +195,14 @@ struct LevelParams {
     block_row: u64,
     /// Precomputed [`TextureDesc::level_base`] of the level.
     base: u64,
+    /// Whether every 4×4 texel block lies inside one cache line (it
+    /// fits a line and the level base is block-aligned).
+    block_in_line: bool,
+    /// Whether the level tiles into whole 4×4 blocks that are each
+    /// exactly one aligned cache line, so two texels share a line if
+    /// and only if they share a block — also across levels, whose
+    /// blocks then never share a line.
+    block_is_line: bool,
 }
 
 impl LevelParams {
@@ -254,22 +269,36 @@ impl LevelParams {
         (y & self.y_mask) & 3 != 3
     }
 
+    /// A quad's texel coordinates `x`, `y` on this level, wrapped, with
+    /// the [`same_pairs`] bits of the block columns and rows of the four
+    /// x and four y slots `x[0], x[0] + 1, x[1], x[1] + 1` (and likewise
+    /// for y) its taps use.
+    #[inline]
+    fn slots(&self, x: [i64; 2], y: [i64; 2]) -> (LevelSlots, u32, u32) {
+        // The masks are below the u32 dimensions, so wrapping in u32 is
+        // exact: `(x & mask) as u32 == x as u32 & mask as u32`.
+        let (x_mask, y_mask) = (self.x_mask as u32, self.y_mask as u32);
+        let slots = LevelSlots {
+            x: [x[0] as u32 & x_mask, x[1] as u32 & x_mask],
+            y: [y[0] as u32 & y_mask, y[1] as u32 & y_mask],
+        };
+        let blocks = |s: usize, v: [u32; 2], mask: u32| slot(v, s, mask) / 4;
+        let x_same = same_pairs([0, 1, 2, 3].map(|s| blocks(s, slots.x, x_mask)));
+        let y_same = same_pairs([0, 1, 2, 3].map(|s| blocks(s, slots.y, y_mask)));
+        (slots, x_same, y_same)
+    }
+
     /// The bilinear quad as same-line `(first address, count)` runs,
     /// passed to `emit` in stream order.
     ///
     /// Concatenating the runs reproduces [`Self::quad_taps`]'s address
     /// stream in order; a multi-tap run is emitted only when all its
-    /// taps provably share one `line_size`-byte cache line (the whole
-    /// footprint, or one footprint row, inside a single 16-texel block
-    /// that itself fits the line). Falls back to per-tap runs
-    /// otherwise.
+    /// taps provably share one cache line (the whole footprint, or one
+    /// footprint row, inside a single 16-texel block that itself lies
+    /// in one line). Falls back to per-tap runs otherwise.
     #[inline]
-    fn quad_runs(&self, x: i64, y: i64, bpt: u64, line_size: u64, emit: &mut impl FnMut(u64, u64)) {
-        let block_bytes = 16 * bpt;
-        if block_bytes <= line_size
-            && self.base.is_multiple_of(block_bytes)
-            && self.x_pair_in_block(x)
-        {
+    fn quad_runs(&self, x: i64, y: i64, bpt: u64, emit: &mut impl FnMut(u64, u64)) {
+        if self.block_in_line && self.x_pair_in_block(x) {
             if self.y_pair_in_block(y) {
                 emit(self.texel_address(x, y, bpt), 4);
                 return;
@@ -306,8 +335,16 @@ pub struct LodSampler {
 /// so truncate-and-adjust (with a saturating adjust for the
 /// below-`i64::MIN` edge) is bit-identical for every input, including
 /// NaN and the saturation boundaries.
+///
+/// Inside the i32 range (every texel coordinate a real workload has),
+/// the truncation is a plain 32-bit conversion that needs no saturation
+/// fix-ups; `t as f32` rounds the same from i32 as from i64.
 #[inline]
 fn floor_i64(f: f32) -> i64 {
+    if f.abs() < 2_147_483_648.0 {
+        let t = f as i32;
+        return i64::from(t - i32::from(t as f32 > f));
+    }
     let t = f as i64;
     t.saturating_sub((t as f32 > f) as i64)
 }
@@ -318,44 +355,232 @@ impl LodSampler {
         Vec2::new(1.0 / self.near.w as f32, 1.0 / self.near.h as f32)
     }
 
-    /// Streams the sample addresses for `(u, v)` as same-line
-    /// `(first address, count)` runs, in stream order: the runs cover
-    /// exactly [`TextureDesc::sample_addresses_lod`]'s address stream at
-    /// the sampler's filter and level, each run starts at its first
-    /// address, and every address of a run falls on the same
-    /// `1 << line_shift`-byte cache line. The timing hot loop feeds
-    /// these straight into its run-coalescing state machine, so the
-    /// common all-taps-in-one-block footprint costs one address
-    /// computation instead of four — and the closure form keeps the
-    /// runs in registers instead of staging them through memory.
+    /// The texel coordinates of a quad's four sample positions
+    /// `uv + {0, texel.x} × {0, texel.y}` at the selected level:
+    /// fragment `f` (`0..4`, row-major) samples at `(x[f % 2], y[f / 2])`.
+    /// The quad shares two x and two y coordinates, so computing them
+    /// once replaces the per-fragment float work.
     #[inline]
-    pub fn for_each_run(&self, uv: Vec2, line_shift: u32, mut emit: impl FnMut(u64, u64)) {
+    pub fn quad_texels(&self, uv: Vec2, texel: Vec2) -> QuadTexels {
+        QuadTexels {
+            x: [
+                floor_i64(uv.x * self.near.wf),
+                floor_i64((uv.x + texel.x) * self.near.wf),
+            ],
+            y: [
+                floor_i64(uv.y * self.near.hf),
+                floor_i64((uv.y + texel.y) * self.near.hf),
+            ],
+        }
+    }
+
+    /// Whether [`QuadFootprint`] block keys identify cache lines for
+    /// this sampler's taps: every level it reads tiles into whole 4×4
+    /// blocks that are each exactly one aligned line. (Trilinear's
+    /// coarser level then differs from the selected one: at the bottom
+    /// of the mip chain a level is narrower than a block.)
+    pub fn keys_are_lines(&self) -> bool {
+        self.near.block_is_line
+            && (self.filter != TextureFilter::Trilinear || self.far.block_is_line)
+    }
+
+    /// The footprint of a quad sampling at `uv + {0, texel.x} ×
+    /// {0, texel.y}` (see [`Self::quad_texels`]); `far` adds the
+    /// next-coarser level, which trilinear samplers read.
+    #[inline]
+    pub fn quad_footprint(&self, uv: Vec2, texel: Vec2, far: bool) -> QuadFootprint {
+        let q = self.quad_texels(uv, texel);
+        let (near, near_x, near_y) = self.near.slots(q.x, q.y);
+        let (far, far_x, far_y) = if far {
+            self.far.slots(q.x.map(|x| x >> 1), q.y.map(|y| y >> 1))
+        } else {
+            (LevelSlots::default(), 0, 0)
+        };
+        QuadFootprint {
+            levels: [near, far],
+            pattern: near_x | near_y << 6 | far_x << 12 | far_y << 18,
+        }
+    }
+
+    /// The address of tap `tap` of a quad with footprint `footprint`
+    /// (the texel address arithmetic of
+    /// [`TextureDesc::sample_addresses_lod`]).
+    #[inline]
+    pub fn tap_address(&self, footprint: &QuadFootprint, tap: u8) -> u64 {
+        let (level, xs, ys) = tap_slots(tap);
+        let (params, slots) = if level == 0 {
+            (&self.near, &footprint.levels[0])
+        } else {
+            (&self.far, &footprint.levels[1])
+        };
+        let x = u64::from(slot(slots.x, xs, params.x_mask as u32));
+        let y = u64::from(slot(slots.y, ys, params.y_mask as u32));
+        let block = (y / 4) * params.block_row + x / 4;
+        let within = (y % 4) * 4 + x % 4;
+        params.base + (block * 16 + within) * self.bytes_per_texel
+    }
+
+    /// Streams the tap codes of fragment `f` (`0..4`, row-major) of a
+    /// quad, in [`TextureDesc::sample_addresses_lod`] order at the
+    /// fragment's position; a [`QuadFootprint`] turns them into
+    /// addresses. Trilinear taps read the footprint's coarser level.
+    #[inline]
+    pub fn for_each_quad_tap(&self, f: usize, mut emit: impl FnMut(u8)) {
+        let xs = 2 * (f as u8 & 1);
+        let ys = 2 * (f as u8 >> 1);
+        let taps: &[u8] = match self.filter {
+            TextureFilter::Nearest => &[tap(0, 0, 0)],
+            TextureFilter::Linear => &[tap(0, 0, 0), tap(0, 1, 0)],
+            TextureFilter::Bilinear => &[tap(0, 0, 0), tap(0, 1, 0), tap(0, 0, 1), tap(0, 1, 1)],
+            TextureFilter::Trilinear => &[
+                tap(0, 0, 0),
+                tap(0, 1, 0),
+                tap(0, 0, 1),
+                tap(0, 1, 1),
+                tap(1, 0, 0),
+                tap(1, 1, 0),
+                tap(1, 0, 1),
+                tap(1, 1, 1),
+            ],
+        };
+        for &t in taps {
+            emit(t + tap(0, xs, ys));
+        }
+    }
+
+    /// Streams the sample addresses of fragment `f` of a quad whose
+    /// texel coordinates [`Self::quad_texels`] computed, as same-line
+    /// `(first address, count)` runs in stream order: the runs cover
+    /// exactly [`TextureDesc::sample_addresses_lod`]'s address stream at
+    /// the fragment's position and the sampler's filter and level, each
+    /// run starts at its first address, and every address of a run falls
+    /// on the same cache line. The common all-taps-in-one-block
+    /// footprint costs one address computation instead of four, and the
+    /// closure form keeps the runs in registers instead of staging them
+    /// through memory.
+    #[inline]
+    pub fn for_each_quad_run(&self, quad: &QuadTexels, f: usize, mut emit: impl FnMut(u64, u64)) {
+        let x = quad.x[f & 1];
+        let y = quad.y[f >> 1];
         let bpt = self.bytes_per_texel;
-        let line_size = 1u64 << line_shift;
-        let x = floor_i64(uv.x * self.near.wf);
-        let y = floor_i64(uv.y * self.near.hf);
         match self.filter {
             TextureFilter::Nearest => emit(self.near.texel_address(x, y, bpt), 1),
             TextureFilter::Linear => {
-                let block_bytes = 16 * bpt;
-                if block_bytes <= line_size
-                    && self.near.base.is_multiple_of(block_bytes)
-                    && self.near.x_pair_in_block(x)
-                {
+                if self.near.block_in_line && self.near.x_pair_in_block(x) {
                     emit(self.near.texel_address(x, y, bpt), 2);
                 } else {
                     emit(self.near.texel_address(x, y, bpt), 1);
                     emit(self.near.texel_address(x + 1, y, bpt), 1);
                 }
             }
-            TextureFilter::Bilinear => self.near.quad_runs(x, y, bpt, line_size, &mut emit),
+            TextureFilter::Bilinear => self.near.quad_runs(x, y, bpt, &mut emit),
             TextureFilter::Trilinear => {
-                self.near.quad_runs(x, y, bpt, line_size, &mut emit);
-                self.far
-                    .quad_runs(x >> 1, y >> 1, bpt, line_size, &mut emit);
+                self.near.quad_runs(x, y, bpt, &mut emit);
+                self.far.quad_runs(x >> 1, y >> 1, bpt, &mut emit);
             }
         }
     }
+}
+
+/// The texel coordinates a quad's fragments sample at (see
+/// [`LodSampler::quad_texels`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuadTexels {
+    x: [i64; 2],
+    y: [i64; 2],
+}
+
+/// Which pairs of four values are equal, one bit per pair `(i, j)`,
+/// `i < j`, in the order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
+#[inline]
+fn same_pairs(v: [u32; 4]) -> u32 {
+    u32::from(v[0] == v[1])
+        | u32::from(v[0] == v[2]) << 1
+        | u32::from(v[0] == v[3]) << 2
+        | u32::from(v[1] == v[2]) << 3
+        | u32::from(v[1] == v[3]) << 4
+        | u32::from(v[2] == v[3]) << 5
+}
+
+/// The label of slot `i` under [`same_pairs`] bits `same`: the first
+/// slot equal to it, so two slots get the same label if and only if
+/// their values are equal.
+fn label(same: u32, i: usize) -> u8 {
+    // Bit of pair (j, i) for j < i.
+    const PAIR_BIT: [[u32; 4]; 4] = [[0, 0, 1, 2], [0, 0, 3, 4], [0, 0, 0, 5], [0; 4]];
+    (0..i)
+        .find(|&j| same >> PAIR_BIT[j][i] & 1 != 0)
+        .unwrap_or(i) as u8
+}
+
+/// One level's share of a [`QuadFootprint`]: the quad's two x and two
+/// y texel coordinates, wrapped.
+#[derive(Debug, Clone, Copy, Default)]
+struct LevelSlots {
+    x: [u32; 2],
+    y: [u32; 2],
+}
+
+/// The wrapped coordinate of slot `s` (`0..4`: `v[0], v[0] + 1, v[1],
+/// v[1] + 1`) of wrapped coordinates `v`; `(v + 1) & mask` wraps once
+/// more. Selects rather than indexes, so the coordinates can stay in
+/// registers.
+#[inline]
+fn slot(v: [u32; 2], s: usize, mask: u32) -> u32 {
+    let base = if s & 2 == 0 { v[0] } else { v[1] };
+    base.wrapping_add((s & 1) as u32) & mask
+}
+
+/// The texel footprint of one quad on a texture's selected level and
+/// the next-coarser one, built once per quad by
+/// [`LodSampler::quad_footprint`] and shared by every sampler of the
+/// primitive (they sample one texture at one LOD).
+///
+/// A quad's taps are named by **tap codes** ([`LodSampler::for_each_quad_tap`]):
+/// level, x coordinate slot `x[0], x[0] + 1, x[1], x[1] + 1` and y slot
+/// likewise. [`LodSampler::tap_address`] turns a code into its address
+/// and [`QuadFootprint::key`] into its **block key**, below 32: two taps
+/// share a key if and only if they share a 4×4 texel block, which on a
+/// sampler whose [`LodSampler::keys_are_lines`] holds is sharing a cache
+/// line. The keys depend on the footprint only through
+/// [`QuadFootprint::pattern`].
+#[derive(Debug, Clone, Copy)]
+pub struct QuadFootprint {
+    levels: [LevelSlots; 2],
+    pattern: u32,
+}
+
+impl QuadFootprint {
+    /// The block key of tap `tap`.
+    pub fn key(&self, tap: u8) -> u8 {
+        let (level, xs, ys) = tap_slots(tap);
+        let same = |axis: usize| self.pattern >> (12 * level + 6 * axis) & 63;
+        (level as u8) << 4 | label(same(1), ys) << 2 | label(same(0), xs)
+    }
+
+    /// Which coordinate slots share a block column or row: per level
+    /// and axis, one bit per pair of the four slots, in 24 bits. Two
+    /// footprints with the same pattern give every tap code the same
+    /// key.
+    #[inline]
+    pub fn pattern(&self) -> u32 {
+        self.pattern
+    }
+}
+
+/// `(level, x slot, y slot)` of a tap code.
+#[inline]
+fn tap_slots(tap: u8) -> (usize, usize, usize) {
+    (
+        usize::from(tap >> 4) & 1,
+        usize::from(tap) & 3,
+        usize::from(tap >> 2) & 3,
+    )
+}
+
+/// The tap code of level `level`, x slot `xs` and y slot `ys`.
+const fn tap(level: u8, xs: u8, ys: u8) -> u8 {
+    level << 4 | ys << 2 | xs
 }
 
 #[cfg(test)]
@@ -371,17 +596,33 @@ mod tests {
     /// cover it in order, each run starts at its address exactly, and
     /// every address of a run shares the run's 64-byte line.
     fn assert_runs_match_reference(t: &TextureDesc, filter: TextureFilter, lod: u32, uv: Vec2) {
+        // Fragment 0 of a quad samples at `uv` itself.
+        let sampler = t.lod_sampler(filter, lod, 6);
+        let quad = sampler.quad_texels(uv, Vec2::default());
+        assert_runs_cover(t, filter, lod, uv, |emit| {
+            sampler.for_each_quad_run(&quad, 0, emit)
+        });
+    }
+
+    /// Checks the runs `runs` streams against the reference address
+    /// stream at `uv`.
+    fn assert_runs_cover(
+        t: &TextureDesc,
+        filter: TextureFilter,
+        lod: u32,
+        uv: Vec2,
+        runs: impl FnOnce(&mut dyn FnMut(u64, u64)),
+    ) {
         let mut expected = Vec::new();
         t.sample_addresses_lod(uv, filter, lod, &mut expected);
         let mut k = 0;
-        t.lod_sampler(filter, lod)
-            .for_each_run(uv, 6, |addr, count| {
-                assert_eq!(addr, expected[k], "{filter:?} lod {lod} uv {uv:?}");
-                for &a in &expected[k..k + count as usize] {
-                    assert_eq!(a >> 6, addr >> 6, "{filter:?} lod {lod} uv {uv:?}");
-                }
-                k += count as usize;
-            });
+        runs(&mut |addr, count| {
+            assert_eq!(addr, expected[k], "{filter:?} lod {lod} uv {uv:?}");
+            for &a in &expected[k..k + count as usize] {
+                assert_eq!(a >> 6, addr >> 6, "{filter:?} lod {lod} uv {uv:?}");
+            }
+            k += count as usize;
+        });
         assert_eq!(k, expected.len(), "{filter:?} lod {lod} uv {uv:?}");
     }
 
@@ -397,8 +638,14 @@ mod tests {
             f32::MAX,
             f32::MIN_POSITIVE,
             -f32::MIN_POSITIVE,
-            9.2233715e18, // largest f32 below 2^63
-            -9.3e18,      // below i64::MIN: both forms saturate
+            9.2233715e18,    // largest f32 below 2^63
+            -9.3e18,         // below i64::MIN: both forms saturate
+            2_147_483_520.0, // largest f32 below 2^31: the i32 path
+            -2_147_483_520.0,
+            2_147_483_648.0, // 2^31: the i64 path
+            -2_147_483_648.0,
+            -0.5,
+            -1.0,
         ];
         // Every exponent with a spread of mantissas, both signs.
         for exp_bits in 0..=0xffu32 {
@@ -506,12 +753,148 @@ mod tests {
     }
 
     #[test]
+    fn quad_runs_match_per_fragment_samples() {
+        // Each fragment of a quad, from the quad's shared texel
+        // coordinates, streams the reference addresses at its own
+        // position `uv + {0, texel.x} × {0, texel.y}` — over the same
+        // textures, filters, levels and uv sweep as the per-sample tests.
+        let textures = [
+            TextureDesc::new(7, 128, 32, 4, 0xABC0_0000),
+            TextureDesc::new(1, 64, 64, 4, 0x5000 + 16),
+            TextureDesc::new(2, 32, 32, 8, 0x9000),
+        ];
+        for t in textures {
+            for filter in TextureFilter::ALL {
+                for lod in 0..=t.max_level() + 1 {
+                    let sampler = t.lod_sampler(filter, lod, 6);
+                    let texel = sampler.texel_extent();
+                    let offsets = [
+                        Vec2::new(0.0, 0.0),
+                        Vec2::new(texel.x, 0.0),
+                        Vec2::new(0.0, texel.y),
+                        Vec2::new(texel.x, texel.y),
+                    ];
+                    for i in -40i32..40 {
+                        for j in -40i32..40 {
+                            let uv = Vec2::new(i as f32 * 0.07, j as f32 * 0.11);
+                            let quad = sampler.quad_texels(uv, texel);
+                            for (f, off) in offsets.iter().enumerate() {
+                                let fuv = Vec2::new(uv.x + off.x, uv.y + off.y);
+                                assert_runs_cover(&t, filter, lod, fuv, |emit| {
+                                    sampler.for_each_quad_run(&quad, f, emit)
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quad_footprint_taps_match_samples_and_keys_match_lines() {
+        // Every fragment's taps on the quad footprint address exactly the
+        // reference samples at the fragment's position, for each sampler
+        // of a primitive; where the sampler's keys are lines, two taps of
+        // the quad — across its fragments and samplers — share a key if
+        // and only if they share a 64-byte line.
+        use TextureFilter::{Bilinear, Linear, Nearest, Trilinear};
+        let textures = [
+            TextureDesc::new(7, 128, 32, 4, 0xABC0_0000),
+            TextureDesc::new(1, 64, 64, 4, 0x5000 + 16),
+            TextureDesc::new(2, 32, 32, 8, 0x9000),
+            TextureDesc::new(3, 256, 16, 4, 0x8000),
+        ];
+        let combos: [&[TextureFilter]; 6] = [
+            &[Nearest],
+            &[Linear],
+            &[Bilinear],
+            &[Trilinear],
+            &[Bilinear, Trilinear],
+            &[Trilinear, Nearest],
+        ];
+        let mut keyed = 0;
+        for t in textures {
+            for filters in combos {
+                for lod in 0..=t.max_level() + 1 {
+                    let samplers: Vec<_> =
+                        filters.iter().map(|&f| t.lod_sampler(f, lod, 6)).collect();
+                    let keys_are_lines = samplers.iter().all(|s| s.keys_are_lines());
+                    let texel = samplers[0].texel_extent();
+                    let far = filters.contains(&Trilinear);
+                    for i in (-40i32..40).step_by(2) {
+                        for j in (-40i32..40).step_by(2) {
+                            let uv = Vec2::new(i as f32 * 0.07, j as f32 * 0.11);
+                            let footprint = samplers[0].quad_footprint(uv, texel, far);
+                            let mut taps = Vec::new();
+                            for f in 0..4 {
+                                let (dx, dy) = ((f % 2) as f32, (f / 2) as f32);
+                                let fuv = Vec2::new(uv.x + texel.x * dx, uv.y + texel.y * dy);
+                                for (s, &filter) in samplers.iter().zip(filters) {
+                                    let mut expected = Vec::new();
+                                    t.sample_addresses_lod(fuv, filter, lod, &mut expected);
+                                    let mut got = Vec::new();
+                                    s.for_each_quad_tap(f, |tap| {
+                                        got.push(s.tap_address(&footprint, tap));
+                                        taps.push((footprint.key(tap), got[got.len() - 1]));
+                                    });
+                                    assert_eq!(
+                                        got, expected,
+                                        "{filters:?} lod {lod} uv {uv:?} f {f}"
+                                    );
+                                }
+                            }
+                            if keys_are_lines {
+                                keyed += 1;
+                                for &(ka, a) in &taps {
+                                    assert!(ka < 32);
+                                    for &(kb, b) in &taps {
+                                        assert_eq!(
+                                            ka == kb,
+                                            a >> 6 == b >> 6,
+                                            "{filters:?} lod {lod} uv {uv:?}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(keyed > 0, "some combinations have keyed footprints");
+    }
+
+    #[test]
+    fn keys_are_lines_only_for_whole_aligned_line_blocks() {
+        use TextureFilter::{Bilinear, Trilinear};
+        // 4-byte texels on 64-byte lines: a block is one line.
+        let t = TextureDesc::new(0, 64, 64, 4, 0x8000);
+        assert!(t.lod_sampler(Bilinear, 0, 6).keys_are_lines());
+        assert!(t.lod_sampler(Trilinear, 3, 6).keys_are_lines());
+        // Levels narrower than a block, including the bottom of the chain.
+        assert!(!t.lod_sampler(Bilinear, 5, 6).keys_are_lines());
+        assert!(!t.lod_sampler(Trilinear, 4, 6).keys_are_lines());
+        assert!(!t.lod_sampler(Trilinear, 9, 6).keys_are_lines());
+        // Blocks of two lines, half a line, or off line alignment.
+        assert!(!TextureDesc::new(0, 64, 64, 8, 0x8000)
+            .lod_sampler(Bilinear, 0, 6)
+            .keys_are_lines());
+        assert!(!TextureDesc::new(0, 64, 64, 2, 0x8000)
+            .lod_sampler(Bilinear, 0, 6)
+            .keys_are_lines());
+        assert!(!TextureDesc::new(0, 64, 64, 4, 0x8010)
+            .lod_sampler(Bilinear, 0, 6)
+            .keys_are_lines());
+    }
+
+    #[test]
     fn lod_sampler_texel_extent_matches_level_dims() {
         let t = TextureDesc::new(0, 64, 16, 4, 0);
-        let s = t.lod_sampler(TextureFilter::Bilinear, 2);
+        let s = t.lod_sampler(TextureFilter::Bilinear, 2, 6);
         assert_eq!(s.texel_extent(), Vec2::new(1.0 / 16.0, 1.0 / 4.0));
         // Clamped past the bottom of the chain.
-        let s = t.lod_sampler(TextureFilter::Bilinear, 9);
+        let s = t.lod_sampler(TextureFilter::Bilinear, 9, 6);
         assert_eq!(s.texel_extent(), Vec2::new(1.0 / 4.0, 1.0));
     }
 }

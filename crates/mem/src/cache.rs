@@ -9,11 +9,12 @@
 //! The hot path is built for the address streams the timing model
 //! produces: tags, LRU stamps and valid/dirty flags live in separate
 //! way-compact arrays (the hit scan touches only tags and flags), the
-//! tag shift is precomputed at construction, and [`Cache::access_run`]
+//! tag shift is precomputed at construction, [`Cache::access_run`]
 //! services a streak of same-line accesses with a single tag lookup
-//! plus replayed tick/stat bookkeeping. The pre-optimization
-//! implementation is retained in `crate::cache_reference` and pinned
-//! bit-for-bit by proptests there.
+//! plus replayed tick/stat bookkeeping, and [`Cache::read_group`]
+//! services a group of reads with one lookup per distinct line. The
+//! pre-optimization implementation is retained in
+//! `crate::cache_reference` and pinned bit-for-bit by proptests there.
 
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +76,28 @@ impl CacheConfig {
     pub(crate) fn sets(&self) -> u64 {
         self.size_bytes / (self.line_size * u64::from(self.ways))
     }
+
+    /// Whether no set receives more than `ways` of `lines` — the
+    /// condition under which [`Cache::read_group`] replays a group
+    /// exactly.
+    #[inline]
+    pub fn fits_group(&self, lines: &[GroupLine]) -> bool {
+        let ways = self.ways as usize;
+        lines.len() <= ways || self.sets_fit(lines)
+    }
+
+    /// [`Self::fits_group`] past its `ways`-line shortcut: each line
+    /// counts the lines from it on in its set, which for a set's first
+    /// line is the whole set.
+    fn sets_fit(&self, lines: &[GroupLine]) -> bool {
+        let line_shift = self.line_size.trailing_zeros();
+        let set_mask = self.sets() - 1;
+        let set = |l: &GroupLine| (l.addr >> line_shift) & set_mask;
+        (0..lines.len()).all(|i| {
+            let s = set(&lines[i]);
+            lines[i..].iter().filter(|b| set(b) == s).count() <= self.ways as usize
+        })
+    }
 }
 
 /// Hit/miss and traffic counters of one cache.
@@ -115,6 +138,22 @@ impl CacheStats {
         self.misses += other.misses;
         self.writebacks += other.writebacks;
     }
+}
+
+/// One distinct line of a group of reads, in first-touch order (see
+/// [`Cache::read_group`] and [`crate::LineGrouper`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupLine {
+    /// First address of the line's first run.
+    pub addr: u64,
+    /// Accesses between the previous line's first run and this line's
+    /// first touch, all to lines the group touched before.
+    pub gap: u32,
+    /// Accesses in the line's first run (at least one).
+    pub run: u32,
+    /// Position of the line's last touch in the group's flat stream,
+    /// counting the group's first access as 1.
+    pub last: u32,
 }
 
 /// Result of one cache access.
@@ -206,6 +245,59 @@ impl Cache {
     /// Panics (debug) if `count` is zero.
     #[inline]
     pub fn access_run(&mut self, addr: u64, is_write: bool, count: u64) -> CacheAccess {
+        self.lookup_run(addr, is_write, count).0
+    }
+
+    /// Services one group of reads — a run of accesses that no other
+    /// access to this cache interleaves — with one tag lookup per
+    /// distinct line, replaying the scalar [`Cache::access`] loop over
+    /// the group's flat stream bit-for-bit.
+    ///
+    /// `lines` lists the group's distinct lines in first-touch order
+    /// (see [`crate::LineGrouper`]); `trailing` counts the accesses
+    /// after the last line's first run. For each line the `gap` repeat
+    /// accesses before its first touch count as hits, its first run
+    /// goes through [`Cache::access_run`] at the exact tick, and
+    /// `first_touch` then sees the line and that run's outcome, so the
+    /// caller can charge the miss or hit in stream order. Each line
+    /// ends stamped with the tick of its last touch.
+    ///
+    /// The replay is exact only when no set receives more than `ways`
+    /// of the group's lines ([`CacheConfig::fits_group`]): then every
+    /// miss evicts a line older than the group, so every repeat access
+    /// hits, and every stamp older than the group stays below every
+    /// stamp inside it, wherever a line's stamp sits between its first
+    /// and last touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if a line has an empty first run.
+    #[inline]
+    pub fn read_group(
+        &mut self,
+        lines: &[GroupLine],
+        trailing: u64,
+        mut first_touch: impl FnMut(&GroupLine, CacheAccess),
+    ) {
+        let start = self.tick;
+        for line in lines {
+            let gap = u64::from(line.gap);
+            self.tick += gap;
+            self.stats.reads += gap;
+            self.stats.hits += gap;
+            let (access, way) = self.lookup_run(line.addr, false, line.run.into());
+            self.last_use[way] = start + u64::from(line.last);
+            first_touch(line, access);
+        }
+        self.tick += trailing;
+        self.stats.reads += trailing;
+        self.stats.hits += trailing;
+    }
+
+    /// [`Cache::access_run`], also returning the way that now holds the
+    /// line.
+    #[inline]
+    fn lookup_run(&mut self, addr: u64, is_write: bool, count: u64) -> (CacheAccess, usize) {
         debug_assert!(count >= 1, "a run needs at least one access");
         // Scalar replay: each access bumps the tick and re-stamps the
         // line, so the run leaves tick advanced by `count` and the line
@@ -248,10 +340,11 @@ impl Cache {
             self.last_use[way] = self.tick;
             self.flags[way] |= dirty_bit;
             self.stats.hits += count;
-            return CacheAccess {
+            let hit = CacheAccess {
                 hit: true,
                 writeback: None,
             };
+            return (hit, way);
         }
         // Miss (first access only): find victim (invalid first, else LRU).
         self.stats.misses += 1;
@@ -277,10 +370,11 @@ impl Cache {
         self.tags[victim] = tag;
         self.flags[victim] = FLAG_VALID | dirty_bit;
         self.last_use[victim] = self.tick;
-        CacheAccess {
+        let miss = CacheAccess {
             hit: false,
             writeback,
-        }
+        };
+        (miss, victim)
     }
 
     /// Writes back all dirty lines and invalidates the cache, returning

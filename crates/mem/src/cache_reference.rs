@@ -141,6 +141,7 @@ impl ReferenceCache {
 mod tests {
     use super::*;
     use crate::cache::Cache;
+    use crate::runlog::LineGrouper;
     use proptest::prelude::*;
 
     /// One step of a random access stream: a (small) address, a
@@ -149,6 +150,16 @@ mod tests {
         // Addresses confined to a few KiB so the tiny caches below see
         // real conflict pressure; run lengths 1..5.
         proptest::collection::vec((0u64..0x1000, proptest::bool::ANY, 1u64..5), 1..200)
+    }
+
+    /// A group of same-line read sub-runs `(addr, count)`, after an
+    /// optional write `(addr, write?)` that leaves dirty lines for the
+    /// group's misses to evict.
+    type GroupStep = (Vec<(u64, u64)>, u64, bool);
+
+    fn group_strategy() -> impl Strategy<Value = Vec<GroupStep>> {
+        let group = proptest::collection::vec((0u64..0x800, 1u64..4), 1..12);
+        proptest::collection::vec((group, 0u64..0x800, proptest::bool::ANY), 1..40)
     }
 
     fn configs() -> Vec<CacheConfig> {
@@ -212,6 +223,86 @@ mod tests {
                     prop_assert_eq!(
                         optimized.access(probe, false),
                         reference.access(probe, false)
+                    );
+                }
+            }
+        }
+
+        /// `read_group` over a group that fits (no set gets more than
+        /// `ways` of its lines) is bit-identical to the scalar loop over
+        /// the group's flat stream: each line's first touch has the
+        /// reference's outcome at that position, every other access of
+        /// the group hits, and the end state agrees. Groups that do not
+        /// fit take the per-run path, as the timing model's do.
+        #[test]
+        fn read_group_matches_scalar_reference(stream in group_strategy()) {
+            for config in configs() {
+                let line = config.line_size;
+                let mut optimized = Cache::new(config.clone());
+                let mut reference = ReferenceCache::new(config.clone());
+                let mut grouper = LineGrouper::default();
+                for (group, write_addr, write) in &stream {
+                    if *write {
+                        prop_assert_eq!(
+                            optimized.access(*write_addr, true),
+                            reference.access(*write_addr, true)
+                        );
+                    }
+                    grouper.clear();
+                    // Key each distinct line by its first-touch index.
+                    let mut keys: Vec<u64> = Vec::new();
+                    let mut want = Vec::new();
+                    for &(addr, count) in group {
+                        for k in 0..count {
+                            let offset = (addr + k * 7) % line;
+                            let a = (addr / line) * line + offset;
+                            let key = match keys.iter().position(|&l| l == a / line) {
+                                Some(key) => key,
+                                None => {
+                                    keys.push(a / line);
+                                    keys.len() - 1
+                                }
+                            };
+                            grouper.push(key as u8, a);
+                            want.push((a, reference.access(a, false)));
+                        }
+                    }
+                    if !config.fits_group(grouper.lines()) {
+                        for &(addr, count) in group {
+                            optimized.access_run(addr, false, count);
+                        }
+                        continue;
+                    }
+                    let mut got = Vec::new();
+                    optimized.read_group(
+                        grouper.lines(),
+                        grouper.trailing().into(),
+                        |l, access| got.push((l.addr, access)),
+                    );
+                    let mut pos = 0;
+                    for (l, first) in grouper.lines().iter().zip(&got) {
+                        for (_, repeat) in &want[pos..pos + l.gap as usize] {
+                            prop_assert!(repeat.hit, "repeat access must hit");
+                        }
+                        pos += l.gap as usize;
+                        prop_assert_eq!(*first, want[pos]);
+                        for (_, tail) in &want[pos + 1..pos + l.run as usize] {
+                            prop_assert!(tail.hit, "run tail must hit");
+                        }
+                        pos += l.run as usize;
+                    }
+                    for (_, repeat) in &want[pos..] {
+                        prop_assert!(repeat.hit, "trailing access must hit");
+                    }
+                    prop_assert_eq!(pos + grouper.trailing() as usize, want.len());
+                    prop_assert_eq!(optimized.stats(), reference.stats());
+                }
+                prop_assert_eq!(optimized.stats(), reference.stats());
+                // Later accesses agree, so the LRU stamps converged too.
+                for probe in (0..0x1000u64).step_by(64) {
+                    prop_assert_eq!(
+                        optimized.access(probe, true),
+                        reference.access(probe, true)
                     );
                 }
             }

@@ -66,21 +66,8 @@ impl MemoryHierarchy {
     /// DRAM and any dirty victim is written back.
     #[inline]
     pub fn access(&mut self, addr: u64, now: u64, is_write: bool) -> HierarchyAccess {
-        self.access_run(addr, now, is_write, 1)
-    }
-
-    /// Services `count` back-to-back accesses to the line of `addr`, all
-    /// issued at cycle `now`, with a single L2 lookup.
-    ///
-    /// Bit-identical to the scalar loop: only the first access can miss
-    /// (and go to DRAM); the remaining `count - 1` are L2 hits because
-    /// the first access leaves the line resident and most recently used
-    /// and nothing else touches the L2 inside the run. The returned
-    /// [`HierarchyAccess`] describes the **first** access; the tail
-    /// accesses each observe the plain L2 hit latency.
-    fn access_run(&mut self, addr: u64, now: u64, is_write: bool, count: u64) -> HierarchyAccess {
         let l2_latency = self.l2.config().latency;
-        let result = self.l2.access_run(addr, is_write, count);
+        let result = self.l2.access(addr, is_write);
         if result.hit {
             return HierarchyAccess {
                 ready_at: now + l2_latency,
@@ -163,32 +150,6 @@ mod tests {
         h.access(0x200, 0, false);
         h.access(0x400, 0, false); // evicts dirty 0x000
         assert_eq!(h.stats().dram.writes, 1);
-    }
-
-    #[test]
-    fn access_run_matches_scalar_loop() {
-        let mut run = tiny();
-        let mut scalar = tiny();
-        // Cold line: miss + 3 hits.
-        let a = run.access_run(0x80, 0, false, 4);
-        let mut first = None;
-        for k in 0..4 {
-            let b = scalar.access(0x80 + k * 8, 0, false);
-            if k == 0 {
-                first = Some(b);
-            } else {
-                assert!(b.l2_hit);
-            }
-        }
-        assert_eq!(Some(a), first);
-        assert_eq!(run.stats(), scalar.stats());
-        // Warm line: all hits.
-        let a = run.access_run(0x80, 1000, true, 3);
-        let b = scalar.access(0x80, 1000, true);
-        scalar.access(0x90, 1000, true);
-        scalar.access(0xa0, 1000, true);
-        assert_eq!(a, b);
-        assert_eq!(run.stats(), scalar.stats());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod runlog;
 pub mod topology;
 
 pub use addr::AddressSpace;
-pub use cache::{Cache, CacheAccess, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheAccess, CacheConfig, CacheStats, GroupLine};
 #[cfg(any(test, feature = "reference"))]
 pub use cache_reference::ReferenceCache;
 pub use dram::{Dram, DramAccess, DramConfig, DramStats};
@@ -42,5 +42,5 @@ pub use hierarchy::{HierarchyAccess, MemoryHierarchy, MemoryStats};
 #[cfg(any(test, feature = "reference"))]
 pub use hierarchy_reference::{ReferenceDram, ReferenceMemoryHierarchy};
 pub use interconnect::{Link, LinkConfig, LinkStats, LinkTransfer};
-pub use runlog::RunCoalescer;
+pub use runlog::{LineGrouper, RunCoalescer};
 pub use topology::{MemoryPool, Topology};

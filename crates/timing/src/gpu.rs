@@ -19,18 +19,28 @@
 //! # The fast path
 //!
 //! This implementation services the address streams the units produce
-//! in **same-line runs**: sequential vertex fetches, polygon-list
-//! entries (four 16-byte entries per 64-byte line) and texel
-//! footprints mostly land on the line of their predecessor, so each
-//! run costs one tag lookup ([`Cache::access_run`]) plus closed-form
-//! clock bookkeeping instead of per-access probes. Coalescing is
-//! bit-safe because the first access of a run leaves its line resident
-//! and most recently used while nothing else touches that cache before
-//! the run ends — the remaining accesses are hits by construction and
-//! hits never generate memory traffic, so every cycle count, stat,
-//! LRU and row-buffer decision matches the scalar model. Texture
-//! samplers are memoized per primitive
-//! ([`megsim_gfx::texture::TextureDesc::lod_sampler`]).
+//! in **same-line runs**: sequential vertex fetches and polygon-list
+//! entries (four 16-byte entries per 64-byte line) mostly land on the
+//! line of their predecessor, so each run costs one tag lookup
+//! ([`Cache::access_run`]) plus closed-form clock bookkeeping instead
+//! of per-access probes. Coalescing is bit-safe because the first
+//! access of a run leaves its line resident and most recently used
+//! while nothing else touches that cache before the run ends — the
+//! remaining accesses are hits by construction and hits never generate
+//! memory traffic, so every cycle count, stat, LRU and row-buffer
+//! decision matches the scalar model. Texture samplers are memoized per
+//! primitive ([`megsim_gfx::texture::TextureDesc::lod_sampler`]), and
+//! a quad's texture samples go one step further: the quad's footprint
+//! is computed once, and its whole stream is replayed with **one tag
+//! lookup per distinct line** ([`megsim_mem::Cache::read_group`]). A
+//! texture cache sees only its own FP's reads and a quad's reads are
+//! contiguous, so a line the quad touched can be evicted inside the
+//! quad only by a miss on another of its lines in the same set; when no
+//! set receives more than `ways` of the quad's lines, every repeat is a
+//! hit and each line's final LRU stamp follows from its last touch.
+//! Quads that overflow a set, and textures whose 4×4 blocks are not
+//! exactly one aligned line, fall back to same-line runs (see
+//! `crate::shard`).
 //!
 //! The raster phase has one implementation, in `crate::shard`: a pure
 //! tile recorder whose events a `Replay` sink applies to this GPU's
@@ -134,12 +144,16 @@ impl Gpu {
         if tiles >= 2 && threads > 1 && !megsim_exec::in_pool() {
             // Logs are compact; let producers run a few shards ahead so
             // the replay never starves without buffering the whole frame.
+            let seed = shard::shape_seed();
             megsim_exec::shard_merge(
                 tiles,
                 shard::SHARD_TILES,
                 (threads * 2).max(4),
-                |range| ShardLog::record(trace, shaders, config, frame_index, range),
-                |_, log| log.replay(&mut replay),
+                |range| ShardLog::record(trace, shaders, config, frame_index, range, &seed),
+                |_, log| {
+                    log.replay(&mut replay);
+                    log.keep_shapes();
+                },
             );
         } else {
             shard::record_tiles(trace, shaders, config, frame_index, 0..tiles, &mut replay);

@@ -344,9 +344,20 @@ impl MultiGpu {
         }
         let gpu_config = &self.gpus[0].config;
         let frame_index = self.frame_index;
+        let seed = shard::shape_seed();
         let logs: Vec<ShardLog> = megsim_exec::par_map_indexed(&jobs, |_, range| {
-            ShardLog::record(trace, shaders, gpu_config, frame_index, range.clone())
+            ShardLog::record(
+                trace,
+                shaders,
+                gpu_config,
+                frame_index,
+                range.clone(),
+                &seed,
+            )
         });
+        for log in &logs {
+            log.keep_shapes();
+        }
 
         // Replay (serial, deterministic): round-robin across GPUs at
         // shard granularity — the fixed interleave that makes shared-

@@ -2,14 +2,13 @@
 //!
 //! [`record_tiles`] is the only code that walks a frame's tiles through
 //! the raster pipeline. It does everything that touches no shared
-//! state — texture-sampler memoization and per-fragment address
-//! generation, same-line run coalescing ([`megsim_mem::RunCoalescer`]),
-//! polygon-list run layout, per-FP ALU clock sums, Early-Z/blend
-//! occupancy, round-robin quad distribution — and sends each tile's
-//! events to a [`TileSink`] in the order the memory system sees them:
-//! the tile's polygon-list runs, its ordered [`TileOp`]s, then its end
-//! with the pure [`TileMeta`] totals and per-FP ALU clocks. Two sinks
-//! consume them:
+//! state — texture-sampler memoization and per-quad texture footprints,
+//! texture-stream grouping, polygon-list run layout, per-FP ALU clock
+//! sums, Early-Z/blend occupancy, round-robin quad distribution — and
+//! sends each tile's events to a [`TileSink`] in the order the memory
+//! system sees them: the tile's polygon-list runs, its ordered events
+//! ([`TileOp`]s and quad texture groups), then its end with the pure
+//! [`TileMeta`] totals and per-FP ALU clocks. Two sinks consume them:
 //!
 //! * [`Replay`] applies each event to one GPU's tile and texture
 //!   caches, memory hierarchy and unit clocks as it arrives,
@@ -18,6 +17,34 @@
 //!   flush).
 //! * [`ShardLog`] buffers the events of a tile range;
 //!   [`ShardLog::replay`] feeds them to a `Replay` later, in order.
+//!
+//! # Quad texture groups
+//!
+//! A quad's visible fragments sample at `uv + {0, texel} ×
+//! {0, texel}`, so they share two x and two y texel coordinates: the
+//! recorder computes them once per quad
+//! ([`megsim_gfx::texture::QuadFootprint`]) and sends the quad's whole
+//! texture stream as one group — its distinct lines in first-touch
+//! order, each with the repeat accesses before its first touch, the
+//! length of its first run and the position of its last touch, plus the
+//! trailing repeats. The group's shape depends only on the samplers'
+//! filters, the visible fragments and which of the quad's coordinates
+//! share a block, so it is memoized per thread ([`GroupShapes`]); shard
+//! workers look shapes up in a copy of the replaying thread's memo
+//! ([`shape_seed`]) and hand the ones it lacked back through their
+//! logs. The replay does one tag lookup per distinct line
+//! ([`Cache::read_group`]) instead of one per same-line run. This is
+//! exact because a texture cache sees only its own FP's texture reads
+//! and a quad's reads are contiguous in the event stream: a line the
+//! quad touched can be evicted inside the quad only by a miss on
+//! another of its lines in the same set. When no set receives more than
+//! `ways` of the quad's lines, every miss evicts a line older than the
+//! quad, so every repeat hits, and each line's final LRU stamp can be
+//! set from its last-touch position. Otherwise — or when a 4×4 texel
+//! block is not exactly one aligned cache line (8-byte texels, a
+//! misaligned base, a level narrower than a block), so block keys are
+//! not line keys — the quad is sent as same-line runs
+//! ([`TileOp::Tex`]), one lookup each.
 //!
 //! `Gpu::simulate_frame` records straight into a `Replay` unless the
 //! work can overlap: with at least two tiles, more than one worker
@@ -33,13 +60,16 @@
 //! The oracle tests below and in `crate::timing_reference` pin both
 //! sinks against the retained seed model, `ReferenceGpu`.
 
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Arc;
 
 use megsim_funcsim::{FrameTrace, RenderMode};
 use megsim_gfx::draw::Viewport;
-use megsim_gfx::math::Vec2;
-use megsim_gfx::shader::ShaderTable;
-use megsim_mem::{AddressSpace, Cache, MemoryHierarchy, RunCoalescer};
+use megsim_gfx::shader::{ShaderTable, TextureFilter};
+use megsim_mem::{
+    AddressSpace, Cache, CacheAccess, GroupLine, LineGrouper, MemoryHierarchy, RunCoalescer,
+};
 
 use crate::config::GpuConfig;
 use crate::gpu::Gpu;
@@ -58,7 +88,11 @@ pub(crate) const SHARD_TILES: usize = 8;
 /// the access.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TileOp {
-    /// A coalesced same-line texture-sample run on FP `fp`'s cache.
+    /// A coalesced same-line texture-sample run on FP `fp`'s cache: the
+    /// per-run form of a quad's texture stream, recorded only for a
+    /// quad that puts more than `ways` distinct lines into one
+    /// texture-cache set or whose texture blocks are not lines (any
+    /// other quad is one [`TileSink::tex_group`]; see the module docs).
     Tex {
         /// Fragment Processor (texture cache index).
         fp: u8,
@@ -118,13 +152,27 @@ pub(crate) trait TileSink {
     fn list_run(&mut self, addr: u64, count: u64);
     /// An ordered memory-touching event.
     fn op(&mut self, op: TileOp);
+    /// One quad's whole texture stream on FP `fp`'s cache, as its
+    /// distinct lines in first-touch order plus `trailing` repeat
+    /// accesses after the last line's first run — a group that
+    /// [`megsim_mem::CacheConfig::fits_group`] accepts, replayed with
+    /// [`Cache::read_group`].
+    fn tex_group(&mut self, fp: u8, lines: &[GroupLine], trailing: u32);
     /// The tile's end: its pure totals and per-FP ALU clocks.
     fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]);
 }
 
+/// One buffered ordered event of a [`ShardLog`]: an op, or a texture
+/// group whose lines sit in the log's `tex_lines`.
+#[derive(Debug, Clone, Copy)]
+enum LoggedOp {
+    Op(TileOp),
+    TexGroup { fp: u8, lines: u32, trailing: u32 },
+}
+
 /// The buffered events of a tile range: per-tile metadata over flat
-/// run/op/clock arrays (CSR layout — one allocation set per shard, not
-/// per tile).
+/// run/op/line/clock arrays (CSR layout — one allocation set per shard,
+/// not per tile).
 #[derive(Debug, Default)]
 pub(crate) struct ShardLog {
     /// Each tile's totals, with the end offsets of its slices in
@@ -133,38 +181,77 @@ pub(crate) struct ShardLog {
     /// Same-line polygon-list read runs, all tiles concatenated.
     list_runs: Vec<(u64, u64)>,
     /// Ordered memory-touching events, all tiles concatenated.
-    ops: Vec<TileOp>,
+    ops: Vec<LoggedOp>,
+    /// The texture groups' lines, in op order.
+    tex_lines: Vec<GroupLine>,
     /// Per-FP ALU clock sums, `fragment_processors` entries per tile.
     fp_alu: Vec<u64>,
+    /// The group shapes recording found that its seed lacked, for the
+    /// replaying thread to keep ([`ShardLog::keep_shapes`]).
+    shapes: GroupShapes,
 }
 
 impl ShardLog {
-    /// Records `trace.tiles[range]` into a fresh log. Pure, so shards
-    /// can record concurrently in any order.
+    /// Records `trace.tiles[range]` into a fresh log, looking group
+    /// shapes up in `seed` ([`shape_seed`] of the replaying thread)
+    /// before grouping them. Pure, so shards can record concurrently in
+    /// any order.
     pub(crate) fn record(
         trace: &FrameTrace,
         shaders: &ShaderTable,
         config: &GpuConfig,
         frame_index: u64,
         range: Range<usize>,
+        seed: &GroupShapes,
     ) -> Self {
         let mut log = Self {
             tiles: Vec::with_capacity(range.len()),
             ..Self::default()
         };
-        record_tiles(trace, shaders, config, frame_index, range, &mut log);
+        let mut shapes = GroupShapes::default();
+        record_tiles_with(
+            trace,
+            shaders,
+            config,
+            frame_index,
+            range,
+            &mut log,
+            Some(seed),
+            &mut shapes,
+        );
+        log.shapes = shapes;
         log
+    }
+
+    /// Keeps the group shapes this log found in the calling thread's
+    /// memo, so the next frame's [`shape_seed`] has them.
+    pub(crate) fn keep_shapes(&self) {
+        if self.shapes.held > 0 {
+            SHAPES.with_borrow_mut(|shapes| shapes.absorb(&self.shapes));
+        }
     }
 
     /// Feeds the buffered events to `sink` in recorded order.
     pub(crate) fn replay(&self, sink: &mut impl TileSink) {
         let mut start = [0; 3];
+        let mut lines = self.tex_lines.as_slice();
         for &(meta, end) in &self.tiles {
             for &(addr, count) in &self.list_runs[start[0]..end[0]] {
                 sink.list_run(addr, count);
             }
             for &op in &self.ops[start[1]..end[1]] {
-                sink.op(op);
+                match op {
+                    LoggedOp::Op(op) => sink.op(op),
+                    LoggedOp::TexGroup {
+                        fp,
+                        lines: n,
+                        trailing,
+                    } => {
+                        let (group, rest) = lines.split_at(n as usize);
+                        sink.tex_group(fp, group, trailing);
+                        lines = rest;
+                    }
+                }
             }
             sink.end_tile(meta, &self.fp_alu[start[2]..end[2]]);
             start = end;
@@ -178,7 +265,16 @@ impl TileSink for ShardLog {
     }
 
     fn op(&mut self, op: TileOp) {
-        self.ops.push(op);
+        self.ops.push(LoggedOp::Op(op));
+    }
+
+    fn tex_group(&mut self, fp: u8, lines: &[GroupLine], trailing: u32) {
+        self.ops.push(LoggedOp::TexGroup {
+            fp,
+            lines: lines.len() as u32,
+            trailing,
+        });
+        self.tex_lines.extend_from_slice(lines);
     }
 
     fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]) {
@@ -200,6 +296,47 @@ pub(crate) fn record_tiles(
     range: Range<usize>,
     sink: &mut impl TileSink,
 ) {
+    SHAPES.with_borrow_mut(|shapes| {
+        record_tiles_with(
+            trace,
+            shaders,
+            config,
+            frame_index,
+            range,
+            sink,
+            None,
+            shapes,
+        );
+    });
+}
+
+/// A copy of this thread's memoized group shapes for the shard workers
+/// of one frame ([`ShardLog::record`]); each log keeps what it adds
+/// ([`ShardLog::keep_shapes`]). Workers are spawned per frame, so the
+/// shapes reach the next frame through the replaying thread. The copy
+/// is made again only after the memo changed.
+pub(crate) fn shape_seed() -> Arc<GroupShapes> {
+    SHAPES.with_borrow(|shapes| {
+        SEED.with_borrow_mut(|seed| match seed {
+            Some(copy) if copy.inserts == shapes.inserts => Arc::clone(copy),
+            _ => Arc::clone(seed.insert(Arc::new(shapes.clone()))),
+        })
+    })
+}
+
+/// [`record_tiles`] with group shapes looked up in `seed`, then in
+/// `shapes`, which keeps the shapes neither has.
+#[allow(clippy::too_many_arguments)]
+fn record_tiles_with(
+    trace: &FrameTrace,
+    shaders: &ShaderTable,
+    config: &GpuConfig,
+    frame_index: u64,
+    range: Range<usize>,
+    sink: &mut impl TileSink,
+    seed: Option<&GroupShapes>,
+    shapes: &mut GroupShapes,
+) {
     let immediate = trace.mode == RenderMode::Immediate;
     let deferred = trace.mode == RenderMode::TileBasedDeferred;
     let tc_shift = config.tile_cache.line_size.trailing_zeros();
@@ -211,6 +348,8 @@ pub(crate) fn record_tiles(
 
     let mut fp_alu = vec![0u64; n_fp];
     let mut samplers = Vec::new();
+    // A quad group's lines (at most one per block key).
+    let mut quad_lines = [GroupLine::default(); 32];
     for tile in &trace.tiles[range] {
         // Polygon-list read-back runs through the Tile cache (absent in
         // immediate mode: there are no tile lists to read), coalesced
@@ -258,22 +397,18 @@ pub(crate) fn record_tiles(
             samplers.clear();
             if let Some(texture) = prim.texture.as_ref() {
                 for filter in &fs.texture_samples {
-                    samplers.push(texture.lod_sampler(*filter, prim.lod));
+                    samplers.push(texture.lod_sampler(*filter, prim.lod, tex_shift));
                 }
             }
             let texel = samplers
                 .first()
                 .map(|s| s.texel_extent())
                 .unwrap_or_default();
-            // The quad's four fragments sample at one-texel offsets (at
-            // the selected LOD): +x, +y, then both — a per-prim table,
-            // so the quad loop does no integer-to-float conversion.
-            let offsets = [
-                Vec2::new(0.0, 0.0),
-                Vec2::new(texel.x, 0.0),
-                Vec2::new(0.0, texel.y),
-                Vec2::new(texel.x, texel.y),
-            ];
+            // Quads group by line when every sampler's block keys are
+            // lines; trilinear samplers read a second level.
+            let keyed = samplers.iter().all(|s| s.keys_are_lines());
+            let trilinear = fs.texture_samples.contains(&TextureFilter::Trilinear);
+            let combo = GroupShapes::filters_code(&fs.texture_samples);
             raster_clock += prim.quads.len() as u64
                 * u64::from(prim.attributes)
                 * config.rasterizer_cycles_per_attribute;
@@ -305,28 +440,65 @@ pub(crate) fn record_tiles(
                 }
                 fp_alu[fp] += quad_cost[vis as usize];
                 if !samplers.is_empty() {
-                    // Texture samples stream through one same-line run
-                    // spanning the whole quad, flushed on every line
-                    // change: a bilinear footprint inside one texel
-                    // block is a single texture-cache lookup, and
-                    // adjacent fragments extend the run.
-                    let mut runs = RunCoalescer::new(tex_shift);
-                    let mut emit = |addr, count: u64| {
-                        sink.op(TileOp::Tex {
-                            fp: fp as u8,
-                            count: count as u32,
-                            addr,
+                    // The quad's fragments sample at one-texel offsets
+                    // (at the selected LOD): +x, +y, then both.
+                    let frags = vis.min(4) as usize;
+                    let mut grouped = false;
+                    if keyed {
+                        // One footprint for the quad: its two x and two y
+                        // texel coordinates, which of them share a block,
+                        // and the addresses of each line's first touch in
+                        // the group's shape.
+                        let footprint = samplers[0].quad_footprint(quad.uv, texel, trilinear);
+                        let code = combo.map(|c| {
+                            u64::from(footprint.pattern()) | (frags as u64 - 1) << 24 | c << 26
                         });
-                    };
-                    for off in &offsets[..vis.min(4) as usize] {
-                        let fuv = Vec2::new(quad.uv.x + off.x, quad.uv.y + off.y);
-                        for sampler in &samplers {
-                            sampler.for_each_run(fuv, tex_shift, |addr, count| {
-                                runs.push(addr, count, &mut emit);
-                            });
+                        let (shape, trailing) = shapes.shape(seed, code, |group| {
+                            for f in 0..frags {
+                                for sampler in &samplers {
+                                    sampler.for_each_quad_tap(f, |tap| {
+                                        group.push(footprint.key(tap), u64::from(tap));
+                                    });
+                                }
+                            }
+                        });
+                        // The shape's lines name their first touch by tap
+                        // code; the footprint gives its address.
+                        let lines = &mut quad_lines[..shape.len()];
+                        for (line, l) in lines.iter_mut().zip(shape) {
+                            *line = GroupLine {
+                                addr: samplers[0].tap_address(&footprint, l.addr as u8),
+                                ..*l
+                            };
+                        }
+                        if config.texture_cache.fits_group(lines) {
+                            sink.tex_group(fp as u8, lines, trailing);
+                            grouped = true;
                         }
                     }
-                    runs.flush(&mut emit);
+                    if !grouped {
+                        // A set gets more of the quad's lines than it has
+                        // ways (so a repeat may miss), or blocks are not
+                        // lines: emit the stream as same-line runs, one
+                        // lookup each.
+                        let mut runs = RunCoalescer::new(tex_shift);
+                        let mut emit = |addr, count: u64| {
+                            sink.op(TileOp::Tex {
+                                fp: fp as u8,
+                                count: count as u32,
+                                addr,
+                            });
+                        };
+                        let texels = samplers[0].quad_texels(quad.uv, texel);
+                        for f in 0..frags {
+                            for sampler in &samplers {
+                                sampler.for_each_quad_run(&texels, f, |addr, count| {
+                                    runs.push(addr, count, &mut emit);
+                                });
+                            }
+                        }
+                        runs.flush(&mut emit);
+                    }
                 }
                 // Blending Unit: one fragment per cycle. TBR blends
                 // against the on-chip color buffer; IMR reads and
@@ -361,6 +533,162 @@ pub(crate) fn record_tiles(
             visible_px,
         };
         sink.end_tile(meta, &fp_alu);
+    }
+}
+
+/// The shapes of quad texture groups, memoized by footprint pattern.
+///
+/// A group's shape — per line, the tap code of its first touch and its
+/// `gap`/`run`/`last` counts, plus the trailing repeats — depends only
+/// on the samplers' filters, the number of visible fragments and which
+/// of the quad's coordinates share a block
+/// ([`megsim_gfx::texture::QuadFootprint::pattern`]), together its
+/// *code*. A workload's quads repeat a few hundred shapes, so each is
+/// grouped once per thread and looked up after that, in an
+/// open-addressing table kept at most half full. The memo is a cache of
+/// a pure function: what it holds never changes a result.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupShapes {
+    /// Per slot: a code, or [`NO_SHAPE`], and its shape's `(start, len,
+    /// trailing)` — `len` lines of `lines` from `start`.
+    slots: Vec<(u64, u32, u32, u32)>,
+    /// Codes held.
+    held: usize,
+    /// Inserts ever made, across restarts: a changed count marks a
+    /// changed memo.
+    inserts: u64,
+    lines: Vec<GroupLine>,
+    grouper: LineGrouper,
+}
+
+/// Marks an empty [`GroupShapes`] slot (codes fit 34 bits).
+const NO_SHAPE: u64 = u64::MAX;
+
+/// Memoized shape lines after which [`GroupShapes`] starts over, so an
+/// unbounded variety of shapes cannot grow it without limit.
+const SHAPE_LINES: usize = 1 << 16;
+
+thread_local! {
+    static SHAPES: RefCell<GroupShapes> = RefCell::default();
+    /// The last [`shape_seed`] copy of `SHAPES`.
+    static SEED: RefCell<Option<Arc<GroupShapes>>> = const { RefCell::new(None) };
+}
+
+impl Default for GroupShapes {
+    /// An empty memo; its table is allocated at the first insert, so a
+    /// shard log that finds every shape in its seed allocates nothing.
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            held: 0,
+            inserts: 0,
+            lines: Vec::new(),
+            grouper: LineGrouper::default(),
+        }
+    }
+}
+
+impl GroupShapes {
+    /// The filters' part of a shape code (8 bits), or `None` for more
+    /// than three samplers, whose shapes are grouped every time.
+    fn filters_code(filters: &[TextureFilter]) -> Option<u64> {
+        // Each filter takes two bits of the code.
+        const _: () = assert!(TextureFilter::ALL.len() <= 4);
+        (filters.len() <= 3).then(|| {
+            (filters.iter().enumerate()).fold(filters.len() as u64, |code, (i, &f)| {
+                code | (f as u64) << (2 + 2 * i)
+            })
+        })
+    }
+
+    /// The slot holding `code`, or the empty slot it would go in.
+    #[inline]
+    fn slot(&self, code: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.slots[i].0 != code && self.slots[i].0 != NO_SHAPE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The shape held under `code`.
+    #[inline]
+    fn get(&self, code: u64) -> Option<(&[GroupLine], u32)> {
+        if self.held == 0 {
+            return None;
+        }
+        let (c, start, len, trailing) = self.slots[self.slot(code)];
+        let start = start as usize;
+        (c == code).then(|| (&self.lines[start..start + len as usize], trailing))
+    }
+
+    /// The shape with code `code` (`None`: not memoized), from `seed`,
+    /// then from here, else grouped with `build` — which pushes each
+    /// tap's key and code — and kept here.
+    #[inline]
+    fn shape<'a>(
+        &'a mut self,
+        seed: Option<&'a GroupShapes>,
+        code: Option<u64>,
+        build: impl FnOnce(&mut LineGrouper),
+    ) -> (&'a [GroupLine], u32) {
+        if let Some(code) = code {
+            if let Some(shape) = seed.and_then(|seed| seed.get(code)) {
+                return shape;
+            }
+            if self.held > 0 {
+                let (c, start, len, trailing) = self.slots[self.slot(code)];
+                if c == code {
+                    let start = start as usize;
+                    return (&self.lines[start..start + len as usize], trailing);
+                }
+            }
+        }
+        self.grouper.clear();
+        build(&mut self.grouper);
+        let trailing = self.grouper.trailing();
+        if let Some(code) = code {
+            let grouper = std::mem::take(&mut self.grouper);
+            self.insert(code, grouper.lines(), trailing);
+            self.grouper = grouper;
+        }
+        (self.grouper.lines(), trailing)
+    }
+
+    /// Keeps every shape of `other` not held here.
+    fn absorb(&mut self, other: &GroupShapes) {
+        for &(code, start, len, trailing) in &other.slots {
+            if code != NO_SHAPE && self.get(code).is_none() {
+                let start = start as usize;
+                self.insert(code, &other.lines[start..start + len as usize], trailing);
+            }
+        }
+    }
+
+    /// Memoizes `lines` and `trailing` under `code`, which is not held.
+    fn insert(&mut self, code: u64, lines: &[GroupLine], trailing: u32) {
+        if self.lines.len() > SHAPE_LINES {
+            *self = Self {
+                inserts: self.inserts,
+                ..Self::default()
+            };
+        }
+        if 2 * (self.held + 1) > self.slots.len() {
+            // Rehash into twice the slots.
+            let grown = vec![(NO_SHAPE, 0, 0, 0); (2 * self.slots.len()).max(64)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for slot in old.into_iter().filter(|s| s.0 != NO_SHAPE) {
+                let i = self.slot(slot.0);
+                self.slots[i] = slot;
+            }
+        }
+        let i = self.slot(code);
+        let start = self.lines.len() as u32;
+        self.lines.extend_from_slice(lines);
+        self.slots[i] = (code, start, lines.len() as u32, trailing);
+        self.held += 1;
+        self.inserts += 1;
     }
 }
 
@@ -501,7 +829,33 @@ impl<'a> Replay<'a> {
     }
 }
 
-// `list_run` and `op` run once per event. Forced inlining lets each
+/// Charges a texture run `(addr, count, lookup outcome)` to its FP's
+/// texture-pipe clock: one texel lookup per cycle of pipe occupancy; a
+/// miss stalls the pipe for a capped latency (the in-flight quad window
+/// hides the rest); the run's remaining `count - 1` accesses are hits
+/// at one cycle each.
+#[inline(always)]
+fn charge_tex_run(
+    memory: &mut MemoryHierarchy,
+    clock: &mut u64,
+    tile_base: u64,
+    stall_cap: u64,
+    (addr, count, acc): (u64, u32, CacheAccess),
+) {
+    if let Some(wb) = acc.writeback {
+        memory.access(wb, tile_base + *clock, true);
+    }
+    if acc.hit {
+        *clock += 1;
+    } else {
+        let fill = memory.access(addr, tile_base + *clock, false);
+        let arrival = fill.ready_at.saturating_sub(tile_base);
+        *clock = (*clock + 1).max(arrival.saturating_sub(stall_cap));
+    }
+    *clock += u64::from(count) - 1;
+}
+
+// `list_run`, `op` and `tex_group` run once per event. Forced inlining lets each
 // recorder call site compile down to the one arm it constructs, so the
 // direct route pays no call or variant dispatch per event.
 impl TileSink for Replay<'_> {
@@ -528,24 +882,14 @@ impl TileSink for Replay<'_> {
         let tile_base = self.tile_base();
         match op {
             TileOp::Tex { fp, count, addr } => {
-                // One texel lookup per cycle of pipe occupancy; a miss
-                // stalls the pipe for a capped latency (the in-flight
-                // quad window hides the rest); the run's remaining
-                // `count - 1` accesses are hits at one cycle each.
-                let clock = &mut self.tex_clock[fp as usize];
                 let acc = self.texture_caches[fp as usize].access_run(addr, false, count.into());
-                if let Some(wb) = acc.writeback {
-                    self.memory.access(wb, tile_base + *clock, true);
-                }
-                if acc.hit {
-                    *clock += 1;
-                } else {
-                    let fill = self.memory.access(addr, tile_base + *clock, false);
-                    let arrival = fill.ready_at.saturating_sub(tile_base);
-                    *clock = (*clock + 1)
-                        .max(arrival.saturating_sub(self.config.texture_miss_stall_cap));
-                }
-                *clock += u64::from(count) - 1;
+                charge_tex_run(
+                    self.memory,
+                    &mut self.tex_clock[fp as usize],
+                    tile_base,
+                    self.config.texture_miss_stall_cap,
+                    (addr, count, acc),
+                );
             }
             TileOp::Depth { pre, addr } => {
                 // Posted behind the 8-quad Early-Z window, which hides
@@ -572,6 +916,27 @@ impl TileSink for Replay<'_> {
                     .max(arrival.saturating_sub(self.config.flush_write_window));
             }
         }
+    }
+
+    #[inline(always)]
+    fn tex_group(&mut self, fp: u8, lines: &[GroupLine], trailing: u32) {
+        // Repeats are hits at one cycle each; each line's first run is
+        // charged at the exact clock it reaches the cache.
+        let tile_base = self.tile_base();
+        let stall_cap = self.config.texture_miss_stall_cap;
+        let clock = &mut self.tex_clock[fp as usize];
+        let memory = &mut *self.memory;
+        self.texture_caches[fp as usize].read_group(lines, trailing.into(), |line, acc| {
+            *clock += u64::from(line.gap);
+            charge_tex_run(
+                memory,
+                clock,
+                tile_base,
+                stall_cap,
+                (line.addr, line.run, acc),
+            );
+        });
+        *clock += u64::from(trailing);
     }
 
     fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]) {

@@ -566,6 +566,145 @@ mod tests {
         }
     }
 
+    /// A full-viewport draw of shader `fs` sampling `texture` at
+    /// `uv = (pos + 1) / 2 · uv_scale`, plus a sliver triangle whose
+    /// edge quads have one to four visible fragments.
+    fn textured_draws(fs: u32, texture: TextureDesc, uv_scale: f32) -> Vec<DrawCall> {
+        let full_viewport = [
+            [(-1.0, -1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 0.5)],
+            [(-1.0, -1.0, 0.5), (1.0, 1.0, 0.5), (-1.0, 1.0, 0.5)],
+        ];
+        let sliver = [[(-0.83, -0.91, 0.2), (0.77, -0.37, 0.2), (-0.29, 0.88, 0.2)]];
+        [&full_viewport[..], &sliver[..]]
+            .iter()
+            .map(|tris| {
+                let mut draw = draw_of(tris, fs, BlendMode::Opaque, true);
+                let mut vertices = draw.mesh.vertices.clone();
+                for v in &mut vertices {
+                    v.uv = Vec2::new(v.uv.x * uv_scale, v.uv.y * uv_scale);
+                }
+                draw.mesh = Arc::new(Mesh::new(vertices, draw.mesh.indices.clone(), 0x100));
+                draw.texture = Some(texture);
+                draw
+            })
+            .collect()
+    }
+
+    /// Counts what the tile recorder emits for a texture stream: per-run
+    /// `Tex` ops (the fallback) and quad groups.
+    #[derive(Default)]
+    struct TexCounts {
+        runs: usize,
+        groups: usize,
+    }
+
+    impl crate::shard::TileSink for TexCounts {
+        fn list_run(&mut self, _: u64, _: u64) {}
+        fn op(&mut self, op: crate::shard::TileOp) {
+            self.runs += usize::from(matches!(op, crate::shard::TileOp::Tex { .. }));
+        }
+        fn tex_group(&mut self, _: u8, _: &[megsim_mem::GroupLine], _: u32) {
+            self.groups += 1;
+        }
+        fn end_tile(&mut self, _: crate::shard::TileMeta, _: &[u64]) {}
+    }
+
+    #[test]
+    fn texture_groups_and_their_fallbacks_match_reference() {
+        // (case, shader, texture, uv scale, quads must fall back).
+        let cases = [
+            // 256-texel rows put level-0 block rows 64 lines — one set
+            // of the 64-set texture cache — apart, and trilinear's level
+            // 1 starts in that set too: quads straddling block rows 0 and
+            // 1 near u = 0 put three lines into set 0.
+            (
+                "set overflow",
+                2,
+                TextureDesc::new(0, 256, 16, 4, 0x8000),
+                0.5,
+                true,
+            ),
+            // 8-byte texels: a block spans two lines.
+            (
+                "8-byte texels",
+                0,
+                TextureDesc::new(1, 64, 64, 8, 0x8000),
+                1.0,
+                true,
+            ),
+            // A base off block alignment.
+            (
+                "misaligned",
+                2,
+                TextureDesc::new(2, 64, 64, 4, 0x8000 + 16),
+                1.0,
+                true,
+            ),
+            // Trilinear at the bottom of the mip chain (lod 6 of 6), and
+            // past it.
+            (
+                "chain bottom",
+                2,
+                TextureDesc::new(3, 64, 64, 4, 0x8000),
+                128.0,
+                true,
+            ),
+            (
+                "past chain",
+                2,
+                TextureDesc::new(3, 64, 64, 4, 0x8000),
+                1024.0,
+                true,
+            ),
+            // Whole aligned line blocks: every quad groups.
+            (
+                "grouped",
+                0,
+                TextureDesc::new(4, 64, 64, 4, 0x8000),
+                1.0,
+                false,
+            ),
+            (
+                "grouped multi",
+                2,
+                TextureDesc::new(4, 64, 64, 4, 0x8000),
+                0.7,
+                false,
+            ),
+        ];
+        let t = shaders();
+        let viewport = Viewport::new(128, 128, 32);
+        for (name, fs, texture, uv_scale, falls_back) in cases {
+            let mut frame = Frame::new();
+            frame.draws = textured_draws(fs, texture, uv_scale);
+            let frames = vec![frame.clone(), frame];
+            assert_matches_reference(&frames, viewport);
+
+            // The case exercises what it names.
+            let mut cfg = GpuConfig::small(viewport.width, viewport.height);
+            cfg.viewport = viewport;
+            let trace = Renderer::new(RenderConfig {
+                viewport,
+                mode: RenderMode::TileBased,
+            })
+            .render_frame(&frames[0], &t);
+            let mut counts = TexCounts::default();
+            crate::shard::record_tiles(&trace, &t, &cfg, 0, 0..trace.tiles.len(), &mut counts);
+            assert_eq!(counts.runs > 0, falls_back, "{name}: per-run ops");
+            assert!(counts.groups > 0 || falls_back, "{name}: groups");
+            let mut vis = [false; 5];
+            for quad in trace
+                .tiles
+                .iter()
+                .flat_map(|t| &t.prims)
+                .flat_map(|p| &p.quads)
+            {
+                vis[quad.visible_count() as usize] = true;
+            }
+            assert_eq!(vis[1..], [true; 4], "{name}: visible counts 1 to 4");
+        }
+    }
+
     #[test]
     fn warm_sequence_stays_bit_identical() {
         // Deterministic two-layer overdraw scene repeated over warm
