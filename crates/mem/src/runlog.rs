@@ -149,12 +149,13 @@ impl LineGrouper {
         self.pending = 0;
     }
 
-    /// Adds one access to `addr`, whose line the group knows by `key`.
+    /// Adds one access to `addr`, whose line the group knows by `key`;
+    /// returns whether it is the line's first touch.
     ///
     /// # Panics
     ///
     /// Panics if `key` is not below 32.
-    pub fn push(&mut self, key: u8, addr: u64) {
+    pub fn push(&mut self, key: u8, addr: u64) -> bool {
         self.len += 1;
         let slot = &mut self.slot[usize::from(key)];
         if *slot == NO_LINE {
@@ -169,7 +170,7 @@ impl LineGrouper {
             self.open = self.n;
             self.open_first = true;
             self.n += 1;
-            return;
+            return true;
         }
         let idx = usize::from(*slot);
         if idx == self.open && self.open_first {
@@ -180,6 +181,7 @@ impl LineGrouper {
         }
         self.lines[idx].last = self.len;
         self.open = idx;
+        false
     }
 
     /// The group's distinct lines in first-touch order.
@@ -252,9 +254,14 @@ mod tests {
         let mut g = LineGrouper::default();
         let push = |g: &mut LineGrouper, addr: u64| g.push((addr >> 6) as u8, addr);
         g.clear();
-        for addr in [0x08, 0x0c, 0x40, 0x10, 0x14, 0x48, 0x80, 0x00] {
-            push(&mut g, addr);
-        }
+        let first_touches: Vec<bool> = [0x08, 0x0c, 0x40, 0x10, 0x14, 0x48, 0x80, 0x00]
+            .into_iter()
+            .map(|addr| push(&mut g, addr))
+            .collect();
+        assert_eq!(
+            first_touches,
+            [true, false, true, false, false, false, true, false]
+        );
         let line = |addr, gap, run, last| GroupLine {
             addr,
             gap,

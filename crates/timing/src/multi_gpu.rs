@@ -355,6 +355,7 @@ impl MultiGpu {
                 &seed,
             )
         });
+        drop(seed);
         for log in &logs {
             log.keep_shapes();
         }

@@ -29,10 +29,11 @@
 //! length of its first run and the position of its last touch, plus the
 //! trailing repeats. The group's shape depends only on the samplers'
 //! filters, the visible fragments and which of the quad's coordinates
-//! share a block, so it is memoized per thread ([`GroupShapes`]); shard
-//! workers look shapes up in a copy of the replaying thread's memo
-//! ([`shape_seed`]) and hand the ones it lacked back through their
-//! logs. The replay does one tag lookup per distinct line
+//! share a block, so each thread memoizes it ([`GroupShapes`]) and
+//! derives only the first-touch addresses per quad; shard workers look
+//! shapes up in the replaying thread's memo ([`shape_seed`]) and hand
+//! the ones it lacked back through their logs. The replay does one tag
+//! lookup per distinct line
 //! ([`Cache::read_group`]) instead of one per same-line run. This is
 //! exact because a texture cache sees only its own FP's texture reads
 //! and a quad's reads are contiguous in the event stream: a line the
@@ -43,8 +44,8 @@
 //! set from its last-touch position. Otherwise — or when a 4×4 texel
 //! block is not exactly one aligned cache line (8-byte texels, a
 //! misaligned base, a level narrower than a block), so block keys are
-//! not line keys — the quad is sent as same-line runs
-//! ([`TileOp::Tex`]), one lookup each.
+//! not line keys, or the shader has more than three samplers — the
+//! quad is sent as same-line runs ([`TileOp::Tex`]), one lookup each.
 //!
 //! `Gpu::simulate_frame` records straight into a `Replay` unless the
 //! work can overlap: with at least two tiles, more than one worker
@@ -61,6 +62,8 @@
 //! sinks against the retained seed model, `ReferenceGpu`.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -91,8 +94,9 @@ pub(crate) enum TileOp {
     /// A coalesced same-line texture-sample run on FP `fp`'s cache: the
     /// per-run form of a quad's texture stream, recorded only for a
     /// quad that puts more than `ways` distinct lines into one
-    /// texture-cache set or whose texture blocks are not lines (any
-    /// other quad is one [`TileSink::tex_group`]; see the module docs).
+    /// texture-cache set, whose texture blocks are not lines, or whose
+    /// shader has more than three samplers (any other quad is one
+    /// [`TileSink::tex_group`]; see the module docs).
     Tex {
         /// Fragment Processor (texture cache index).
         fp: u8,
@@ -186,48 +190,49 @@ pub(crate) struct ShardLog {
     tex_lines: Vec<GroupLine>,
     /// Per-FP ALU clock sums, `fragment_processors` entries per tile.
     fp_alu: Vec<u64>,
-    /// The group shapes recording found that its seed lacked, for the
-    /// replaying thread to keep ([`ShardLog::keep_shapes`]).
+    /// The group shapes recording found that its seed lacked.
     shapes: GroupShapes,
 }
 
 impl ShardLog {
     /// Records `trace.tiles[range]` into a fresh log, looking group
     /// shapes up in `seed` ([`shape_seed`] of the replaying thread)
-    /// before grouping them. Pure, so shards can record concurrently in
-    /// any order.
+    /// first. Pure, so shards can record concurrently in any order.
     pub(crate) fn record(
         trace: &FrameTrace,
         shaders: &ShaderTable,
         config: &GpuConfig,
         frame_index: u64,
         range: Range<usize>,
-        seed: &GroupShapes,
+        seed: &Arc<GroupShapes>,
     ) -> Self {
         let mut log = Self {
             tiles: Vec::with_capacity(range.len()),
             ..Self::default()
         };
-        let mut shapes = GroupShapes::default();
-        record_tiles_with(
+        let mut shapes = GroupShapes {
+            seed: Some(Arc::clone(seed)),
+            ..GroupShapes::default()
+        };
+        record_with(
             trace,
             shaders,
             config,
             frame_index,
             range,
             &mut log,
-            Some(seed),
             &mut shapes,
         );
+        shapes.seed = None;
         log.shapes = shapes;
         log
     }
 
     /// Keeps the group shapes this log found in the calling thread's
-    /// memo, so the next frame's [`shape_seed`] has them.
+    /// memo, for the next frame's [`shape_seed`].
     pub(crate) fn keep_shapes(&self) {
-        if self.shapes.held > 0 {
-            SHAPES.with_borrow_mut(|shapes| shapes.absorb(&self.shapes));
+        if !self.shapes.index.is_empty() {
+            SHAPES.with_borrow_mut(|shapes| Arc::make_mut(shapes).absorb(&self.shapes));
         }
     }
 
@@ -285,9 +290,9 @@ impl TileSink for ShardLog {
 }
 
 /// Walks the raster pipeline over `trace.tiles[range]`, sending each
-/// tile's events to `sink`. Touches no cache or DRAM state itself: it
-/// depends only on the trace, shader table, configuration and frame
-/// index.
+/// tile's events to `sink`, with this thread's group shapes. Touches no
+/// cache or DRAM state itself: it depends only on the trace, shader
+/// table, configuration and frame index.
 pub(crate) fn record_tiles(
     trace: &FrameTrace,
     shaders: &ShaderTable,
@@ -296,45 +301,27 @@ pub(crate) fn record_tiles(
     range: Range<usize>,
     sink: &mut impl TileSink,
 ) {
-    SHAPES.with_borrow_mut(|shapes| {
-        record_tiles_with(
-            trace,
-            shaders,
-            config,
-            frame_index,
-            range,
-            sink,
-            None,
-            shapes,
-        );
-    });
+    let mut shapes = SHAPES.take();
+    record_with(
+        trace,
+        shaders,
+        config,
+        frame_index,
+        range,
+        sink,
+        Arc::make_mut(&mut shapes),
+    );
+    SHAPES.set(shapes);
 }
 
-/// A copy of this thread's memoized group shapes for the shard workers
-/// of one frame ([`ShardLog::record`]); each log keeps what it adds
-/// ([`ShardLog::keep_shapes`]). Workers are spawned per frame, so the
-/// shapes reach the next frame through the replaying thread. The copy
-/// is made again only after the memo changed.
-pub(crate) fn shape_seed() -> Arc<GroupShapes> {
-    SHAPES.with_borrow(|shapes| {
-        SEED.with_borrow_mut(|seed| match seed {
-            Some(copy) if copy.inserts == shapes.inserts => Arc::clone(copy),
-            _ => Arc::clone(seed.insert(Arc::new(shapes.clone()))),
-        })
-    })
-}
-
-/// [`record_tiles`] with group shapes looked up in `seed`, then in
-/// `shapes`, which keeps the shapes neither has.
-#[allow(clippy::too_many_arguments)]
-fn record_tiles_with(
+/// [`record_tiles`] with group shapes from `shapes`.
+fn record_with(
     trace: &FrameTrace,
     shaders: &ShaderTable,
     config: &GpuConfig,
     frame_index: u64,
     range: Range<usize>,
     sink: &mut impl TileSink,
-    seed: Option<&GroupShapes>,
     shapes: &mut GroupShapes,
 ) {
     let immediate = trace.mode == RenderMode::Immediate;
@@ -348,8 +335,7 @@ fn record_tiles_with(
 
     let mut fp_alu = vec![0u64; n_fp];
     let mut samplers = Vec::new();
-    // A quad group's lines (at most one per block key).
-    let mut quad_lines = [GroupLine::default(); 32];
+    let mut lines = [GroupLine::default(); GROUP_LINES];
     for tile in &trace.tiles[range] {
         // Polygon-list read-back runs through the Tile cache (absent in
         // immediate mode: there are no tile lists to read), coalesced
@@ -405,10 +391,14 @@ fn record_tiles_with(
                 .map(|s| s.texel_extent())
                 .unwrap_or_default();
             // Quads group by line when every sampler's block keys are
-            // lines; trilinear samplers read a second level.
-            let keyed = samplers.iter().all(|s| s.keys_are_lines());
+            // lines and the filters fit a shape code; trilinear samplers
+            // read a second level.
+            let filters = if samplers.iter().all(|s| s.keys_are_lines()) {
+                filters_code(&fs.texture_samples)
+            } else {
+                None
+            };
             let trilinear = fs.texture_samples.contains(&TextureFilter::Trilinear);
-            let combo = GroupShapes::filters_code(&fs.texture_samples);
             raster_clock += prim.quads.len() as u64
                 * u64::from(prim.attributes)
                 * config.rasterizer_cycles_per_attribute;
@@ -444,43 +434,46 @@ fn record_tiles_with(
                     // (at the selected LOD): +x, +y, then both.
                     let frags = vis.min(4) as usize;
                     let mut grouped = false;
-                    if keyed {
+                    if let Some(filters) = filters {
                         // One footprint for the quad: its two x and two y
-                        // texel coordinates, which of them share a block,
-                        // and the addresses of each line's first touch in
-                        // the group's shape.
+                        // texel coordinates and which of them share a
+                        // block, which fix the group's shape.
                         let footprint = samplers[0].quad_footprint(quad.uv, texel, trilinear);
-                        let code = combo.map(|c| {
-                            u64::from(footprint.pattern()) | (frags as u64 - 1) << 24 | c << 26
-                        });
-                        let (shape, trailing) = shapes.shape(seed, code, |group| {
+                        let code = u64::from(footprint.pattern())
+                            | (frags as u64 - 1) << 24
+                            | filters << 26;
+                        let shape = shapes.shape(code, |group| {
                             for f in 0..frags {
                                 for sampler in &samplers {
                                     sampler.for_each_quad_tap(f, |tap| {
-                                        group.push(footprint.key(tap), u64::from(tap));
+                                        let addr = samplers[0].tap_address(&footprint, tap);
+                                        group.push(footprint.key(tap), addr, tap);
                                     });
                                 }
                             }
                         });
-                        // The shape's lines name their first touch by tap
-                        // code; the footprint gives its address.
-                        let lines = &mut quad_lines[..shape.len()];
-                        for (line, l) in lines.iter_mut().zip(shape) {
+                        // The shape names each line's first touch by its
+                        // tap; the footprint gives the tap's address.
+                        let lines = &mut lines[..shape.lines.len()];
+                        for (line, s) in lines.iter_mut().zip(&shape.lines) {
                             *line = GroupLine {
-                                addr: samplers[0].tap_address(&footprint, l.addr as u8),
-                                ..*l
+                                addr: samplers[0].tap_address(&footprint, s.tap),
+                                gap: s.gap,
+                                run: s.run,
+                                last: s.last,
                             };
                         }
                         if config.texture_cache.fits_group(lines) {
-                            sink.tex_group(fp as u8, lines, trailing);
+                            sink.tex_group(fp as u8, lines, shape.trailing);
                             grouped = true;
                         }
                     }
                     if !grouped {
                         // A set gets more of the quad's lines than it has
-                        // ways (so a repeat may miss), or blocks are not
-                        // lines: emit the stream as same-line runs, one
-                        // lookup each.
+                        // ways (so a repeat may miss), blocks are not
+                        // lines, or the shader has more than three
+                        // samplers: emit the stream as same-line runs,
+                        // one lookup each.
                         let mut runs = RunCoalescer::new(tex_shift);
                         let mut emit = |addr, count: u64| {
                             sink.op(TileOp::Tex {
@@ -536,159 +529,155 @@ fn record_tiles_with(
     }
 }
 
-/// The shapes of quad texture groups, memoized by footprint pattern.
+/// The filters' part of a group shape code (8 bits): the sampler count
+/// and each sampler's filter. `None` for more than three samplers,
+/// whose quads are sent as same-line runs.
+fn filters_code(filters: &[TextureFilter]) -> Option<u64> {
+    // Each filter takes two bits of the code.
+    const _: () = assert!(TextureFilter::ALL.len() <= 4);
+    (filters.len() <= 3).then(|| {
+        (filters.iter().enumerate()).fold(filters.len() as u64, |code, (i, &f)| {
+            code | (f as u64) << (2 + 2 * i)
+        })
+    })
+}
+
+/// Distinct lines a quad group can have: one per block key.
+const GROUP_LINES: usize = 32;
+
+/// Shapes a [`GroupShapes`] memo holds at most; past that it starts
+/// over, so no variety of shapes grows it without limit.
+const SHAPES_HELD: usize = 1 << 12;
+
+/// One line of a memoized group shape: a [`GroupLine`] whose first
+/// touch is named by its tap code instead of its address.
+#[derive(Debug, Clone, Copy)]
+struct ShapeLine {
+    tap: u8,
+    gap: u32,
+    run: u32,
+    last: u32,
+}
+
+/// A quad texture group's shape: its lines and trailing repeats.
+#[derive(Debug, Clone)]
+struct Shape {
+    lines: Box<[ShapeLine]>,
+    trailing: u32,
+}
+
+/// The shapes of quad texture groups, memoized by code.
 ///
-/// A group's shape — per line, the tap code of its first touch and its
+/// A group's shape — per line, the tap of its first touch and its
 /// `gap`/`run`/`last` counts, plus the trailing repeats — depends only
 /// on the samplers' filters, the number of visible fragments and which
 /// of the quad's coordinates share a block
 /// ([`megsim_gfx::texture::QuadFootprint::pattern`]), together its
-/// *code*. A workload's quads repeat a few hundred shapes, so each is
-/// grouped once per thread and looked up after that, in an
-/// open-addressing table kept at most half full. The memo is a cache of
-/// a pure function: what it holds never changes a result.
-#[derive(Debug, Clone)]
+/// *code*. The first trace of each benchmark workload takes 252 codes
+/// over its whole ground truth, so grouping each once and looking it up
+/// after that replaces a block key and an address per tap with one
+/// table lookup per quad. The memo is a cache of a pure function: what
+/// it holds never changes a result.
+///
+/// Each thread keeps one across frames. A shard worker lives for one
+/// frame, so it starts from the replaying thread's memo as its `seed`
+/// ([`shape_seed`]) and its log hands the shapes it found back
+/// ([`ShardLog::keep_shapes`]).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct GroupShapes {
-    /// Per slot: a code, or [`NO_SHAPE`], and its shape's `(start, len,
-    /// trailing)` — `len` lines of `lines` from `start`.
-    slots: Vec<(u64, u32, u32, u32)>,
-    /// Codes held.
-    held: usize,
-    /// Inserts ever made, across restarts: a changed count marks a
-    /// changed memo.
-    inserts: u64,
-    lines: Vec<GroupLine>,
+    /// Shapes looked up before these.
+    seed: Option<Arc<GroupShapes>>,
+    index: HashMap<u64, Shape, BuildHasherDefault<CodeHasher>>,
+    /// The group being built: its lines, and each line's first tap.
     grouper: LineGrouper,
+    taps: [u8; GROUP_LINES],
 }
-
-/// Marks an empty [`GroupShapes`] slot (codes fit 34 bits).
-const NO_SHAPE: u64 = u64::MAX;
-
-/// Memoized shape lines after which [`GroupShapes`] starts over, so an
-/// unbounded variety of shapes cannot grow it without limit.
-const SHAPE_LINES: usize = 1 << 16;
 
 thread_local! {
-    static SHAPES: RefCell<GroupShapes> = RefCell::default();
-    /// The last [`shape_seed`] copy of `SHAPES`.
-    static SEED: RefCell<Option<Arc<GroupShapes>>> = const { RefCell::new(None) };
+    /// This thread's group shapes, kept across frames.
+    static SHAPES: RefCell<Arc<GroupShapes>> = RefCell::default();
 }
 
-impl Default for GroupShapes {
-    /// An empty memo; its table is allocated at the first insert, so a
-    /// shard log that finds every shape in its seed allocates nothing.
-    fn default() -> Self {
-        Self {
-            slots: Vec::new(),
-            held: 0,
-            inserts: 0,
-            lines: Vec::new(),
-            grouper: LineGrouper::default(),
+/// This thread's group shapes, for the shard workers of one frame to
+/// look shapes up in ([`ShardLog::record`]).
+pub(crate) fn shape_seed() -> Arc<GroupShapes> {
+    SHAPES.with_borrow(Arc::clone)
+}
+
+/// The group being built by [`GroupShapes::shape`].
+struct ShapeBuilder<'a> {
+    grouper: &'a mut LineGrouper,
+    taps: &'a mut [u8; GROUP_LINES],
+}
+
+impl ShapeBuilder<'_> {
+    /// Adds tap `tap`, at `addr` on the line the group knows by `key`.
+    #[inline]
+    fn push(&mut self, key: u8, addr: u64, tap: u8) {
+        if self.grouper.push(key, addr) {
+            self.taps[self.grouper.lines().len() - 1] = tap;
         }
     }
 }
 
 impl GroupShapes {
-    /// The filters' part of a shape code (8 bits), or `None` for more
-    /// than three samplers, whose shapes are grouped every time.
-    fn filters_code(filters: &[TextureFilter]) -> Option<u64> {
-        // Each filter takes two bits of the code.
-        const _: () = assert!(TextureFilter::ALL.len() <= 4);
-        (filters.len() <= 3).then(|| {
-            (filters.iter().enumerate()).fold(filters.len() as u64, |code, (i, &f)| {
-                code | (f as u64) << (2 + 2 * i)
-            })
+    /// The shape with code `code`, from the seed or from here, else
+    /// grouped with `build` and kept here.
+    #[inline]
+    fn shape(&mut self, code: u64, build: impl FnOnce(&mut ShapeBuilder)) -> &Shape {
+        if let Some(shape) = self.seed.as_deref().and_then(|seed| seed.index.get(&code)) {
+            return shape;
+        }
+        if self.index.len() == SHAPES_HELD {
+            self.index.clear();
+        }
+        let (grouper, taps) = (&mut self.grouper, &mut self.taps);
+        self.index.entry(code).or_insert_with(|| {
+            grouper.clear();
+            build(&mut ShapeBuilder { grouper, taps });
+            let lines = grouper.lines().iter().zip(taps.iter());
+            Shape {
+                lines: lines
+                    .map(|(l, &tap)| ShapeLine {
+                        tap,
+                        gap: l.gap,
+                        run: l.run,
+                        last: l.last,
+                    })
+                    .collect(),
+                trailing: grouper.trailing(),
+            }
         })
-    }
-
-    /// The slot holding `code`, or the empty slot it would go in.
-    #[inline]
-    fn slot(&self, code: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
-        while self.slots[i].0 != code && self.slots[i].0 != NO_SHAPE {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// The shape held under `code`.
-    #[inline]
-    fn get(&self, code: u64) -> Option<(&[GroupLine], u32)> {
-        if self.held == 0 {
-            return None;
-        }
-        let (c, start, len, trailing) = self.slots[self.slot(code)];
-        let start = start as usize;
-        (c == code).then(|| (&self.lines[start..start + len as usize], trailing))
-    }
-
-    /// The shape with code `code` (`None`: not memoized), from `seed`,
-    /// then from here, else grouped with `build` — which pushes each
-    /// tap's key and code — and kept here.
-    #[inline]
-    fn shape<'a>(
-        &'a mut self,
-        seed: Option<&'a GroupShapes>,
-        code: Option<u64>,
-        build: impl FnOnce(&mut LineGrouper),
-    ) -> (&'a [GroupLine], u32) {
-        if let Some(code) = code {
-            if let Some(shape) = seed.and_then(|seed| seed.get(code)) {
-                return shape;
-            }
-            if self.held > 0 {
-                let (c, start, len, trailing) = self.slots[self.slot(code)];
-                if c == code {
-                    let start = start as usize;
-                    return (&self.lines[start..start + len as usize], trailing);
-                }
-            }
-        }
-        self.grouper.clear();
-        build(&mut self.grouper);
-        let trailing = self.grouper.trailing();
-        if let Some(code) = code {
-            let grouper = std::mem::take(&mut self.grouper);
-            self.insert(code, grouper.lines(), trailing);
-            self.grouper = grouper;
-        }
-        (self.grouper.lines(), trailing)
     }
 
     /// Keeps every shape of `other` not held here.
     fn absorb(&mut self, other: &GroupShapes) {
-        for &(code, start, len, trailing) in &other.slots {
-            if code != NO_SHAPE && self.get(code).is_none() {
-                let start = start as usize;
-                self.insert(code, &other.lines[start..start + len as usize], trailing);
+        for (&code, shape) in &other.index {
+            if self.index.len() == SHAPES_HELD {
+                self.index.clear();
             }
+            self.index.entry(code).or_insert_with(|| shape.clone());
         }
     }
+}
 
-    /// Memoizes `lines` and `trailing` under `code`, which is not held.
-    fn insert(&mut self, code: u64, lines: &[GroupLine], trailing: u32) {
-        if self.lines.len() > SHAPE_LINES {
-            *self = Self {
-                inserts: self.inserts,
-                ..Self::default()
-            };
-        }
-        if 2 * (self.held + 1) > self.slots.len() {
-            // Rehash into twice the slots.
-            let grown = vec![(NO_SHAPE, 0, 0, 0); (2 * self.slots.len()).max(64)];
-            let old = std::mem::replace(&mut self.slots, grown);
-            for slot in old.into_iter().filter(|s| s.0 != NO_SHAPE) {
-                let i = self.slot(slot.0);
-                self.slots[i] = slot;
-            }
-        }
-        let i = self.slot(code);
-        let start = self.lines.len() as u32;
-        self.lines.extend_from_slice(lines);
-        self.slots[i] = (code, start, lines.len() as u32, trailing);
-        self.held += 1;
-        self.inserts += 1;
+/// Hashes a group shape code: one multiply, folded so that every code
+/// bit reaches the low bits the table indexes by.
+#[derive(Debug, Default)]
+struct CodeHasher(u64);
+
+impl Hasher for CodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shape codes hash as u64");
+    }
+
+    fn write_u64(&mut self, code: u64) {
+        let h = code.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ h >> 32;
     }
 }
 
