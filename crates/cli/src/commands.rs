@@ -20,6 +20,39 @@ use megsim_timing::{
     DispatchMode, FrameStats, GpuConfig, MultiGpuConfig, MultiGpuReport, Topology, MAX_GPUS,
 };
 
+/// The error a command returns when stdout is closed under it
+/// (`megsim info t.mglt | head -1`): whoever reads the output has
+/// stopped reading, so `main` ends quietly instead of reporting it.
+pub(crate) const STDOUT_CLOSED: &str = "stdout closed";
+
+/// Writes to stdout, returning the error that `print!` would panic on:
+/// [`STDOUT_CLOSED`] for a closed pipe.
+fn write_stdout(args: std::fmt::Arguments) -> Result<(), String> {
+    use std::io::Write as _;
+    std::io::stdout()
+        .lock()
+        .write_fmt(args)
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => STDOUT_CLOSED.to_string(),
+            _ => format!("cannot write to stdout: {e}"),
+        })
+}
+
+/// `print!` that returns [`write_stdout`]'s error from the enclosing
+/// function instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 const USAGE: &str = "\
 usage: megsim <command> [options]
 
@@ -108,7 +141,7 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
 pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let mut opts = Options::parse(argv)?;
     if opts.has("help") || matches!(opts.command.as_str(), "help" | "") {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     }
     let command = opts.command.clone();
@@ -132,7 +165,9 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
         "info" => info(&mut opts),
         "characterize" => characterize(&mut opts, cache),
         "select" => select(&mut opts, cache),
-        "estimate" => estimate(&mut opts, cache).map(|out| print!("{out}")),
+        "estimate" => {
+            estimate(&mut opts, cache).and_then(|out| write_stdout(format_args!("{out}")))
+        }
         "batch" => batch(&mut opts, cache),
         other => unreachable!("command_flags accepted '{other}'"),
     });
@@ -404,7 +439,7 @@ fn record(opts: &mut Options) -> Result<(), String> {
     let bytes = encode_with_version(&stream, version)
         .ok_or_else(|| format!("unsupported --codec-version {version} (supported: 1, 2)"))?;
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    outln!(
         "recorded {} ({} frames, {} draws) -> {} ({} bytes, MGLT v{version})",
         workload.name,
         stream.frame_count(),
@@ -442,16 +477,16 @@ fn info(opts: &mut Options) -> Result<(), String> {
             _ => {}
         }
     }
-    println!("trace:             {path}");
-    println!("format:            MGLT v{version}");
-    println!("size:              {size} bytes");
-    println!("commands:          {commands}");
-    println!("frames:            {frames}");
-    println!("draw calls:        {draws}");
-    println!("vertex shaders:    {vertex}");
-    println!("fragment shaders:  {fragment}");
+    outln!("trace:             {path}");
+    outln!("format:            MGLT v{version}");
+    outln!("size:              {size} bytes");
+    outln!("commands:          {commands}");
+    outln!("frames:            {frames}");
+    outln!("draw calls:        {draws}");
+    outln!("vertex shaders:    {vertex}");
+    outln!("fragment shaders:  {fragment}");
     let draws_per_frame = draws as f64 / frames.max(1) as f64;
-    println!("draws per frame:   {draws_per_frame:.1}");
+    outln!("draws per frame:   {draws_per_frame:.1}");
     Ok(())
 }
 
@@ -462,13 +497,13 @@ fn characterize(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), St
     match opts.flags.get("out") {
         Some(out) => {
             std::fs::write(out, csv).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!(
+            outln!(
                 "wrote {} x {} feature matrix to {out}",
                 matrix.frames(),
                 matrix.dim()
             );
         }
-        None => print!("{csv}"),
+        None => out!("{csv}"),
     }
     Ok(())
 }
@@ -485,7 +520,7 @@ fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> 
     let selected = flow::select(&TraceFile(&path), &flow).map_err(|e| trace_error(&path, e))?;
     report_footprint(&flow, &selected);
     let selection = selected.selection;
-    println!(
+    outln!(
         "{} frames -> {} representatives ({:.1}x reduction)",
         selection.labels.len(),
         selection.k(),
@@ -494,14 +529,15 @@ fn select(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> 
     let mut csv = String::from("cluster,frame,cluster_size\n");
     for (c, r) in selection.representatives.iter().enumerate() {
         let _ = writeln!(csv, "{c},{},{}", r.frame_index, r.cluster_size);
-        println!(
+        outln!(
             "  cluster {c:>3}: frame {:>6} x {:>6}",
-            r.frame_index, r.cluster_size
+            r.frame_index,
+            r.cluster_size
         );
     }
     if let Some(out) = opts.flags.get("out") {
         std::fs::write(out, csv).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("plan written to {out}");
+        outln!("plan written to {out}");
     }
     Ok(())
 }
@@ -702,7 +738,7 @@ fn batch(opts: &mut Options, cache: Option<&FrameCache>) -> Result<(), String> {
         megsim_exec::thread_count()
     );
     let report = megsim_core::run_batch(&jobs, cache, run_campaign);
-    print!("{}", report.table());
+    out!("{}", report.table());
     if report.failures() > 0 {
         Err(format!(
             "{} of {} campaigns failed",

@@ -18,6 +18,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match commands::run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(msg) if msg == commands::STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("megsim: {msg}");
             ExitCode::from(2)
