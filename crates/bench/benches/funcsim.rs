@@ -88,9 +88,11 @@ fn secs(mut f: impl FnMut()) -> f64 {
 }
 
 /// Measures single-thread frames/sec of the retained scalar reference
-/// rasterizer vs the optimized span path (activity-only, the
-/// characterization hot loop) over a small bundled-workload suite, and
-/// prints the numbers.
+/// rasterizer vs the optimized row kernels over a small bundled-workload
+/// suite, per rendering mode: the activity-only pass (the
+/// characterization hot loop) and the trace render (`render_frame`, which
+/// every cycle-level simulation pays for). Both renderers are first
+/// checked frame by frame to produce the same activity and trace.
 fn print_bench_summary() {
     let suite: Vec<_> = ["bbr1", "jjo", "pvz"]
         .iter()
@@ -112,32 +114,62 @@ fn print_bench_summary() {
             mode,
         };
         let renderer = Renderer::new(config);
-        let reference = secs(|| {
-            for (w, frames) in suite.iter().zip(&frames) {
-                for f in frames {
-                    black_box(render_frame_reference(config, f, w.shaders(), false).activity);
-                }
+        for (w, frames) in suite.iter().zip(&frames) {
+            for (i, f) in frames.iter().enumerate() {
+                let reference = render_frame_reference(config, f, w.shaders(), true);
+                let trace = renderer.render_frame(f, w.shaders());
+                let what = format!("funcsim {name}: {} frame {i}", w.name);
+                assert_eq!(trace.tiles, reference.tiles, "{what}: trace differs");
+                assert_eq!(
+                    trace.activity, reference.activity,
+                    "{what}: activity differs"
+                );
+                assert_eq!(
+                    renderer.frame_activity(f, w.shaders()),
+                    *reference.activity,
+                    "{what}: activity-only pass differs"
+                );
             }
-        });
-        let optimized = secs(|| {
-            for (w, frames) in suite.iter().zip(&frames) {
-                for f in frames {
-                    black_box(renderer.frame_activity(f, w.shaders()));
-                }
-            }
-        });
-        total_reference += reference;
-        total_optimized += optimized;
+        }
         let n = frame_count as f64;
-        println!(
-            "funcsim {name}: reference {:.1} frames/s, optimized {:.1} frames/s ({:.2}x)",
-            n / reference,
-            n / optimized,
-            reference / optimized
-        );
+        for (pass, collect_trace) in [("activity", false), ("render_frame", true)] {
+            let reference = secs(|| {
+                for (w, frames) in suite.iter().zip(&frames) {
+                    for f in frames {
+                        black_box(render_frame_reference(
+                            config,
+                            f,
+                            w.shaders(),
+                            collect_trace,
+                        ));
+                    }
+                }
+            });
+            let optimized = secs(|| {
+                for (w, frames) in suite.iter().zip(&frames) {
+                    for f in frames {
+                        if collect_trace {
+                            black_box(renderer.render_frame(f, w.shaders()));
+                        } else {
+                            black_box(renderer.frame_activity(f, w.shaders()));
+                        }
+                    }
+                }
+            });
+            if !collect_trace {
+                total_reference += reference;
+                total_optimized += optimized;
+            }
+            println!(
+                "funcsim {name} {pass}: reference {:.1} frames/s, optimized {:.1} frames/s ({:.2}x)",
+                n / reference,
+                n / optimized,
+                reference / optimized
+            );
+        }
     }
     let overall = total_reference / total_optimized;
-    println!("funcsim overall single-thread speedup: {overall:.2}x");
+    println!("funcsim overall single-thread activity speedup: {overall:.2}x");
 }
 
 fn main() {

@@ -25,7 +25,13 @@ fn config_for(mode: RenderMode) -> GpuConfig {
     cfg
 }
 
+/// `Gpu::simulate_frame` at one worker thread (the direct route; more
+/// workers take the sharded one).
 fn bench_simulate_frame_modes(c: &mut Criterion) {
+    megsim_exec::with_threads(1, || simulate_frame_modes(c));
+}
+
+fn simulate_frame_modes(c: &mut Criterion) {
     let workload = by_alias("bbr1", 0.02, 7).expect("known alias");
     let shaders = workload.shaders();
     let frame = workload.frame(workload.frames() / 2);
@@ -70,6 +76,15 @@ fn secs(mut f: impl FnMut()) -> f64 {
 /// modes, plus the sequential-vs-pipelined warm-sequence throughput,
 /// and prints the numbers.
 fn print_bench_summary() {
+    // One worker: `Gpu::simulate_frame` takes its direct route, the one
+    // the reference model mirrors.
+    megsim_exec::with_threads(1, print_model_speedups);
+    print_warm_sequence();
+}
+
+/// The reference-vs-optimized timing model rows, at the calling
+/// thread's worker count.
+fn print_model_speedups() {
     let workload = by_alias("bbr1", 0.02, 7).expect("known alias");
     let shaders = workload.shaders();
     let mut total_reference = 0.0;
@@ -120,10 +135,14 @@ fn print_bench_summary() {
     }
     let overall = total_reference / total_optimized;
     println!("timing overall single-thread speedup: {overall:.2}x");
+}
 
+/// The sequential-vs-pipelined warm-sequence row.
+fn print_warm_sequence() {
     // Warm-sequence pipeline: functional rendering of frame N + 1
     // overlaps timing of frame N. At one thread the pipeline runs as the
-    // inline sequential loop; both runs use the optimized timing model
+    // inline sequential loop; the pipelined run uses two workers (one
+    // rendering, one timing). Both use the optimized timing model
     // and produce bit-identical statistics, so the delta is pure
     // render/timing overlap. The gain is largest when the two per-frame
     // costs are comparable — bbr1's 3-D frames render and time at
@@ -141,7 +160,7 @@ fn print_bench_summary() {
         ));
     };
     let sequential = megsim_exec::with_threads(1, || secs(warm));
-    let pipelined = secs(warm);
+    let pipelined = megsim_exec::with_threads(2, || secs(warm));
     // The overlap needs at least two hardware threads (one rendering,
     // one timing); on a single-CPU box the producer thread only adds
     // context switches, so the recorded core count qualifies the ratio
@@ -149,7 +168,7 @@ fn print_bench_summary() {
     // regression.
     let cores = megsim_bench::report::available_cores();
     println!(
-        "warm sequence bbr1: sequential {:.1} frames/s, pipelined {:.1} frames/s ({:.2}x on {cores} core(s)){}",
+        "warm sequence bbr1: sequential (1 thread) {:.1} frames/s, pipelined (2 threads) {:.1} frames/s ({:.2}x on {cores} core(s)){}",
         frames / sequential,
         frames / pipelined,
         sequential / pipelined,

@@ -559,6 +559,28 @@ mod tests {
     }
 
     #[test]
+    fn spans_at_lane_block_boundaries_match_reference() {
+        // Rectangles whose rows cover exactly `w` pixels (edges on pixel
+        // boundaries), for `w` on each side of the 16- and 32-lane block
+        // widths and of two blocks, starting on an even and an odd
+        // column. Each half of a rectangle covers every span length from
+        // 1 to `w`, its right half starting anywhere along the row. The
+        // 32-pixel tiles cut the wide ones; in IMR their rows cross up to
+        // three blocks.
+        for w in [1.0, 15.0, 16.0, 17.0, 31.0, 32.0, 33.0, 63.0, 64.0, 65.0] {
+            for x0 in [2.0, 3.0] {
+                let tris = sprite(x0, 10.0, x0 + w, 10.0 + w.min(40.0), 0.4);
+                let frame = policies_frame(&tris);
+                assert_matches_reference(&frame, PX);
+                // Widths that are not a multiple of any block: the last
+                // block of a row is partial.
+                assert_matches_reference(&frame, Viewport::new(100, 72, 32));
+                assert_matches_reference(&frame, Viewport::new(97, 61, 16));
+            }
+        }
+    }
+
+    #[test]
     fn horizontal_edges_match_reference() {
         // Δy == 0 edges: the inside test is constant along each row, on
         // a pixel-centre row and between rows, flat-top and flat-bottom.
