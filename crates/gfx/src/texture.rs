@@ -3,6 +3,13 @@
 //! Textures never hold pixel data in this simulator — only the metadata
 //! needed to turn a `(u, v)` sample into the set of memory addresses the
 //! texture caches and DRAM will observe.
+//!
+//! [`TextureDesc::sample_addresses_lod`] computes one sample's addresses
+//! from scratch. The timing model's address generator is the
+//! [`LodSampler`]: per quad it computes the texel coordinates the quad's
+//! fragments share once ([`LodSampler::quad_footprint`]), and names each
+//! tap by a code that [`LodSampler::tap_address`] turns into the same
+//! address and [`QuadFootprint::key`] into a block key.
 
 use serde::{Deserialize, Serialize};
 
@@ -142,11 +149,12 @@ impl TextureDesc {
     /// mip-chain walk (`level_base` loops over levels) and euclidean
     /// remainders.
     ///
-    /// The sampler streams the addresses of
-    /// [`TextureDesc::sample_addresses_lod`] with the same arguments as
-    /// runs on `1 << line_shift`-byte cache lines (pinned by tests
-    /// below): dimensions are powers of two, so the wrap
-    /// `x.rem_euclid(w)` is exactly `x & (w - 1)` in two's complement.
+    /// The sampler's quad taps address exactly the texels of
+    /// [`TextureDesc::sample_addresses_lod`] with the same arguments
+    /// (pinned by tests below): dimensions are powers of two, so the
+    /// wrap `x.rem_euclid(w)` is exactly `x & (w - 1)` in two's
+    /// complement. `line_shift` sizes the cache lines that
+    /// [`LodSampler::keys_are_lines`] compares blocks with.
     pub fn lod_sampler(&self, filter: TextureFilter, level: u32, line_shift: u32) -> LodSampler {
         let level = level.min(self.max_level());
         let next = (level + 1).min(self.max_level());
@@ -172,7 +180,6 @@ impl TextureDesc {
             y_mask: i64::from(h) - 1,
             block_row: u64::from(w.div_ceil(4)),
             base,
-            block_in_line: block_bytes <= 1 << line_shift && base.is_multiple_of(block_bytes),
             block_is_line: block_bytes == 1 << line_shift
                 && base.is_multiple_of(block_bytes)
                 && w >= 4
@@ -195,9 +202,6 @@ struct LevelParams {
     block_row: u64,
     /// Precomputed [`TextureDesc::level_base`] of the level.
     base: u64,
-    /// Whether every 4×4 texel block lies inside one cache line (it
-    /// fits a line and the level base is block-aligned).
-    block_in_line: bool,
     /// Whether the level tiles into whole 4×4 blocks that are each
     /// exactly one aligned cache line, so two texels share a line if
     /// and only if they share a block — also across levels, whose
@@ -206,69 +210,6 @@ struct LevelParams {
 }
 
 impl LevelParams {
-    /// [`TextureDesc::texel_address`] with the level constants hoisted.
-    #[inline]
-    fn texel_address(&self, x: i64, y: i64, bytes_per_texel: u64) -> u64 {
-        let x = (x & self.x_mask) as u64;
-        let y = (y & self.y_mask) as u64;
-        let block = (y / 4) * self.block_row + x / 4;
-        let within = (y % 4) * 4 + x % 4;
-        self.base + (block * 16 + within) * bytes_per_texel
-    }
-
-    /// Partial address terms of one wrapped x (or y) coordinate, so a
-    /// 2×2 footprint shares them instead of recomputing
-    /// [`Self::texel_address`] per tap. Pure regrouping of the same
-    /// integer arithmetic — the composed addresses are identical.
-    #[inline]
-    fn x_terms(&self, x: i64) -> (u64, u64) {
-        let x = (x & self.x_mask) as u64;
-        (x / 4, x % 4)
-    }
-
-    /// `(block-row term, within-block row term)` for a wrapped y.
-    #[inline]
-    fn y_terms(&self, y: i64) -> (u64, u64) {
-        let y = (y & self.y_mask) as u64;
-        ((y / 4) * self.block_row, (y % 4) * 4)
-    }
-
-    /// Composes [`Self::x_terms`] and [`Self::y_terms`] into the texel
-    /// address.
-    #[inline]
-    fn compose(&self, (xb, xw): (u64, u64), (yb, yw): (u64, u64), bytes_per_texel: u64) -> u64 {
-        self.base + ((yb + xb) * 16 + yw + xw) * bytes_per_texel
-    }
-
-    /// The four bilinear taps `(x, y), (x+1, y), (x, y+1), (x+1, y+1)`
-    /// with the shared per-coordinate terms computed once.
-    #[inline]
-    fn quad_taps(&self, x: i64, y: i64, bpt: u64, out: &mut [u64]) {
-        let x0 = self.x_terms(x);
-        let x1 = self.x_terms(x + 1);
-        let y0 = self.y_terms(y);
-        let y1 = self.y_terms(y + 1);
-        out[0] = self.compose(x0, y0, bpt);
-        out[1] = self.compose(x1, y0, bpt);
-        out[2] = self.compose(x0, y1, bpt);
-        out[3] = self.compose(x1, y1, bpt);
-    }
-
-    /// Whether `x` and `x + 1` wrap into the same 4-texel block column
-    /// (so a 2-wide footprint stays inside one block horizontally).
-    /// `(x & mask) & 3 == 3` is exactly the straddle case: either the
-    /// next texel enters the neighbouring block or it wraps to column 0.
-    #[inline]
-    fn x_pair_in_block(&self, x: i64) -> bool {
-        (x & self.x_mask) & 3 != 3
-    }
-
-    /// [`Self::x_pair_in_block`] for the y direction.
-    #[inline]
-    fn y_pair_in_block(&self, y: i64) -> bool {
-        (y & self.y_mask) & 3 != 3
-    }
-
     /// A quad's texel coordinates `x`, `y` on this level, wrapped, with
     /// the [`same_pairs`] bits of the block columns and rows of the four
     /// x and four y slots `x[0], x[0] + 1, x[1], x[1] + 1` (and likewise
@@ -287,37 +228,11 @@ impl LevelParams {
         let y_same = same_pairs([0, 1, 2, 3].map(|s| blocks(s, slots.y, y_mask)));
         (slots, x_same, y_same)
     }
-
-    /// The bilinear quad as same-line `(first address, count)` runs,
-    /// passed to `emit` in stream order.
-    ///
-    /// Concatenating the runs reproduces [`Self::quad_taps`]'s address
-    /// stream in order; a multi-tap run is emitted only when all its
-    /// taps provably share one cache line (the whole footprint, or one
-    /// footprint row, inside a single 16-texel block that itself lies
-    /// in one line). Falls back to per-tap runs otherwise.
-    #[inline]
-    fn quad_runs(&self, x: i64, y: i64, bpt: u64, emit: &mut impl FnMut(u64, u64)) {
-        if self.block_in_line && self.x_pair_in_block(x) {
-            if self.y_pair_in_block(y) {
-                emit(self.texel_address(x, y, bpt), 4);
-                return;
-            }
-            emit(self.texel_address(x, y, bpt), 2);
-            emit(self.texel_address(x, y + 1, bpt), 2);
-            return;
-        }
-        let mut taps = [0u64; 4];
-        self.quad_taps(x, y, bpt, &mut taps);
-        for addr in taps {
-            emit(addr, 1);
-        }
-    }
 }
 
 /// Memoized sample-address generator for one (texture, filter, lod)
 /// triple; built once per primitive by [`TextureDesc::lod_sampler`] and
-/// queried once per fragment.
+/// queried once per quad.
 #[derive(Debug, Clone, Copy)]
 pub struct LodSampler {
     filter: TextureFilter,
@@ -355,25 +270,6 @@ impl LodSampler {
         Vec2::new(1.0 / self.near.w as f32, 1.0 / self.near.h as f32)
     }
 
-    /// The texel coordinates of a quad's four sample positions
-    /// `uv + {0, texel.x} × {0, texel.y}` at the selected level:
-    /// fragment `f` (`0..4`, row-major) samples at `(x[f % 2], y[f / 2])`.
-    /// The quad shares two x and two y coordinates, so computing them
-    /// once replaces the per-fragment float work.
-    #[inline]
-    pub fn quad_texels(&self, uv: Vec2, texel: Vec2) -> QuadTexels {
-        QuadTexels {
-            x: [
-                floor_i64(uv.x * self.near.wf),
-                floor_i64((uv.x + texel.x) * self.near.wf),
-            ],
-            y: [
-                floor_i64(uv.y * self.near.hf),
-                floor_i64((uv.y + texel.y) * self.near.hf),
-            ],
-        }
-    }
-
     /// Whether [`QuadFootprint`] block keys identify cache lines for
     /// this sampler's taps: every level it reads tiles into whole 4×4
     /// blocks that are each exactly one aligned line. (Trilinear's
@@ -385,14 +281,24 @@ impl LodSampler {
     }
 
     /// The footprint of a quad sampling at `uv + {0, texel.x} ×
-    /// {0, texel.y}` (see [`Self::quad_texels`]); `far` adds the
-    /// next-coarser level, which trilinear samplers read.
+    /// {0, texel.y}`; `far` adds the next-coarser level, which
+    /// trilinear samplers read.
     #[inline]
     pub fn quad_footprint(&self, uv: Vec2, texel: Vec2, far: bool) -> QuadFootprint {
-        let q = self.quad_texels(uv, texel);
-        let (near, near_x, near_y) = self.near.slots(q.x, q.y);
+        // Fragment `f` (`0..4`, row-major) samples at `(x[f % 2],
+        // y[f / 2])` of the selected level: the quad shares two x and two
+        // y coordinates, so they are computed once.
+        let x = [
+            floor_i64(uv.x * self.near.wf),
+            floor_i64((uv.x + texel.x) * self.near.wf),
+        ];
+        let y = [
+            floor_i64(uv.y * self.near.hf),
+            floor_i64((uv.y + texel.y) * self.near.hf),
+        ];
+        let (near, near_x, near_y) = self.near.slots(x, y);
         let (far, far_x, far_y) = if far {
-            self.far.slots(q.x.map(|x| x >> 1), q.y.map(|y| y >> 1))
+            self.far.slots(x.map(|x| x >> 1), y.map(|y| y >> 1))
         } else {
             (LevelSlots::default(), 0, 0)
         };
@@ -447,47 +353,6 @@ impl LodSampler {
             emit(t + tap(0, xs, ys));
         }
     }
-
-    /// Streams the sample addresses of fragment `f` of a quad whose
-    /// texel coordinates [`Self::quad_texels`] computed, as same-line
-    /// `(first address, count)` runs in stream order: the runs cover
-    /// exactly [`TextureDesc::sample_addresses_lod`]'s address stream at
-    /// the fragment's position and the sampler's filter and level, each
-    /// run starts at its first address, and every address of a run falls
-    /// on the same cache line. The common all-taps-in-one-block
-    /// footprint costs one address computation instead of four, and the
-    /// closure form keeps the runs in registers instead of staging them
-    /// through memory.
-    #[inline]
-    pub fn for_each_quad_run(&self, quad: &QuadTexels, f: usize, mut emit: impl FnMut(u64, u64)) {
-        let x = quad.x[f & 1];
-        let y = quad.y[f >> 1];
-        let bpt = self.bytes_per_texel;
-        match self.filter {
-            TextureFilter::Nearest => emit(self.near.texel_address(x, y, bpt), 1),
-            TextureFilter::Linear => {
-                if self.near.block_in_line && self.near.x_pair_in_block(x) {
-                    emit(self.near.texel_address(x, y, bpt), 2);
-                } else {
-                    emit(self.near.texel_address(x, y, bpt), 1);
-                    emit(self.near.texel_address(x + 1, y, bpt), 1);
-                }
-            }
-            TextureFilter::Bilinear => self.near.quad_runs(x, y, bpt, &mut emit),
-            TextureFilter::Trilinear => {
-                self.near.quad_runs(x, y, bpt, &mut emit);
-                self.far.quad_runs(x >> 1, y >> 1, bpt, &mut emit);
-            }
-        }
-    }
-}
-
-/// The texel coordinates a quad's fragments sample at (see
-/// [`LodSampler::quad_texels`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuadTexels {
-    x: [i64; 2],
-    y: [i64; 2],
 }
 
 /// Which pairs of four values are equal, one bit per pair `(i, j)`,
@@ -591,41 +456,6 @@ mod tests {
         TextureDesc::new(0, 64, 64, 4, 0x1000)
     }
 
-    /// Checks the sampler's same-line runs against the reference
-    /// address stream of [`TextureDesc::sample_addresses_lod`]: the runs
-    /// cover it in order, each run starts at its address exactly, and
-    /// every address of a run shares the run's 64-byte line.
-    fn assert_runs_match_reference(t: &TextureDesc, filter: TextureFilter, lod: u32, uv: Vec2) {
-        // Fragment 0 of a quad samples at `uv` itself.
-        let sampler = t.lod_sampler(filter, lod, 6);
-        let quad = sampler.quad_texels(uv, Vec2::default());
-        assert_runs_cover(t, filter, lod, uv, |emit| {
-            sampler.for_each_quad_run(&quad, 0, emit)
-        });
-    }
-
-    /// Checks the runs `runs` streams against the reference address
-    /// stream at `uv`.
-    fn assert_runs_cover(
-        t: &TextureDesc,
-        filter: TextureFilter,
-        lod: u32,
-        uv: Vec2,
-        runs: impl FnOnce(&mut dyn FnMut(u64, u64)),
-    ) {
-        let mut expected = Vec::new();
-        t.sample_addresses_lod(uv, filter, lod, &mut expected);
-        let mut k = 0;
-        runs(&mut |addr, count| {
-            assert_eq!(addr, expected[k], "{filter:?} lod {lod} uv {uv:?}");
-            for &a in &expected[k..k + count as usize] {
-                assert_eq!(a >> 6, addr >> 6, "{filter:?} lod {lod} uv {uv:?}");
-            }
-            k += count as usize;
-        });
-        assert_eq!(k, expected.len(), "{filter:?} lod {lod} uv {uv:?}");
-    }
-
     #[test]
     fn floor_i64_matches_float_floor_everywhere() {
         let mut cases: Vec<f32> = vec![
@@ -712,92 +542,16 @@ mod tests {
     }
 
     #[test]
-    fn lod_sampler_matches_sample_addresses_lod() {
-        // Non-square texture exercises the independent x/y wrap masks;
-        // uv sweep includes negatives (wrap) and magnitudes past 1.
-        let t = TextureDesc::new(7, 128, 32, 4, 0xABC0_0000);
-        for filter in TextureFilter::ALL {
-            for lod in 0..=t.max_level() + 2 {
-                for i in -40i32..40 {
-                    for j in -40i32..40 {
-                        let uv = Vec2::new(i as f32 * 0.07, j as f32 * 0.11);
-                        assert_runs_match_reference(&t, filter, lod, uv);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sample_runs_replay_addresses_in_order_and_share_lines() {
-        // Line-aligned and deliberately misaligned bases (the latter
-        // must force per-tap runs), plus an 8-byte-per-texel format
-        // whose blocks straddle 64-byte lines.
-        let textures = [
-            TextureDesc::new(0, 128, 32, 4, 0xABC0_0000),
-            TextureDesc::new(1, 64, 64, 4, 0x5000 + 16),
-            TextureDesc::new(2, 32, 32, 8, 0x9000),
-        ];
-        for t in textures {
-            for filter in TextureFilter::ALL {
-                for lod in 0..=t.max_level() + 1 {
-                    for i in -25i32..25 {
-                        for j in -25i32..25 {
-                            let uv = Vec2::new(i as f32 * 0.083, j as f32 * 0.129);
-                            assert_runs_match_reference(&t, filter, lod, uv);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quad_runs_match_per_fragment_samples() {
-        // Each fragment of a quad, from the quad's shared texel
-        // coordinates, streams the reference addresses at its own
-        // position `uv + {0, texel.x} × {0, texel.y}` — over the same
-        // textures, filters, levels and uv sweep as the per-sample tests.
-        let textures = [
-            TextureDesc::new(7, 128, 32, 4, 0xABC0_0000),
-            TextureDesc::new(1, 64, 64, 4, 0x5000 + 16),
-            TextureDesc::new(2, 32, 32, 8, 0x9000),
-        ];
-        for t in textures {
-            for filter in TextureFilter::ALL {
-                for lod in 0..=t.max_level() + 1 {
-                    let sampler = t.lod_sampler(filter, lod, 6);
-                    let texel = sampler.texel_extent();
-                    let offsets = [
-                        Vec2::new(0.0, 0.0),
-                        Vec2::new(texel.x, 0.0),
-                        Vec2::new(0.0, texel.y),
-                        Vec2::new(texel.x, texel.y),
-                    ];
-                    for i in -40i32..40 {
-                        for j in -40i32..40 {
-                            let uv = Vec2::new(i as f32 * 0.07, j as f32 * 0.11);
-                            let quad = sampler.quad_texels(uv, texel);
-                            for (f, off) in offsets.iter().enumerate() {
-                                let fuv = Vec2::new(uv.x + off.x, uv.y + off.y);
-                                assert_runs_cover(&t, filter, lod, fuv, |emit| {
-                                    sampler.for_each_quad_run(&quad, f, emit)
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn quad_footprint_taps_match_samples_and_keys_match_lines() {
         // Every fragment's taps on the quad footprint address exactly the
         // reference samples at the fragment's position, for each sampler
-        // of a primitive; where the sampler's keys are lines, two taps of
-        // the quad — across its fragments and samplers — share a key if
-        // and only if they share a 64-byte line.
+        // of a primitive, on every level and one past the bottom of the
+        // chain (clamped); where the sampler's keys are lines, two taps
+        // of the quad — across its fragments and samplers — share a key
+        // if and only if they share a 64-byte line. The uv grids sweep
+        // negatives (wrap) and magnitudes past 1; the textures include a
+        // non-square one (independent x/y wrap masks), a misaligned base
+        // and 8-byte texels whose blocks straddle lines.
         use TextureFilter::{Bilinear, Linear, Nearest, Trilinear};
         let textures = [
             TextureDesc::new(7, 128, 32, 4, 0xABC0_0000),
@@ -814,6 +568,7 @@ mod tests {
             &[Trilinear, Nearest],
         ];
         let mut keyed = 0;
+        let (mut taps, mut expected, mut got) = (Vec::new(), Vec::new(), Vec::new());
         for t in textures {
             for filters in combos {
                 for lod in 0..=t.max_level() + 1 {
@@ -822,21 +577,29 @@ mod tests {
                     let keys_are_lines = samplers.iter().all(|s| s.keys_are_lines());
                     let texel = samplers[0].texel_extent();
                     let far = filters.contains(&Trilinear);
-                    for i in (-40i32..40).step_by(2) {
-                        for j in (-40i32..40).step_by(2) {
-                            let uv = Vec2::new(i as f32 * 0.07, j as f32 * 0.11);
+                    // Every grid point for one sampler, every other one
+                    // per axis for several.
+                    let step = if filters.len() == 1 { 1 } else { 2 };
+                    // (grid half-width, u step, v step).
+                    for (n, du, dv) in [(40i32, 0.07f32, 0.11f32), (25, 0.083, 0.129)] {
+                        let axis = move || (-n..n).step_by(step);
+                        for (i, j) in axis().flat_map(|i| axis().map(move |j| (i, j))) {
+                            let uv = Vec2::new(i as f32 * du, j as f32 * dv);
                             let footprint = samplers[0].quad_footprint(uv, texel, far);
-                            let mut taps = Vec::new();
+                            taps.clear();
                             for f in 0..4 {
                                 let (dx, dy) = ((f % 2) as f32, (f / 2) as f32);
                                 let fuv = Vec2::new(uv.x + texel.x * dx, uv.y + texel.y * dy);
                                 for (s, &filter) in samplers.iter().zip(filters) {
-                                    let mut expected = Vec::new();
+                                    expected.clear();
                                     t.sample_addresses_lod(fuv, filter, lod, &mut expected);
-                                    let mut got = Vec::new();
+                                    got.clear();
                                     s.for_each_quad_tap(f, |tap| {
-                                        got.push(s.tap_address(&footprint, tap));
-                                        taps.push((footprint.key(tap), got[got.len() - 1]));
+                                        let addr = s.tap_address(&footprint, tap);
+                                        got.push(addr);
+                                        if keys_are_lines {
+                                            taps.push((footprint.key(tap), addr));
+                                        }
                                     });
                                     assert_eq!(
                                         got, expected,
@@ -845,17 +608,20 @@ mod tests {
                                 }
                             }
                             if keys_are_lines {
+                                // Each key has one line, and no two keys
+                                // share one.
                                 keyed += 1;
-                                for &(ka, a) in &taps {
-                                    assert!(ka < 32);
-                                    for &(kb, b) in &taps {
-                                        assert_eq!(
-                                            ka == kb,
-                                            a >> 6 == b >> 6,
-                                            "{filters:?} lod {lod} uv {uv:?}"
-                                        );
-                                    }
+                                let mut line_of = [None; 32];
+                                for &(key, addr) in &taps {
+                                    let line = line_of[usize::from(key)].get_or_insert(addr >> 6);
+                                    assert_eq!(*line, addr >> 6, "{filters:?} lod {lod} uv {uv:?}");
                                 }
+                                let mut lines: Vec<u64> =
+                                    line_of.iter().flatten().copied().collect();
+                                let keys = lines.len();
+                                lines.sort_unstable();
+                                lines.dedup();
+                                assert_eq!(lines.len(), keys, "{filters:?} lod {lod} uv {uv:?}");
                             }
                         }
                     }

@@ -267,7 +267,8 @@ impl Cache {
     /// miss evicts a line older than the group, so every repeat access
     /// hits, and every stamp older than the group stays below every
     /// stamp inside it, wherever a line's stamp sits between its first
-    /// and last touch.
+    /// and last touch. A one-access group (`gap` 0, `run` 1, `last` 1,
+    /// no trailing repeats) always fits and is exactly one scalar read.
     ///
     /// # Panics
     ///

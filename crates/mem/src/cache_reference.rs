@@ -140,7 +140,7 @@ impl ReferenceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Cache;
+    use crate::cache::{Cache, GroupLine};
     use crate::runlog::LineGrouper;
     use proptest::prelude::*;
 
@@ -232,8 +232,10 @@ mod tests {
         /// `ways` of its lines) is bit-identical to the scalar loop over
         /// the group's flat stream: each line's first touch has the
         /// reference's outcome at that position, every other access of
-        /// the group hits, and the end state agrees. Groups that do not
-        /// fit take the per-run path, as the timing model's do.
+        /// the group hits, and the end state agrees. A group that does
+        /// not fit is replayed as the timing model replays it: one
+        /// one-access group per read, in stream order, each with the
+        /// reference's outcome.
         #[test]
         fn read_group_matches_scalar_reference(stream in group_strategy()) {
             for config in configs() {
@@ -268,9 +270,14 @@ mod tests {
                         }
                     }
                     if !config.fits_group(grouper.lines()) {
-                        for &(addr, count) in group {
-                            optimized.access_run(addr, false, count);
+                        for &(addr, expected) in &want {
+                            let one = [GroupLine { addr, gap: 0, run: 1, last: 1 }];
+                            prop_assert!(config.fits_group(&one));
+                            let mut got = None;
+                            optimized.read_group(&one, 0, |_, access| got = Some(access));
+                            prop_assert_eq!(got, Some(expected));
                         }
+                        prop_assert_eq!(optimized.stats(), reference.stats());
                         continue;
                     }
                     let mut got = Vec::new();

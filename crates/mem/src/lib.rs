@@ -42,5 +42,5 @@ pub use hierarchy::{HierarchyAccess, MemoryHierarchy, MemoryStats};
 #[cfg(any(test, feature = "reference"))]
 pub use hierarchy_reference::{ReferenceDram, ReferenceMemoryHierarchy};
 pub use interconnect::{Link, LinkConfig, LinkStats, LinkTransfer};
-pub use runlog::{LineGrouper, RunCoalescer};
+pub use runlog::LineGrouper;
 pub use topology::{MemoryPool, Topology};

@@ -38,9 +38,10 @@
 //! quad only by a miss on another of its lines in the same set; when no
 //! set receives more than `ways` of the quad's lines, every repeat is a
 //! hit and each line's final LRU stamp follows from its last touch.
-//! Quads that overflow a set, and textures whose 4×4 blocks are not
-//! exactly one aligned line, fall back to same-line runs (see
-//! `crate::shard`).
+//! Quads that overflow a set, sample textures whose 4×4 blocks are not
+//! exactly one aligned line or have more than three samplers send each
+//! tap as its own one-access group instead, which replays exactly as
+//! one scalar read (see `crate::shard`).
 //!
 //! The raster phase has one implementation, in `crate::shard`: a pure
 //! tile recorder whose events a `Replay` sink applies to this GPU's

@@ -45,7 +45,10 @@
 //! block is not exactly one aligned cache line (8-byte texels, a
 //! misaligned base, a level narrower than a block), so block keys are
 //! not line keys, or the shader has more than three samplers — the
-//! quad is sent as same-line runs ([`TileOp::Tex`]), one lookup each.
+//! quad sends each tap as its own one-access group, in stream order,
+//! which `read_group` replays exactly as one scalar read. Such quads
+//! are rare (under 1 % of each benchmark workload's textured quads;
+//! DESIGN.md §2g), so a group is the only form texture traffic takes.
 //!
 //! `Gpu::simulate_frame` records straight into a `Replay` unless the
 //! work can overlap: with at least two tiles, more than one worker
@@ -70,9 +73,7 @@ use std::sync::Arc;
 use megsim_funcsim::{FrameTrace, RenderMode};
 use megsim_gfx::draw::Viewport;
 use megsim_gfx::shader::{ShaderTable, TextureFilter};
-use megsim_mem::{
-    AddressSpace, Cache, CacheAccess, GroupLine, LineGrouper, MemoryHierarchy, RunCoalescer,
-};
+use megsim_mem::{AddressSpace, Cache, GroupLine, LineGrouper, MemoryHierarchy};
 
 use crate::config::GpuConfig;
 use crate::gpu::Gpu;
@@ -91,20 +92,6 @@ pub(crate) const SHARD_TILES: usize = 8;
 /// the access.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TileOp {
-    /// A coalesced same-line texture-sample run on FP `fp`'s cache: the
-    /// per-run form of a quad's texture stream, recorded only for a
-    /// quad that puts more than `ways` distinct lines into one
-    /// texture-cache set, whose texture blocks are not lines, or whose
-    /// shader has more than three samplers (any other quad is one
-    /// [`TileSink::tex_group`]; see the module docs).
-    Tex {
-        /// Fragment Processor (texture cache index).
-        fp: u8,
-        /// Accesses in the run (all on `addr`'s line).
-        count: u32,
-        /// First address of the run.
-        addr: u64,
-    },
     /// An IMR depth-buffer line access, `pre` Early-Z cycles after the
     /// previous depth event.
     Depth {
@@ -156,11 +143,12 @@ pub(crate) trait TileSink {
     fn list_run(&mut self, addr: u64, count: u64);
     /// An ordered memory-touching event.
     fn op(&mut self, op: TileOp);
-    /// One quad's whole texture stream on FP `fp`'s cache, as its
-    /// distinct lines in first-touch order plus `trailing` repeat
-    /// accesses after the last line's first run — a group that
-    /// [`megsim_mem::CacheConfig::fits_group`] accepts, replayed with
-    /// [`Cache::read_group`].
+    /// A group of texture reads on FP `fp`'s cache — one quad's whole
+    /// texture stream, or one read of a quad whose stream does not group
+    /// (see the module docs) — as its distinct lines in first-touch
+    /// order plus `trailing` repeat accesses after the last line's first
+    /// run: a group that [`megsim_mem::CacheConfig::fits_group`]
+    /// accepts, replayed with [`Cache::read_group`].
     fn tex_group(&mut self, fp: u8, lines: &[GroupLine], trailing: u32);
     /// The tile's end: its pure totals and per-FP ALU clocks.
     fn end_tile(&mut self, meta: TileMeta, fp_alu: &[u64]);
@@ -431,14 +419,14 @@ fn record_with(
                 fp_alu[fp] += quad_cost[vis as usize];
                 if !samplers.is_empty() {
                     // The quad's fragments sample at one-texel offsets
-                    // (at the selected LOD): +x, +y, then both.
+                    // (at the selected LOD): +x, +y, then both. One
+                    // footprint for the quad: its two x and two y texel
+                    // coordinates and which of them share a block, which
+                    // fix the group's shape.
                     let frags = vis.min(4) as usize;
+                    let footprint = samplers[0].quad_footprint(quad.uv, texel, trilinear);
                     let mut grouped = false;
                     if let Some(filters) = filters {
-                        // One footprint for the quad: its two x and two y
-                        // texel coordinates and which of them share a
-                        // block, which fix the group's shape.
-                        let footprint = samplers[0].quad_footprint(quad.uv, texel, trilinear);
                         let code = u64::from(footprint.pattern())
                             | (frags as u64 - 1) << 24
                             | filters << 26;
@@ -472,25 +460,22 @@ fn record_with(
                         // A set gets more of the quad's lines than it has
                         // ways (so a repeat may miss), blocks are not
                         // lines, or the shader has more than three
-                        // samplers: emit the stream as same-line runs,
-                        // one lookup each.
-                        let mut runs = RunCoalescer::new(tex_shift);
-                        let mut emit = |addr, count: u64| {
-                            sink.op(TileOp::Tex {
-                                fp: fp as u8,
-                                count: count as u32,
-                                addr,
-                            });
-                        };
-                        let texels = samplers[0].quad_texels(quad.uv, texel);
+                        // samplers: send the taps one read at a time, in
+                        // stream order.
                         for f in 0..frags {
                             for sampler in &samplers {
-                                sampler.for_each_quad_run(&texels, f, |addr, count| {
-                                    runs.push(addr, count, &mut emit);
+                                sampler.for_each_quad_tap(f, |tap| {
+                                    let addr = samplers[0].tap_address(&footprint, tap);
+                                    let one = GroupLine {
+                                        addr,
+                                        gap: 0,
+                                        run: 1,
+                                        last: 1,
+                                    };
+                                    sink.tex_group(fp as u8, &[one], 0);
                                 });
                             }
                         }
-                        runs.flush(&mut emit);
                     }
                 }
                 // Blending Unit: one fragment per cycle. TBR blends
@@ -531,7 +516,7 @@ fn record_with(
 
 /// The filters' part of a group shape code (8 bits): the sampler count
 /// and each sampler's filter. `None` for more than three samplers,
-/// whose quads are sent as same-line runs.
+/// whose quads are sent one read at a time.
 fn filters_code(filters: &[TextureFilter]) -> Option<u64> {
     // Each filter takes two bits of the code.
     const _: () = assert!(TextureFilter::ALL.len() <= 4);
@@ -818,32 +803,6 @@ impl<'a> Replay<'a> {
     }
 }
 
-/// Charges a texture run `(addr, count, lookup outcome)` to its FP's
-/// texture-pipe clock: one texel lookup per cycle of pipe occupancy; a
-/// miss stalls the pipe for a capped latency (the in-flight quad window
-/// hides the rest); the run's remaining `count - 1` accesses are hits
-/// at one cycle each.
-#[inline(always)]
-fn charge_tex_run(
-    memory: &mut MemoryHierarchy,
-    clock: &mut u64,
-    tile_base: u64,
-    stall_cap: u64,
-    (addr, count, acc): (u64, u32, CacheAccess),
-) {
-    if let Some(wb) = acc.writeback {
-        memory.access(wb, tile_base + *clock, true);
-    }
-    if acc.hit {
-        *clock += 1;
-    } else {
-        let fill = memory.access(addr, tile_base + *clock, false);
-        let arrival = fill.ready_at.saturating_sub(tile_base);
-        *clock = (*clock + 1).max(arrival.saturating_sub(stall_cap));
-    }
-    *clock += u64::from(count) - 1;
-}
-
 // `list_run`, `op` and `tex_group` run once per event. Forced inlining lets each
 // recorder call site compile down to the one arm it constructs, so the
 // direct route pays no call or variant dispatch per event.
@@ -870,16 +829,6 @@ impl TileSink for Replay<'_> {
     fn op(&mut self, op: TileOp) {
         let tile_base = self.tile_base();
         match op {
-            TileOp::Tex { fp, count, addr } => {
-                let acc = self.texture_caches[fp as usize].access_run(addr, false, count.into());
-                charge_tex_run(
-                    self.memory,
-                    &mut self.tex_clock[fp as usize],
-                    tile_base,
-                    self.config.texture_miss_stall_cap,
-                    (addr, count, acc),
-                );
-            }
             TileOp::Depth { pre, addr } => {
                 // Posted behind the 8-quad Early-Z window, which hides
                 // the depth-buffer latency.
@@ -909,21 +858,28 @@ impl TileSink for Replay<'_> {
 
     #[inline(always)]
     fn tex_group(&mut self, fp: u8, lines: &[GroupLine], trailing: u32) {
-        // Repeats are hits at one cycle each; each line's first run is
-        // charged at the exact clock it reaches the cache.
+        // One texel lookup per cycle of pipe occupancy. Each line's
+        // first touch is charged at the exact clock it reaches the cache:
+        // a miss stalls the pipe for a capped latency (the in-flight quad
+        // window hides the rest). Every other access — the gaps, the rest
+        // of each first run, the trailing repeats — hits at one cycle.
         let tile_base = self.tile_base();
         let stall_cap = self.config.texture_miss_stall_cap;
         let clock = &mut self.tex_clock[fp as usize];
         let memory = &mut *self.memory;
         self.texture_caches[fp as usize].read_group(lines, trailing.into(), |line, acc| {
             *clock += u64::from(line.gap);
-            charge_tex_run(
-                memory,
-                clock,
-                tile_base,
-                stall_cap,
-                (line.addr, line.run, acc),
-            );
+            if let Some(wb) = acc.writeback {
+                memory.access(wb, tile_base + *clock, true);
+            }
+            if acc.hit {
+                *clock += 1;
+            } else {
+                let fill = memory.access(line.addr, tile_base + *clock, false);
+                let arrival = fill.ready_at.saturating_sub(tile_base);
+                *clock = (*clock + 1).max(arrival.saturating_sub(stall_cap));
+            }
+            *clock += u64::from(line.run) - 1;
         });
         *clock += u64::from(trailing);
     }

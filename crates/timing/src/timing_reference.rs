@@ -453,6 +453,17 @@ mod tests {
             5,
             vec![TextureFilter::Trilinear, TextureFilter::Nearest],
         ));
+        t.add(ShaderProgram::fragment(
+            3,
+            "fs_four",
+            9,
+            vec![
+                TextureFilter::Bilinear,
+                TextureFilter::Nearest,
+                TextureFilter::Trilinear,
+                TextureFilter::Linear,
+            ],
+        ));
         t
     }
 
@@ -590,19 +601,15 @@ mod tests {
             .collect()
     }
 
-    /// Counts what the tile recorder emits for a texture stream: per-run
-    /// `Tex` ops (the fallback) and quad groups.
+    /// Counts the texture groups the tile recorder emits.
     #[derive(Default)]
     struct TexCounts {
-        runs: usize,
         groups: usize,
     }
 
     impl crate::shard::TileSink for TexCounts {
         fn list_run(&mut self, _: u64, _: u64) {}
-        fn op(&mut self, op: crate::shard::TileOp) {
-            self.runs += usize::from(matches!(op, crate::shard::TileOp::Tex { .. }));
-        }
+        fn op(&mut self, _: crate::shard::TileOp) {}
         fn tex_group(&mut self, _: u8, _: &[megsim_mem::GroupLine], _: u32) {
             self.groups += 1;
         }
@@ -671,6 +678,14 @@ mod tests {
                 0.7,
                 false,
             ),
+            // More samplers than a group shape code holds.
+            (
+                "four samplers",
+                3,
+                TextureDesc::new(4, 64, 64, 4, 0x8000),
+                1.0,
+                true,
+            ),
         ];
         let t = shaders();
         let viewport = Viewport::new(128, 128, 32);
@@ -690,17 +705,23 @@ mod tests {
             .render_frame(&frames[0], &t);
             let mut counts = TexCounts::default();
             crate::shard::record_tiles(&trace, &t, &cfg, 0, 0..trace.tiles.len(), &mut counts);
-            assert_eq!(counts.runs > 0, falls_back, "{name}: per-run ops");
-            assert!(counts.groups > 0 || falls_back, "{name}: groups");
             let mut vis = [false; 5];
-            for quad in trace
-                .tiles
-                .iter()
-                .flat_map(|t| &t.prims)
-                .flat_map(|p| &p.quads)
-            {
-                vis[quad.visible_count() as usize] = true;
+            let mut textured = 0;
+            for prim in trace.tiles.iter().flat_map(|t| &t.prims) {
+                let samples = &t.fragment_shader(prim.fragment_shader).texture_samples;
+                for quad in &prim.quads {
+                    vis[quad.visible_count() as usize] = true;
+                    if prim.texture.is_some() && !samples.is_empty() && quad.visible_count() > 0 {
+                        textured += 1;
+                    }
+                }
             }
+            // A quad that groups sends one group; one that falls back
+            // sends one per tap, at least two with these shaders. So
+            // groups exceed textured quads exactly when some quad fell
+            // back.
+            assert!(textured > 0 && counts.groups >= textured, "{name}: groups");
+            assert_eq!(counts.groups > textured, falls_back, "{name}: fallback");
             assert_eq!(vis[1..], [true; 4], "{name}: visible counts 1 to 4");
         }
     }
